@@ -3,9 +3,26 @@
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import InputError
+
+
+def require_int(name: str, value) -> int:
+    """``value`` as an int; bools and non-integral numbers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def require_real(name: str, value) -> float:
+    """``value`` as a float; bools, NaN and infinities are rejected."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise InputError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass
@@ -27,12 +44,18 @@ class RunConfig:
     split: float = 0.8
 
     def __post_init__(self):
+        # annotations are strings here (postponed evaluation)
+        checks = {"int": require_int, "float": require_real}
+        for spec in fields(self):
+            if spec.type in checks:
+                setattr(self, spec.name, checks[spec.type](spec.name, getattr(self, spec.name)))
+        if not isinstance(self.dbn_sizes, list):
+            raise InputError("dbn_sizes must be a list of integers")
+        self.dbn_sizes = [require_int("dbn_sizes", s) for s in self.dbn_sizes]
         if self.window_len <= 0:
             raise InputError("window_len must be positive")
-        if (len(self.dbn_sizes) < 2
-                or any(int(s) != s or s < 1 for s in self.dbn_sizes)):
+        if len(self.dbn_sizes) < 2 or min(self.dbn_sizes) < 1:
             raise InputError("dbn_sizes needs at least two positive integers")
-        self.dbn_sizes = [int(s) for s in self.dbn_sizes]
         if self.lstm_hidden < 1:
             raise InputError("lstm_hidden must be >= 1")
         if self.lookback < 1:
@@ -49,6 +72,8 @@ class RunConfig:
             raise InputError("gradient_clip must be positive")
         if not 0.0 < self.split < 1.0:
             raise InputError("split must lie strictly between 0 and 1")
+        if self.seed < 0:
+            raise InputError("seed must be >= 0")
 
     def to_dict(self) -> dict:
         return asdict(self)

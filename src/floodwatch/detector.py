@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, require_int, require_real
 from .dbn import DbnModel, new_dbn, pretrain, transform
 from .errors import InputError
 from .lstm import LstmModel, TrainConfig, init_lstm, predict_sequence_batch, train_lstm
@@ -45,6 +45,9 @@ class DetectorModel:
     residual_std: float
 
     def __post_init__(self):
+        self.lookback = require_int("lookback", self.lookback)
+        for name in ("window_len", "threshold", "residual_mean", "residual_std"):
+            setattr(self, name, require_real(name, getattr(self, name)))
         if self.lookback < 1:
             raise InputError("lookback must be >= 1")
         if self.window_len <= 0:
@@ -152,8 +155,7 @@ def _residuals(lstm: LstmModel, codes: np.ndarray, lookback: int) -> np.ndarray:
             f"{lookback}, got {n}"
         )
     batch = np.stack([codes[i:i + lookback] for i in range(n - lookback)])
-    predictions = predict_sequence_batch(lstm, batch)[:, -1, :]
-    errors = predictions - codes[lookback:]
+    errors = predict_sequence_batch(lstm, batch) - codes[lookback:]
     return np.sqrt(np.mean(errors ** 2, axis=1))
 
 

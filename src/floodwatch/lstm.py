@@ -14,10 +14,18 @@ error loss, exact backpropagation through time, central-difference
 gradient checking, and full-batch gradient descent with global-norm
 clipping. Everything is plain float64 numpy and deterministic.
 
-``train_lstm`` runs a vectorized implementation that processes all
-equal-length sequences at once; it computes the same loss and gradients
-as looping ``sequence_forward``/``backward_bptt`` per sequence (up to
-float summation order) and falls back to that loop for mixed lengths.
+One batched kernel (``forward``/``backward`` over a ``Workspace``) does
+all the work. The gate matrices are stacked gate-major in the order
+[f, i, o, g] (Appleyard et al., arXiv:1604.01946), each with its bias as
+an extra row that meets a constant 1 appended to [h_{t-1}, x_t], so a
+step is one broadcast matmul that writes a contiguous (4, B, N) block.
+The sigmoid gates use sigmoid(x) = 0.5 * tanh(x / 2) + 0.5 with the
+exact factor 0.5 folded into their stacked weights, so one tanh covers
+all four gates.
+``train_lstm`` runs the kernel once per group of equal-length sequences;
+``cell_forward``, ``sequence_forward`` and ``backward_bptt`` are its
+B = 1 case, and ``predict_sequence_batch`` runs its step function
+keeping no history.
 """
 
 from __future__ import annotations
@@ -28,7 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError
-from .numerics import require_finite, sigmoid
+from .numerics import require_finite
+# Not called here any more; kept importable because the benchmark's trace
+# table (perfbench/spans.py) wraps ``floodwatch.lstm.sigmoid``.
+from .numerics import sigmoid  # noqa: F401
 
 PARAM_FIELDS = ("w_f", "w_i", "w_c", "w_o",
                 "b_f", "b_i", "b_c", "b_o",
@@ -82,29 +93,12 @@ class LstmState:
 
 @dataclass
 class Gates:
-    """Gate activations of one step, cached for backpropagation."""
+    """Gate activations of one step."""
 
     forget: np.ndarray
     input: np.ndarray
     candidate: np.ndarray
     output: np.ndarray
-
-
-@dataclass
-class SequenceCache:
-    """Everything the backward pass needs, recorded per step (first axis = time)."""
-
-    inputs: np.ndarray      # (T, D)
-    concat: np.ndarray      # (T, N + D), [h_{t-1}, x_t]
-    forget: np.ndarray      # (T, N)
-    input_gate: np.ndarray  # (T, N)
-    candidate: np.ndarray   # (T, N)
-    output_gate: np.ndarray  # (T, N)
-    cell: np.ndarray        # (T, N)
-    tanh_cell: np.ndarray   # (T, N)
-    hidden: np.ndarray      # (T, N)
-    preds: np.ndarray       # (T, D)
-    init_cell: np.ndarray   # (N,)
 
 
 @dataclass
@@ -148,11 +142,6 @@ def zero_state(hidden_dim: int) -> LstmState:
     return LstmState(hidden=np.zeros(hidden_dim), cell=np.zeros(hidden_dim))
 
 
-def zero_grads(model: LstmModel) -> LstmGrads:
-    return LstmGrads(**{name: np.zeros_like(getattr(model, name))
-                        for name in PARAM_FIELDS})
-
-
 def init_lstm(input_dim: int, hidden_dim: int, rng: np.random.Generator) -> LstmModel:
     """Random model: weights N(0, 0.1/sqrt(N+D)), zero biases except b_f = 1.
 
@@ -173,28 +162,148 @@ def init_lstm(input_dim: int, hidden_dim: int, rng: np.random.Generator) -> Lstm
     )
 
 
-def cell_forward(model: LstmModel, x, prev: LstmState) -> tuple[LstmState, Gates]:
-    """One step of the gated recurrence; returns the new state and the gates."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.input_dim,):
-        raise InputError(f"x must have shape ({model.input_dim},), got {x.shape}")
-    if prev.hidden.shape != (model.hidden_dim,) or prev.cell.shape != (model.hidden_dim,):
-        raise InputError("previous state does not match hidden_dim")
-    require_finite(prev.hidden, "previous hidden state")
-    require_finite(prev.cell, "previous cell state")
+# Per-gate factor folded into the stacked weights, kernel order [f, i, o, g]:
+# the sigmoid gates take tanh(x / 2), the candidate tanh(x).
+_SIGMOID_HALF = np.array([0.5, 0.5, 0.5, 1.0])
 
-    z = np.concatenate([prev.hidden, x])
-    forget = sigmoid(model.w_f @ z + model.b_f)
-    input_gate = sigmoid(model.w_i @ z + model.b_i)
-    candidate = np.tanh(model.w_c @ z + model.b_c)
-    cell = forget * prev.cell + input_gate * candidate
-    output_gate = sigmoid(model.w_o @ z + model.b_o)
-    hidden = output_gate * np.tanh(cell)
-    require_finite(cell, "cell state")
-    require_finite(hidden, "hidden state")
-    return (LstmState(hidden=hidden, cell=cell),
-            Gates(forget=forget, input=input_gate, candidate=candidate,
-                  output=output_gate))
+
+@dataclass
+class Stack:
+    """A model's parameters laid out for the kernel, gate order [f, i, o, g]."""
+
+    w: np.ndarray         # (4, N + D + 1, N): W^T with the bias as last row, scaled
+    w_hidden: np.ndarray  # (4, N, N), unscaled, maps gate gradients to dh_{t-1}
+    w_y: np.ndarray       # (D, N)
+    b_y: np.ndarray       # (D,)
+
+
+def stack(model: LstmModel) -> Stack:
+    """Lay ``model`` out for the kernel (once per parameter set)."""
+    gates = np.stack([model.w_f, model.w_i, model.w_o, model.w_c])  # (4, N, N+D)
+    biases = np.stack([model.b_f, model.b_i, model.b_o, model.b_c])
+    w = np.concatenate([gates.transpose(0, 2, 1), biases[:, None, :]], axis=1)
+    w *= _SIGMOID_HALF[:, None, None]
+    return Stack(w=w,
+                 w_hidden=np.ascontiguousarray(gates[:, :, :model.hidden_dim]),
+                 w_y=model.w_y, b_y=model.b_y)
+
+
+class Workspace:
+    """Per-step activations of one time-major (T, B, D) input batch.
+
+    Allocated once and reused by every forward/backward over the same
+    inputs. ``gates[t]`` and ``tanh_cell[t]`` belong to step t; ``cell``
+    and ``hidden`` hold the initial state at index 0, so step t reads
+    index t and writes index t + 1.
+    """
+
+    def __init__(self, inputs: np.ndarray, hidden_dim: int):
+        steps, batch, dim = inputs.shape
+        n = hidden_dim
+        self.inputs = inputs
+        self.gates = np.empty((steps, 4, batch, n))
+        self.cell = np.zeros((steps + 1, batch, n))
+        self.tanh_cell = np.empty((steps, batch, n))
+        self.hidden = np.zeros((steps + 1, batch, n))
+        self.preds = np.empty((steps, batch, dim))
+        self.z = np.ones((batch, n + dim + 1))      # [h_{t-1}, x_t, 1] of one step
+        self.d_gates = np.empty((4, batch, n))      # gradient buffers of one step
+        self.scratch = np.empty((4, batch, n))
+
+    def load_z(self, t: int):
+        n = self.hidden.shape[2]
+        self.z[:, :n] = self.hidden[t]
+        self.z[:, n:-1] = self.inputs[t]
+
+
+def _step(params: Stack, z, gates, cell_prev, cell, tanh_cell, hidden):
+    """One step for the whole batch; writes gates, cell, tanh(cell) and
+    hidden in place. ``cell`` may be ``cell_prev``."""
+    np.matmul(z, params.w, out=gates)
+    np.tanh(gates, out=gates)
+    sigmoids = gates[:3]
+    sigmoids *= 0.5
+    sigmoids += 0.5
+    forget, input_gate, output_gate, candidate = gates
+    np.multiply(forget, cell_prev, out=cell)
+    cell += input_gate * candidate
+    np.tanh(cell, out=tanh_cell)
+    np.multiply(output_gate, tanh_cell, out=hidden)
+
+
+def forward(params: Stack, work: Workspace) -> np.ndarray:
+    """Run the recurrence over ``work.inputs`` from the state at index 0
+    and read out every step; returns ``work.preds`` (T, B, D)."""
+    for t in range(work.inputs.shape[0]):
+        work.load_z(t)
+        _step(params, work.z, work.gates[t], work.cell[t], work.cell[t + 1],
+              work.tanh_cell[t], work.hidden[t + 1])
+    np.matmul(work.hidden[1:], params.w_y.T, out=work.preds)
+    work.preds += params.b_y
+    return work.preds
+
+
+def backward(params: Stack, work: Workspace, d_pred: np.ndarray) -> LstmGrads:
+    """Parameter gradients given dL/dy (T, B, D) for the activations in
+    ``work``, summed over the batch.
+
+    Reverse-mode sweep: the cell path carries d_cell * forget backwards,
+    the hidden path re-enters through the recurrent gate weights. Weight
+    gradients accumulate step by step, so no (T, ...) gradient history
+    is kept.
+    """
+    steps, batch, dim = d_pred.shape
+    n = work.hidden.shape[2]
+    flat_dy = d_pred.reshape(-1, dim)
+    d_w_y = flat_dy.T @ work.hidden[1:].reshape(-1, n)
+    d_b_y = flat_dy.sum(axis=0)
+    d_w = np.zeros((4, n + dim + 1, n))   # gate order [f, i, o, g], bias last
+    step_w = np.empty_like(d_w)
+    d_hidden = np.zeros((batch, n))
+    d_cell = np.zeros((batch, n))
+    da, scratch = work.d_gates, work.scratch
+    for t in reversed(range(steps)):
+        gates = work.gates[t]
+        forget, input_gate, output_gate, candidate = gates
+        tanh_c = work.tanh_cell[t]
+        np.matmul(d_pred[t], params.w_y, out=scratch[0])
+        d_hidden += scratch[0]
+        np.multiply(d_hidden, tanh_c, out=da[2])
+        d_cell += d_hidden * output_gate * (1.0 - tanh_c * tanh_c)
+        np.multiply(d_cell, work.cell[t], out=da[0])
+        np.multiply(d_cell, candidate, out=da[1])
+        np.multiply(d_cell, input_gate, out=da[3])
+        # through the nonlinearities: sigmoid' = s(1 - s), tanh' = 1 - g^2
+        sigmoids = gates[:3]
+        np.subtract(1.0, sigmoids, out=scratch[:3])
+        scratch[:3] *= sigmoids
+        da[:3] *= scratch[:3]
+        da[3] *= 1.0 - candidate * candidate
+
+        work.load_z(t)
+        np.matmul(work.z.T, da, out=step_w)
+        d_w += step_w
+        np.matmul(da, params.w_hidden, out=scratch)
+        np.sum(scratch, axis=0, out=d_hidden)
+        d_cell *= forget
+    d_gate_w, d_gate_b = d_w[:, :-1].transpose(0, 2, 1), d_w[:, -1]
+    return LstmGrads(w_f=d_gate_w[0], w_i=d_gate_w[1], w_o=d_gate_w[2], w_c=d_gate_w[3],
+                     b_f=d_gate_b[0], b_i=d_gate_b[1], b_o=d_gate_b[2], b_c=d_gate_b[3],
+                     w_y=d_w_y, b_y=d_b_y)
+
+
+class SequenceCache:
+    """Forward record of one sequence for ``backward_bptt``: its B = 1
+    workspace and (T, N) views of the gates and states (first axis = time)."""
+
+    def __init__(self, work: Workspace):
+        self.work = work
+        self.preds = work.preds[:, 0]
+        self.forget, self.input_gate, self.output_gate, self.candidate = (
+            work.gates[:, k, 0] for k in range(4))
+        self.cell = work.cell[1:, 0]
+        self.hidden = work.hidden[1:, 0]
+        self.init_cell = work.cell[0, 0]
 
 
 def sequence_forward(model: LstmModel, xs,
@@ -211,38 +320,32 @@ def sequence_forward(model: LstmModel, xs,
         )
     if xs.shape[0] == 0:
         raise InputError("xs must contain at least one step")
-    steps, dim = xs.shape
-    n = model.hidden_dim
-    state = init if init is not None else zero_state(n)
+    work = Workspace(xs[:, None, :], model.hidden_dim)
+    if init is not None:
+        n = model.hidden_dim
+        if init.hidden.shape != (n,) or init.cell.shape != (n,):
+            raise InputError("previous state does not match hidden_dim")
+        require_finite(init.hidden, "previous hidden state")
+        require_finite(init.cell, "previous cell state")
+        work.hidden[0, 0] = init.hidden
+        work.cell[0, 0] = init.cell
+    preds = forward(stack(model), work)
+    finite = (np.isfinite(work.cell[1:, 0]).all(axis=1)
+              & np.isfinite(work.hidden[1:, 0]).all(axis=1))
+    if not finite.all():
+        raise NumericError(f"step {int(np.argmin(finite))}: non-finite cell or hidden state")
+    return preds[:, 0].copy(), SequenceCache(work)
 
-    cache = SequenceCache(
-        inputs=xs,
-        concat=np.zeros((steps, n + dim)),
-        forget=np.zeros((steps, n)),
-        input_gate=np.zeros((steps, n)),
-        candidate=np.zeros((steps, n)),
-        output_gate=np.zeros((steps, n)),
-        cell=np.zeros((steps, n)),
-        tanh_cell=np.zeros((steps, n)),
-        hidden=np.zeros((steps, n)),
-        preds=np.zeros((steps, dim)),
-        init_cell=state.cell.copy(),
-    )
-    for t in range(steps):
-        cache.concat[t] = np.concatenate([state.hidden, xs[t]])
-        try:
-            state, gates = cell_forward(model, xs[t], state)
-        except NumericError as exc:
-            raise NumericError(f"step {t}: {exc}") from exc
-        cache.forget[t] = gates.forget
-        cache.input_gate[t] = gates.input
-        cache.candidate[t] = gates.candidate
-        cache.output_gate[t] = gates.output
-        cache.cell[t] = state.cell
-        cache.tanh_cell[t] = np.tanh(state.cell)
-        cache.hidden[t] = state.hidden
-        cache.preds[t] = model.w_y @ state.hidden + model.b_y
-    return cache.preds.copy(), cache
+
+def cell_forward(model: LstmModel, x, prev: LstmState) -> tuple[LstmState, Gates]:
+    """One step of the gated recurrence; returns the new state and the gates."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (model.input_dim,):
+        raise InputError(f"x must have shape ({model.input_dim},), got {x.shape}")
+    _, cache = sequence_forward(model, x[None, :], prev)
+    return (LstmState(hidden=cache.hidden[0], cell=cache.cell[0]),
+            Gates(forget=cache.forget[0], input=cache.input_gate[0],
+                  candidate=cache.candidate[0], output=cache.output_gate[0]))
 
 
 def loss_mse(pred, target) -> float:
@@ -257,63 +360,15 @@ def loss_mse(pred, target) -> float:
 
 
 def backward_bptt(model: LstmModel, cache: SequenceCache, targets) -> LstmGrads:
-    """Exact gradients of loss_mse(preds, targets) w.r.t. every parameter.
-
-    Reverse-mode sweep over the cached activations; the cell-state path
-    carries d_cell * forget backwards, the hidden path re-enters through
-    the four gate matrices.
-    """
+    """Exact gradients of loss_mse(preds, targets) w.r.t. every parameter."""
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != cache.preds.shape:
         raise InputError(
             f"targets shape {targets.shape} != predictions shape {cache.preds.shape}"
         )
-    steps, dim = cache.preds.shape
-    n = model.hidden_dim
-    grads = zero_grads(model)
-
+    steps, dim = targets.shape
     d_pred = 2.0 * (cache.preds - targets) / (steps * dim)
-    d_hidden_next = np.zeros(n)
-    d_cell_next = np.zeros(n)
-    for t in reversed(range(steps)):
-        dy = d_pred[t]
-        grads.w_y += np.outer(dy, cache.hidden[t])
-        grads.b_y += dy
-        d_hidden = model.w_y.T @ dy + d_hidden_next
-
-        tanh_c = cache.tanh_cell[t]
-        out_gate = cache.output_gate[t]
-        d_out = d_hidden * tanh_c
-        d_cell = d_hidden * out_gate * (1.0 - tanh_c ** 2) + d_cell_next
-
-        prev_cell = cache.cell[t - 1] if t > 0 else cache.init_cell
-        forget = cache.forget[t]
-        in_gate = cache.input_gate[t]
-        candidate = cache.candidate[t]
-        d_forget = d_cell * prev_cell
-        d_input = d_cell * candidate
-        d_candidate = d_cell * in_gate
-
-        da_f = d_forget * forget * (1.0 - forget)
-        da_i = d_input * in_gate * (1.0 - in_gate)
-        da_c = d_candidate * (1.0 - candidate ** 2)
-        da_o = d_out * out_gate * (1.0 - out_gate)
-
-        z = cache.concat[t]
-        grads.w_f += np.outer(da_f, z)
-        grads.w_i += np.outer(da_i, z)
-        grads.w_c += np.outer(da_c, z)
-        grads.w_o += np.outer(da_o, z)
-        grads.b_f += da_f
-        grads.b_i += da_i
-        grads.b_c += da_c
-        grads.b_o += da_o
-
-        dz = (model.w_f.T @ da_f + model.w_i.T @ da_i
-              + model.w_c.T @ da_c + model.w_o.T @ da_o)
-        d_hidden_next = dz[:n]
-        d_cell_next = d_cell * forget
-
+    grads = backward(stack(model), cache.work, d_pred[:, None, :])
     for name in PARAM_FIELDS:
         require_finite(getattr(grads, name), f"gradient of {name}")
     return grads
@@ -406,122 +461,36 @@ def apply_gradients(model: LstmModel, grads: LstmGrads, learning_rate: float) ->
     return LstmModel(input_dim=model.input_dim, hidden_dim=model.hidden_dim, **updated)
 
 
-@dataclass
-class _BatchCache:
-    # Time-major batched activations; shapes (T, B, ...)
-    inputs: np.ndarray
-    concat: np.ndarray
-    forget: np.ndarray
-    input_gate: np.ndarray
-    candidate: np.ndarray
-    output_gate: np.ndarray
-    cell: np.ndarray
-    tanh_cell: np.ndarray
-    hidden: np.ndarray
-    preds: np.ndarray
-
-
-def _forward_batch(model: LstmModel, inputs: np.ndarray) -> _BatchCache:
-    """Run the recurrence over a (B, T, D) batch from zero initial state."""
-    batch, steps, dim = inputs.shape
-    n = model.hidden_dim
-    cache = _BatchCache(
-        inputs=inputs,
-        concat=np.zeros((steps, batch, n + dim)),
-        forget=np.zeros((steps, batch, n)),
-        input_gate=np.zeros((steps, batch, n)),
-        candidate=np.zeros((steps, batch, n)),
-        output_gate=np.zeros((steps, batch, n)),
-        cell=np.zeros((steps, batch, n)),
-        tanh_cell=np.zeros((steps, batch, n)),
-        hidden=np.zeros((steps, batch, n)),
-        preds=np.zeros((steps, batch, dim)),
-    )
-    hidden = np.zeros((batch, n))
-    cell = np.zeros((batch, n))
-    for t in range(steps):
-        z = np.concatenate([hidden, inputs[:, t, :]], axis=1)
-        forget = sigmoid(z @ model.w_f.T + model.b_f)
-        in_gate = sigmoid(z @ model.w_i.T + model.b_i)
-        candidate = np.tanh(z @ model.w_c.T + model.b_c)
-        cell = forget * cell + in_gate * candidate
-        out_gate = sigmoid(z @ model.w_o.T + model.b_o)
-        tanh_c = np.tanh(cell)
-        hidden = out_gate * tanh_c
-        cache.concat[t] = z
-        cache.forget[t] = forget
-        cache.input_gate[t] = in_gate
-        cache.candidate[t] = candidate
-        cache.output_gate[t] = out_gate
-        cache.cell[t] = cell
-        cache.tanh_cell[t] = tanh_c
-        cache.hidden[t] = hidden
-        cache.preds[t] = hidden @ model.w_y.T + model.b_y
-    return cache
-
-
-def _backward_batch(model: LstmModel, cache: _BatchCache,
-                    targets: np.ndarray) -> LstmGrads:
-    """Gradients of the summed per-sequence MSE; mirrors backward_bptt
-    with a batch axis."""
-    steps, batch, dim = cache.preds.shape
-    n = model.hidden_dim
-    grads = zero_grads(model)
-
-    d_pred = 2.0 * (cache.preds - targets) / (steps * dim)
-    d_hidden_next = np.zeros((batch, n))
-    d_cell_next = np.zeros((batch, n))
-    for t in reversed(range(steps)):
-        dy = d_pred[t]
-        grads.w_y += dy.T @ cache.hidden[t]
-        grads.b_y += dy.sum(axis=0)
-        d_hidden = dy @ model.w_y + d_hidden_next
-
-        tanh_c = cache.tanh_cell[t]
-        out_gate = cache.output_gate[t]
-        d_out = d_hidden * tanh_c
-        d_cell = d_hidden * out_gate * (1.0 - tanh_c ** 2) + d_cell_next
-
-        prev_cell = cache.cell[t - 1] if t > 0 else np.zeros((batch, n))
-        forget = cache.forget[t]
-        in_gate = cache.input_gate[t]
-        candidate = cache.candidate[t]
-        da_f = d_cell * prev_cell * forget * (1.0 - forget)
-        da_i = d_cell * candidate * in_gate * (1.0 - in_gate)
-        da_c = d_cell * in_gate * (1.0 - candidate ** 2)
-        da_o = d_out * out_gate * (1.0 - out_gate)
-
-        z = cache.concat[t]
-        grads.w_f += da_f.T @ z
-        grads.w_i += da_i.T @ z
-        grads.w_c += da_c.T @ z
-        grads.w_o += da_o.T @ z
-        grads.b_f += da_f.sum(axis=0)
-        grads.b_i += da_i.sum(axis=0)
-        grads.b_c += da_c.sum(axis=0)
-        grads.b_o += da_o.sum(axis=0)
-
-        dz = da_f @ model.w_f + da_i @ model.w_i + da_c @ model.w_c + da_o @ model.w_o
-        d_hidden_next = dz[:, :n]
-        d_cell_next = d_cell * forget
-    return grads
-
-
 def predict_sequence_batch(model: LstmModel, inputs) -> np.ndarray:
-    """Predictions for a (B, T, D) batch of sequences from zero initial state."""
+    """Final-step predictions (B, D) for a (B, T, D) batch of sequences
+    from zero initial state; only one step of activations is kept."""
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 3 or inputs.shape[2] != model.input_dim:
         raise InputError(
             f"inputs must be (B, T, {model.input_dim}), got shape {inputs.shape}"
         )
-    cache = _forward_batch(model, inputs)
-    return np.transpose(cache.preds, (1, 0, 2))
+    batch, steps, dim = inputs.shape
+    n = model.hidden_dim
+    params = stack(model)
+    z = np.zeros((batch, n + dim + 1))
+    z[:, -1] = 1.0
+    hidden = z[:, :n]   # each step writes h_t where the next step reads it
+    gates = np.empty((4, batch, n))
+    cell = np.zeros((batch, n))
+    tanh_cell = np.empty((batch, n))
+    for t in range(steps):
+        z[:, n:-1] = inputs[:, t]
+        _step(params, z, gates, cell, cell, tanh_cell, hidden)
+    return hidden @ model.w_y.T + model.b_y
 
 
-def _check_sequences(model: LstmModel, sequences) -> list[tuple[np.ndarray, np.ndarray]]:
+def _length_groups(model: LstmModel, sequences) -> list[tuple[list[int], Workspace, np.ndarray]]:
+    """Validate (inputs, targets) pairs and batch them by length: per
+    group, the original indices, a workspace over the time-major inputs
+    and the time-major targets."""
     if not sequences:
         raise InputError("sequences must not be empty")
-    checked = []
+    by_length: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}
     for index, pair in enumerate(sequences):
         xs = np.asarray(pair[0], dtype=np.float64)
         targets = np.asarray(pair[1], dtype=np.float64)
@@ -537,41 +506,38 @@ def _check_sequences(model: LstmModel, sequences) -> list[tuple[np.ndarray, np.n
             )
         if xs.shape[0] == 0:
             raise InputError(f"sequence {index} is empty")
-        checked.append((xs, targets))
-    return checked
+        by_length.setdefault(xs.shape[0], []).append((index, xs, targets))
+    return [([index for index, _, _ in group],
+             Workspace(np.stack([xs for _, xs, _ in group], axis=1), model.hidden_dim),
+             np.stack([targets for _, _, targets in group], axis=1))
+            for group in by_length.values()]
 
 
-def _epoch_loss_and_grads(model, pairs, batched):
-    if batched:
-        inputs = np.stack([xs for xs, _ in pairs])                 # (B, T, D)
-        targets = np.stack([tg for _, tg in pairs])
-        cache = _forward_batch(model, inputs)
-        preds = np.transpose(cache.preds, (1, 0, 2))
-        bad = ~np.all(np.isfinite(preds), axis=(1, 2))
+def _loss_and_grads(model: LstmModel, groups) -> tuple[float, LstmGrads]:
+    """Mean per-sequence loss and the gradient of the summed loss."""
+    params = stack(model)
+    loss_sum = 0.0
+    total = None
+    for indices, work, targets in groups:
+        steps, _, dim = targets.shape
+        preds = forward(params, work)
+        bad = ~np.isfinite(preds).all(axis=(0, 2))
         if bad.any():
             raise NumericError(
-                f"sequence {int(np.argmax(bad))}: non-finite forward output"
+                f"sequence {indices[int(np.argmax(bad))]}: non-finite forward output"
             )
-        loss = float(np.mean((preds - targets) ** 2))
-        grads = _backward_batch(model, cache, np.transpose(targets, (1, 0, 2)))
-        return loss, grads
-
-    total = zero_grads(model)
-    loss_sum = 0.0
-    for index, (xs, targets) in enumerate(pairs):
-        try:
-            preds, cache = sequence_forward(model, xs)
-            loss_sum += loss_mse(preds, targets)
-            grads = backward_bptt(model, cache, targets)
-        except NumericError as exc:
-            raise NumericError(f"sequence {index}: {exc}") from exc
-        for name in PARAM_FIELDS:
-            setattr(total, name, getattr(total, name) + getattr(grads, name))
-    return loss_sum / len(pairs), total
+        d_pred = preds - targets
+        loss_sum += float(np.sum(d_pred * d_pred)) / (steps * dim)
+        d_pred *= 2.0
+        d_pred /= steps * dim
+        grads = backward(params, work, d_pred)
+        total = grads if total is None else LstmGrads(
+            **{name: getattr(total, name) + getattr(grads, name) for name in PARAM_FIELDS})
+    return loss_sum / sum(len(indices) for indices, _, _ in groups), total
 
 
-def train_lstm(model: LstmModel, sequences, config: TrainConfig,
-               rng: np.random.Generator | None = None) -> tuple[LstmModel, np.ndarray]:
+def train_lstm(model: LstmModel, sequences,
+               config: TrainConfig) -> tuple[LstmModel, np.ndarray]:
     """Full-batch gradient descent on the summed per-sequence MSE.
 
     Each epoch records the mean per-sequence loss at the current
@@ -579,20 +545,15 @@ def train_lstm(model: LstmModel, sequences, config: TrainConfig,
     config.gradient_clip by global norm, and takes one plain descent
     step. Clipping the sum (not the mean) makes the norm bound, not the
     sequence count, set the worst-case step size. There is no
-    stochasticity: ``rng`` is accepted for interface symmetry but never
-    drawn from, and identical inputs produce bit-identical trained
+    stochasticity: identical inputs produce bit-identical trained
     parameters.
     """
-    del rng
-    pairs = _check_sequences(model, sequences)
-    lengths = {xs.shape[0] for xs, _ in pairs}
-    batched = len(lengths) == 1
-
+    groups = _length_groups(model, sequences)
     trace = np.zeros(config.epochs)
     current = model
     for epoch in range(config.epochs):
         try:
-            loss, grads = _epoch_loss_and_grads(current, pairs, batched)
+            loss, grads = _loss_and_grads(current, groups)
         except NumericError as exc:
             raise NumericError(f"epoch {epoch}: {exc}") from exc
         if not np.isfinite(loss):

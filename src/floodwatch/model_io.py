@@ -16,7 +16,7 @@ import numpy as np
 from .config import RunConfig
 from .dbn import DbnModel
 from .detector import DetectorModel
-from .errors import InputError
+from .errors import InputError, NumericError
 from .lstm import PARAM_FIELDS, LstmModel
 from .rbm import RbmKind, RbmParams
 from .traffic import Normalizer
@@ -59,9 +59,12 @@ def save_model(path, model: DetectorModel, config: RunConfig):
         "window_len": model.window_len,
         "residual_stats": {"mean": model.residual_mean, "std": model.residual_std},
     }
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"{path}: model holds a non-finite value: {exc}") from None
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2)
-        handle.write("\n")
+        handle.write(text + "\n")
 
 
 def _vector(doc: dict, key: str, length: int, what: str) -> np.ndarray:
@@ -137,11 +140,11 @@ def load_model(path) -> tuple[DetectorModel, RunConfig]:
         stats = doc["residual_stats"]
         model = DetectorModel(
             normalizer=normalizer, dbn=dbn, lstm=lstm,
-            threshold=float(doc["threshold"]),
-            lookback=int(doc["lookback"]),
-            window_len=float(doc["window_len"]),
-            residual_mean=float(stats["mean"]),
-            residual_std=float(stats["std"]),
+            threshold=doc["threshold"],
+            lookback=doc["lookback"],
+            window_len=doc["window_len"],
+            residual_mean=stats["mean"],
+            residual_std=stats["std"],
         )
     except InputError:
         raise

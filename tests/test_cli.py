@@ -170,6 +170,34 @@ def test_tampered_model_schema_exits_2(workspace, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("override", [{"k_sigma": float("nan")},
+                                      {"lstm_hidden": 1.5},
+                                      {"lookback": 2.5},
+                                      {"lstm_epochs": 2.5}])
+def test_bad_config_value_exits_2(workspace, tmp_path, capsys, override):
+    root, _ = workspace
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**DETECT_CONFIG.to_dict(), **override}))
+    assert cli.main(["train", str(root / "train.csv"), "--config", str(config),
+                     "--out", str(tmp_path / "model.json")]) == 2
+    assert not (tmp_path / "model.json").exists()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("key, value", [("threshold", float("nan")),
+                                        ("lookback", 2.5)])
+def test_bad_model_value_exits_2(workspace, tmp_path, capsys, key, value):
+    root, _ = workspace
+    doc = json.loads((root / "model.json").read_text())
+    doc[key] = value
+    tampered = tmp_path / "model.json"
+    tampered.write_text(json.dumps(doc))
+    assert cli.main(["detect", str(tampered), str(root / "train.csv"),
+                     "--out", str(tmp_path / "r.csv")]) == 2
+    assert not (tmp_path / "r.csv").exists()
+    capsys.readouterr()
+
+
 def test_gradcheck_passes_and_prints_error(capsys):
     assert cli.main(["gradcheck"]) == 0
     first = capsys.readouterr().out

@@ -8,15 +8,20 @@ from floodwatch.lstm import (
     LstmModel,
     LstmState,
     TrainConfig,
+    Workspace,
+    backward,
     backward_bptt,
     cell_forward,
     clip_gradients,
+    forward,
     grad_check,
     gradcheck_instance,
     gradient_global_norm,
     init_lstm,
     loss_mse,
+    predict_sequence_batch,
     sequence_forward,
+    stack,
     train_lstm,
     zero_state,
 )
@@ -234,3 +239,101 @@ def test_train_config_validation():
     with pytest.raises(InputError):
         TrainConfig(learning_rate=0.01, epochs=1, sequence_length=5,
                     rng_seed=0, gradient_clip=0.0)
+
+
+def naive_sequence(model, xs, hidden, cell):
+    """Oracle cell iterated over one sequence: per step (h, c, [f, i, o, g])."""
+    steps = []
+    for x in xs:
+        hidden, cell, f, i, g, o = naive_lstm_cell(
+            model.w_f.tolist(), model.w_i.tolist(), model.w_c.tolist(),
+            model.w_o.tolist(), model.b_f.tolist(), model.b_i.tolist(),
+            model.b_c.tolist(), model.b_o.tolist(), list(x), hidden, cell)
+        steps.append((hidden, cell, [f, i, o, g]))
+    return steps
+
+
+def test_batched_kernel_matches_naive_oracle():
+    model, _, _ = gradcheck_instance(21, input_dim=3, hidden_dim=4)
+    inputs = np.random.default_rng(21).normal(size=(6, 4, 3))   # (T, B, D)
+    work = Workspace(inputs, model.hidden_dim)
+    preds = forward(stack(model), work)
+    for b in range(4):
+        steps = naive_sequence(model, inputs[:, b].tolist(), [0.0] * 4, [0.0] * 4)
+        for t, (h, c, gates) in enumerate(steps):
+            npt.assert_allclose(work.hidden[t + 1, b], h, atol=1e-12)
+            npt.assert_allclose(work.cell[t + 1, b], c, atol=1e-12)
+            npt.assert_allclose(work.gates[t, :, b], gates, atol=1e-12)
+            npt.assert_allclose(preds[t, b], model.w_y @ h + model.b_y, atol=1e-12)
+    # the history-free prediction path runs the same step function
+    npt.assert_allclose(predict_sequence_batch(model, inputs.transpose(1, 0, 2)),
+                        preds[-1], atol=1e-12)
+
+    # B = 1 from a nonzero initial state
+    rng = np.random.default_rng(22)
+    init = LstmState(hidden=rng.normal(size=4), cell=rng.normal(size=4))
+    single, cache = sequence_forward(model, inputs[:, 0], init)
+    steps = naive_sequence(model, inputs[:, 0].tolist(), init.hidden.tolist(),
+                           init.cell.tolist())
+    for t, (h, c, _) in enumerate(steps):
+        npt.assert_allclose(cache.hidden[t], h, atol=1e-12)
+        npt.assert_allclose(cache.cell[t], c, atol=1e-12)
+        npt.assert_allclose(single[t], model.w_y @ h + model.b_y, atol=1e-12)
+
+
+def test_batched_backward_matches_finite_differences():
+    # summed per-sequence MSE over a B = 3 batch, relative error as in grad_check
+    model, _, _ = gradcheck_instance(4, input_dim=2, hidden_dim=3)
+    rng = np.random.default_rng(4)
+    inputs = rng.normal(size=(5, 3, 2))
+    targets = rng.normal(size=(5, 3, 2))
+    scale = inputs.shape[0] * inputs.shape[2]
+
+    def summed_loss(m):
+        preds = forward(stack(m), Workspace(inputs, m.hidden_dim))
+        return float(np.sum((preds - targets) ** 2)) / scale
+
+    work = Workspace(inputs, model.hidden_dim)
+    preds = forward(stack(model), work)
+    grads = backward(stack(model), work, 2.0 * (preds - targets) / scale)
+    eps = 1e-5
+    worst = 0.0
+    for name in PARAM_FIELDS:
+        flat = getattr(model, name).ravel()
+        analytic = getattr(grads, name).ravel()
+        for k in range(flat.size):
+            original = flat[k]
+            flat[k] = original + eps
+            loss_plus = summed_loss(model)
+            flat[k] = original - eps
+            loss_minus = summed_loss(model)
+            flat[k] = original
+            numeric = (loss_plus - loss_minus) / (2.0 * eps)
+            denom = max(abs(analytic[k]), abs(numeric), 1e-12)
+            worst = max(worst, abs(analytic[k] - numeric) / denom)
+    assert worst < 1e-5
+
+
+def test_train_lstm_mixed_lengths_sums_per_sequence_gradients():
+    # one epoch at learning rate 1 with clipping out of reach: the step
+    # taken is exactly the summed gradient
+    model, _, _ = gradcheck_instance(6, input_dim=2, hidden_dim=3)
+    rng = np.random.default_rng(6)
+    sequences = [(rng.normal(size=(steps, 2)), rng.normal(size=(steps, 2)))
+                 for steps in (5, 3, 5, 4, 3)]
+    config = TrainConfig(learning_rate=1.0, epochs=1, sequence_length=5,
+                         rng_seed=0, gradient_clip=1e9)
+    trained, trace = train_lstm(model, sequences, config)
+
+    losses = []
+    expected = {name: np.zeros_like(getattr(model, name)) for name in PARAM_FIELDS}
+    for xs, targets in sequences:
+        preds, cache = sequence_forward(model, xs)
+        losses.append(loss_mse(preds, targets))
+        grads = backward_bptt(model, cache, targets)
+        for name in PARAM_FIELDS:
+            expected[name] += getattr(grads, name)
+    assert trace[0] == pytest.approx(np.mean(losses), abs=1e-12)
+    for name in PARAM_FIELDS:
+        npt.assert_allclose(getattr(model, name) - getattr(trained, name),
+                            expected[name], rtol=0, atol=1e-12)

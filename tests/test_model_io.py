@@ -5,7 +5,8 @@ import numpy.testing as npt
 import pytest
 
 import floodwatch as fw
-from floodwatch.errors import InputError
+from floodwatch.errors import InputError, NumericError
+from floodwatch.detector import DetectorModel
 from floodwatch.lstm import PARAM_FIELDS
 from floodwatch.model_io import SCHEMA_VERSION, load_model, save_model
 from floodwatch.traffic import Scenario, generate_traffic, split_packets
@@ -105,6 +106,18 @@ def test_garbage_file_rejected(tmp_path):
         load_model(path)
 
 
+def test_non_finite_statistics_never_reach_a_model_file(tmp_path):
+    model, _ = small_model()
+    for name in ("threshold", "residual_mean", "residual_std"):
+        with pytest.raises(InputError):
+            DetectorModel(**{**vars(model), name: float("nan")})
+    model.threshold = float("inf")   # bypasses construction-time checks
+    path = tmp_path / "model.json"
+    with pytest.raises(NumericError):
+        save_model(path, model, SMALL_CONFIG)
+    assert not path.exists()
+
+
 def test_config_dict_round_trip():
     config = fw.RunConfig(dbn_sizes=[8, 8], k_sigma=2.5, seed=7)
     assert fw.RunConfig.from_dict(config.to_dict()) == config
@@ -119,3 +132,9 @@ def test_config_validation():
         fw.RunConfig(dbn_sizes=[8])
     with pytest.raises(InputError):
         fw.RunConfig(window_len=0.0)
+    for bad in ({"k_sigma": float("nan")}, {"window_len": float("inf")},
+                {"lstm_hidden": 1.5}, {"lookback": 2.5}, {"lstm_epochs": 2.5},
+                {"rbm_epochs": True}, {"dbn_sizes": [8, 8.5]}, {"seed": -1},
+                {"split": "0.5"}):
+        with pytest.raises(InputError):
+            fw.RunConfig.from_dict(bad)
