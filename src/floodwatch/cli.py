@@ -45,7 +45,12 @@ def _seed(text: str) -> int:
 
 
 def _print_json(doc: dict):
-    print(json.dumps(doc, indent=2))
+    """Strict JSON: a NaN or infinity is a numeric error, not output."""
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"non-finite value in the output: {exc}") from None
+    print(text)
 
 
 def _read_packets(path):

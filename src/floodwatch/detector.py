@@ -114,10 +114,11 @@ class Metrics:
 
 @dataclass
 class FitSummary:
-    """Training diagnostics surfaced by the CLI."""
+    """Training diagnostics surfaced by the CLI; a stage trained for zero
+    epochs reports None (JSON null) as its final value."""
 
-    rbm_final_errors: list[float]
-    lstm_final_loss: float
+    rbm_final_errors: list[float | None]
+    lstm_final_loss: float | None
     residual_mean: float
     residual_std: float
     threshold: float
@@ -205,8 +206,6 @@ def fit_detailed(train_packets, valid_packets,
              for i in range(codes.shape[0] - lookback)]
     train_config = TrainConfig(learning_rate=config.lstm_learning_rate,
                                epochs=config.lstm_epochs,
-                               sequence_length=lookback,
-                               rng_seed=config.seed,
                                gradient_clip=config.gradient_clip)
     lstm, loss_trace = train_lstm(lstm, pairs, train_config)
 
@@ -221,9 +220,8 @@ def fit_detailed(train_packets, valid_packets,
                           window_len=config.window_len,
                           residual_mean=mean, residual_std=std)
     summary = FitSummary(
-        rbm_final_errors=[float(trace[-1]) if len(trace) else float("nan")
-                          for trace in traces],
-        lstm_final_loss=float(loss_trace[-1]) if len(loss_trace) else float("nan"),
+        rbm_final_errors=[float(trace[-1]) if len(trace) else None for trace in traces],
+        lstm_final_loss=float(loss_trace[-1]) if len(loss_trace) else None,
         residual_mean=mean, residual_std=std, threshold=threshold,
         train_windows=len(train_windows), valid_windows=len(valid_windows),
     )

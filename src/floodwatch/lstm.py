@@ -15,10 +15,12 @@ gradient checking, and full-batch gradient descent with global-norm
 clipping. Everything is plain float64 numpy and deterministic.
 
 One batched kernel (``forward``/``backward`` over a ``Workspace``) does
-all the work. The gate matrices are stacked gate-major in the order
-[f, i, o, g] (Appleyard et al., arXiv:1604.01946), each with its bias as
-an extra row that meets a constant 1 appended to [h_{t-1}, x_t], so a
-step is one broadcast matmul that writes a contiguous (4, B, N) block.
+all the work. A model's parameters, and its gradients, are one vector
+holding the gate matrices gate-major in the order [f, i, o, g]
+(Appleyard et al., arXiv:1604.01946), then the gate biases, then the
+readout. The kernel takes the gate matrices transposed, each with its
+bias as an extra row that meets a constant 1 appended to [h_{t-1}, x_t],
+so a step is one broadcast matmul that writes a contiguous (4, B, N) block.
 The sigmoid gates use sigmoid(x) = 0.5 * tanh(x / 2) + 0.5 with the
 exact factor 0.5 folded into their stacked weights, so one tanh covers
 all four gates.
@@ -31,6 +33,8 @@ keeping no history.
 from __future__ import annotations
 
 import copy
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,41 +50,80 @@ PARAM_FIELDS = ("w_f", "w_i", "w_c", "w_o",
                 "w_y", "b_y")
 
 
-@dataclass
-class LstmModel:
-    """Gate weights over the concatenation [h_prev, x], plus the readout.
+def param_shapes(input_dim: int, hidden_dim: int) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape, in parameter-vector order: the gate weights
+    over [h_prev, x], then the gate biases, each in the kernel's gate order
+    [f, i, o, g] ("c" names the candidate g), then the readout."""
+    n, d = hidden_dim, input_dim
+    gate, bias = (n, n + d), (n,)
+    return {"w_f": gate, "w_i": gate, "w_o": gate, "w_c": gate,
+            "b_f": bias, "b_i": bias, "b_o": bias, "b_c": bias,
+            "w_y": (d, n), "b_y": (d,)}
 
-    Each gate matrix is hidden_dim x (hidden_dim + input_dim); the
-    readout maps hidden states back to input_dim-sized predictions.
+
+@functools.cache
+def _layout(input_dim: int, hidden_dim: int) -> tuple[dict[str, tuple], int]:
+    """(start, shape) of every parameter in the vector, and its length."""
+    layout, start = {}, 0
+    for name, shape in param_shapes(input_dim, hidden_dim).items():
+        layout[name] = (start, shape)
+        start += math.prod(shape)
+    return layout, start
+
+
+def _param(name: str) -> property:
+    """A parameter name as a writable view into ``vector``; assignment
+    copies into the vector after a shape check."""
+
+    def put(model, value):
+        view = model.view(name)
+        value = np.asarray(value, dtype=np.float64)
+        if value.shape != view.shape:
+            raise InputError(f"{name} must have shape {view.shape}, got {value.shape}")
+        view[...] = value
+
+    return property(lambda model: model.view(name), put)
+
+
+class LstmModel:
+    """Gate weights over the concatenation [h_prev, x], plus the readout,
+    held as one float64 ``vector`` in the kernel's layout.
+
+    The vector holds the gate weights (4, N, N + D) and the gate biases
+    (4, N), both in gate order [f, i, o, g], then the readout w_y (D, N)
+    and b_y (D); see ``param_shapes``. Each PARAM_FIELDS name is a view
+    computed on access, never stored, so copies keep their own vector.
+    Gradients are instances too, so norm, clipping and update are single
+    vector operations.
     """
 
-    input_dim: int
-    hidden_dim: int
-    w_f: np.ndarray
-    w_i: np.ndarray
-    w_c: np.ndarray
-    w_o: np.ndarray
-    b_f: np.ndarray
-    b_i: np.ndarray
-    b_c: np.ndarray
-    b_o: np.ndarray
-    w_y: np.ndarray
-    b_y: np.ndarray
+    w_f, w_i, w_c, w_o, b_f, b_i, b_c, b_o, w_y, b_y = map(_param, PARAM_FIELDS)
 
-    def __post_init__(self):
-        n, d = self.hidden_dim, self.input_dim
-        if n < 1 or d < 1:
+    def __init__(self, input_dim: int, hidden_dim: int, **params):
+        if hidden_dim < 1 or input_dim < 1:
             raise InputError("input_dim and hidden_dim must be at least 1")
-        shapes = {"w_f": (n, n + d), "w_i": (n, n + d), "w_c": (n, n + d),
-                  "w_o": (n, n + d), "b_f": (n,), "b_i": (n,), "b_c": (n,),
-                  "b_o": (n,), "w_y": (d, n), "b_y": (d,)}
+        if params.keys() != set(PARAM_FIELDS):
+            raise TypeError(f"LstmModel takes exactly the parameters {PARAM_FIELDS}")
+        self.input_dim, self.hidden_dim = input_dim, hidden_dim
+        self.vector = np.empty(_layout(input_dim, hidden_dim)[1])
         for name in PARAM_FIELDS:
-            arr = np.array(getattr(self, name), dtype=np.float64)
-            setattr(self, name, arr)
-            if arr.shape != shapes[name]:
-                raise InputError(f"{name} must have shape {shapes[name]}, got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise InputError(f"{name} contains non-finite entries")
+            setattr(self, name, params[name])
+        if not np.isfinite(self.vector).all():
+            raise InputError("LSTM parameters contain non-finite entries")
+
+    @classmethod
+    def from_vector(cls, input_dim: int, hidden_dim: int, vector: np.ndarray) -> LstmModel:
+        """Wrap ``vector`` as is (no copy, no checks), as gradients are built."""
+        model = cls.__new__(cls)
+        model.input_dim, model.hidden_dim, model.vector = input_dim, hidden_dim, vector
+        return model
+
+    def view(self, first: str, count: int = 1) -> np.ndarray:
+        """View of parameter ``first``, or of ``count`` same-shaped
+        parameters stacked from it (``view("w_f", 4)`` is all gate weights)."""
+        start, shape = _layout(self.input_dim, self.hidden_dim)[0][first]
+        block = self.vector[start:start + count * math.prod(shape)]
+        return block.reshape(shape if count == 1 else (count, *shape))
 
 
 @dataclass
@@ -102,29 +145,11 @@ class Gates:
 
 
 @dataclass
-class LstmGrads:
-    """Loss gradients, one array per model parameter."""
-
-    w_f: np.ndarray
-    w_i: np.ndarray
-    w_c: np.ndarray
-    w_o: np.ndarray
-    b_f: np.ndarray
-    b_i: np.ndarray
-    b_c: np.ndarray
-    b_o: np.ndarray
-    w_y: np.ndarray
-    b_y: np.ndarray
-
-
-@dataclass
 class TrainConfig:
     """Hyperparameters for full-batch LSTM training."""
 
     learning_rate: float
     epochs: int
-    sequence_length: int
-    rng_seed: int
     gradient_clip: float
 
     def __post_init__(self):
@@ -132,8 +157,6 @@ class TrainConfig:
             raise InputError("learning_rate must be non-negative")
         if self.epochs < 0:
             raise InputError("epochs must be non-negative")
-        if self.sequence_length < 2:
-            raise InputError("sequence_length must be at least 2")
         if not self.gradient_clip > 0:
             raise InputError("gradient_clip must be positive")
 
@@ -146,20 +169,14 @@ def init_lstm(input_dim: int, hidden_dim: int, rng: np.random.Generator) -> Lstm
     """Random model: weights N(0, 0.1/sqrt(N+D)), zero biases except b_f = 1.
 
     The forget-gate bias starts at one so early training does not erase
-    the cell state.
+    the cell state. Weights are drawn in PARAM_FIELDS order.
     """
-    n, d = hidden_dim, input_dim
-    scale = 0.1 / np.sqrt(n + d)
-    return LstmModel(
-        input_dim=d, hidden_dim=n,
-        w_f=rng.normal(0.0, scale, (n, n + d)),
-        w_i=rng.normal(0.0, scale, (n, n + d)),
-        w_c=rng.normal(0.0, scale, (n, n + d)),
-        w_o=rng.normal(0.0, scale, (n, n + d)),
-        b_f=np.ones(n), b_i=np.zeros(n), b_c=np.zeros(n), b_o=np.zeros(n),
-        w_y=rng.normal(0.0, scale, (d, n)),
-        b_y=np.zeros(d),
-    )
+    scale = 0.1 / np.sqrt(hidden_dim + input_dim)
+    shapes = param_shapes(input_dim, hidden_dim)
+    params = {name: rng.normal(0.0, scale, shapes[name]) if name.startswith("w_")
+              else np.zeros(shapes[name]) for name in PARAM_FIELDS}
+    params["b_f"] += 1.0
+    return LstmModel(input_dim=input_dim, hidden_dim=hidden_dim, **params)
 
 
 # Per-gate factor folded into the stacked weights, kernel order [f, i, o, g]:
@@ -179,8 +196,8 @@ class Stack:
 
 def stack(model: LstmModel) -> Stack:
     """Lay ``model`` out for the kernel (once per parameter set)."""
-    gates = np.stack([model.w_f, model.w_i, model.w_o, model.w_c])  # (4, N, N+D)
-    biases = np.stack([model.b_f, model.b_i, model.b_o, model.b_c])
+    gates = model.view("w_f", 4)     # (4, N, N + D)
+    biases = model.view("b_f", 4)    # (4, N)
     w = np.concatenate([gates.transpose(0, 2, 1), biases[:, None, :]], axis=1)
     w *= _SIGMOID_HALF[:, None, None]
     return Stack(w=w,
@@ -243,9 +260,9 @@ def forward(params: Stack, work: Workspace) -> np.ndarray:
     return work.preds
 
 
-def backward(params: Stack, work: Workspace, d_pred: np.ndarray) -> LstmGrads:
+def backward(params: Stack, work: Workspace, d_pred: np.ndarray) -> LstmModel:
     """Parameter gradients given dL/dy (T, B, D) for the activations in
-    ``work``, summed over the batch.
+    ``work``, summed over the batch, as a model-shaped gradient vector.
 
     Reverse-mode sweep: the cell path carries d_cell * forget backwards,
     the hidden path re-enters through the recurrent gate weights. Weight
@@ -254,9 +271,10 @@ def backward(params: Stack, work: Workspace, d_pred: np.ndarray) -> LstmGrads:
     """
     steps, batch, dim = d_pred.shape
     n = work.hidden.shape[2]
+    grads = LstmModel.from_vector(dim, n, np.empty(_layout(dim, n)[1]))
     flat_dy = d_pred.reshape(-1, dim)
-    d_w_y = flat_dy.T @ work.hidden[1:].reshape(-1, n)
-    d_b_y = flat_dy.sum(axis=0)
+    np.matmul(flat_dy.T, work.hidden[1:].reshape(-1, n), out=grads.w_y)
+    np.sum(flat_dy, axis=0, out=grads.b_y)
     d_w = np.zeros((4, n + dim + 1, n))   # gate order [f, i, o, g], bias last
     step_w = np.empty_like(d_w)
     d_hidden = np.zeros((batch, n))
@@ -286,10 +304,9 @@ def backward(params: Stack, work: Workspace, d_pred: np.ndarray) -> LstmGrads:
         np.matmul(da, params.w_hidden, out=scratch)
         np.sum(scratch, axis=0, out=d_hidden)
         d_cell *= forget
-    d_gate_w, d_gate_b = d_w[:, :-1].transpose(0, 2, 1), d_w[:, -1]
-    return LstmGrads(w_f=d_gate_w[0], w_i=d_gate_w[1], w_o=d_gate_w[2], w_c=d_gate_w[3],
-                     b_f=d_gate_b[0], b_i=d_gate_b[1], b_o=d_gate_b[2], b_c=d_gate_b[3],
-                     w_y=d_w_y, b_y=d_b_y)
+    grads.view("w_f", 4)[...] = d_w[:, :-1].transpose(0, 2, 1)
+    grads.view("b_f", 4)[...] = d_w[:, -1]
+    return grads
 
 
 class SequenceCache:
@@ -359,7 +376,7 @@ def loss_mse(pred, target) -> float:
     return float(np.mean((pred - target) ** 2))
 
 
-def backward_bptt(model: LstmModel, cache: SequenceCache, targets) -> LstmGrads:
+def backward_bptt(model: LstmModel, cache: SequenceCache, targets) -> LstmModel:
     """Exact gradients of loss_mse(preds, targets) w.r.t. every parameter."""
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != cache.preds.shape:
@@ -369,13 +386,12 @@ def backward_bptt(model: LstmModel, cache: SequenceCache, targets) -> LstmGrads:
     steps, dim = targets.shape
     d_pred = 2.0 * (cache.preds - targets) / (steps * dim)
     grads = backward(stack(model), cache.work, d_pred[:, None, :])
-    for name in PARAM_FIELDS:
-        require_finite(getattr(grads, name), f"gradient of {name}")
+    require_finite(grads.vector, "gradient")
     return grads
 
 
 def grad_check(model: LstmModel, xs, targets, eps: float = 1e-5,
-               analytic: LstmGrads | None = None) -> float:
+               analytic: LstmModel | None = None) -> float:
     """Max relative error of the analytic gradients vs central differences.
 
     Relative error per entry is |a - n| / max(|a|, |n|, 1e-12). Pass
@@ -390,20 +406,18 @@ def grad_check(model: LstmModel, xs, targets, eps: float = 1e-5,
         analytic = backward_bptt(model, cache, targets)
 
     work = copy.deepcopy(model)
+    flat, grad_flat = work.vector, analytic.vector
     worst = 0.0
-    for name in PARAM_FIELDS:
-        flat = getattr(work, name).ravel()
-        grad_flat = getattr(analytic, name).ravel()
-        for k in range(flat.size):
-            original = flat[k]
-            flat[k] = original + eps
-            loss_plus = loss_mse(sequence_forward(work, xs)[0], targets)
-            flat[k] = original - eps
-            loss_minus = loss_mse(sequence_forward(work, xs)[0], targets)
-            flat[k] = original
-            numeric = (loss_plus - loss_minus) / (2.0 * eps)
-            denom = max(abs(grad_flat[k]), abs(numeric), 1e-12)
-            worst = max(worst, abs(grad_flat[k] - numeric) / denom)
+    for k in range(flat.size):
+        original = flat[k]
+        flat[k] = original + eps
+        loss_plus = loss_mse(sequence_forward(work, xs)[0], targets)
+        flat[k] = original - eps
+        loss_minus = loss_mse(sequence_forward(work, xs)[0], targets)
+        flat[k] = original
+        numeric = (loss_plus - loss_minus) / (2.0 * eps)
+        denom = max(abs(grad_flat[k]), abs(numeric), 1e-12)
+        worst = max(worst, abs(grad_flat[k] - numeric) / denom)
     return worst
 
 
@@ -417,48 +431,31 @@ def gradcheck_instance(seed: int, input_dim: int = 2, hidden_dim: int = 3,
     reasons unrelated to backprop correctness.
     """
     rng = np.random.default_rng(seed)
-    d, n = input_dim, hidden_dim
-    scale = 0.5
-    model = LstmModel(
-        input_dim=d, hidden_dim=n,
-        w_f=rng.normal(0.0, scale, (n, n + d)),
-        w_i=rng.normal(0.0, scale, (n, n + d)),
-        w_c=rng.normal(0.0, scale, (n, n + d)),
-        w_o=rng.normal(0.0, scale, (n, n + d)),
-        b_f=rng.normal(0.0, scale, n),
-        b_i=rng.normal(0.0, scale, n),
-        b_c=rng.normal(0.0, scale, n),
-        b_o=rng.normal(0.0, scale, n),
-        w_y=rng.normal(0.0, scale, (d, n)),
-        b_y=rng.normal(0.0, scale, d),
-    )
-    xs = rng.normal(size=(steps, d))
-    targets = rng.normal(size=(steps, d))
+    shapes = param_shapes(input_dim, hidden_dim)
+    model = LstmModel(input_dim=input_dim, hidden_dim=hidden_dim,
+                      **{name: rng.normal(0.0, 0.5, shapes[name]) for name in PARAM_FIELDS})
+    xs = rng.normal(size=(steps, input_dim))
+    targets = rng.normal(size=(steps, input_dim))
     return model, xs, targets
 
 
-def gradient_global_norm(grads: LstmGrads) -> float:
+def gradient_global_norm(grads: LstmModel) -> float:
     """Euclidean norm over every gradient entry of every parameter."""
-    total = 0.0
-    for name in PARAM_FIELDS:
-        arr = getattr(grads, name)
-        total += float(np.sum(arr * arr))
-    return float(np.sqrt(total))
+    return float(np.sqrt(np.sum(grads.vector * grads.vector)))
 
 
-def clip_gradients(grads: LstmGrads, max_norm: float) -> LstmGrads:
+def clip_gradients(grads: LstmModel, max_norm: float) -> LstmModel:
     """Scale all gradients down together so the global norm is at most max_norm."""
     norm = gradient_global_norm(grads)
     if norm <= max_norm:
         return grads
-    scale = max_norm / norm
-    return LstmGrads(**{name: getattr(grads, name) * scale for name in PARAM_FIELDS})
+    return LstmModel.from_vector(grads.input_dim, grads.hidden_dim,
+                                 grads.vector * (max_norm / norm))
 
 
-def apply_gradients(model: LstmModel, grads: LstmGrads, learning_rate: float) -> LstmModel:
-    updated = {name: getattr(model, name) - learning_rate * getattr(grads, name)
-               for name in PARAM_FIELDS}
-    return LstmModel(input_dim=model.input_dim, hidden_dim=model.hidden_dim, **updated)
+def apply_gradients(model: LstmModel, grads: LstmModel, learning_rate: float):
+    """One descent step, in place."""
+    model.vector -= learning_rate * grads.vector
 
 
 def predict_sequence_batch(model: LstmModel, inputs) -> np.ndarray:
@@ -513,7 +510,7 @@ def _length_groups(model: LstmModel, sequences) -> list[tuple[list[int], Workspa
             for group in by_length.values()]
 
 
-def _loss_and_grads(model: LstmModel, groups) -> tuple[float, LstmGrads]:
+def _loss_and_grads(model: LstmModel, groups) -> tuple[float, LstmModel]:
     """Mean per-sequence loss and the gradient of the summed loss."""
     params = stack(model)
     loss_sum = 0.0
@@ -531,8 +528,10 @@ def _loss_and_grads(model: LstmModel, groups) -> tuple[float, LstmGrads]:
         d_pred *= 2.0
         d_pred /= steps * dim
         grads = backward(params, work, d_pred)
-        total = grads if total is None else LstmGrads(
-            **{name: getattr(total, name) + getattr(grads, name) for name in PARAM_FIELDS})
+        if total is None:
+            total = grads
+        else:
+            total.vector += grads.vector
     return loss_sum / sum(len(indices) for indices, _, _ in groups), total
 
 
@@ -550,7 +549,7 @@ def train_lstm(model: LstmModel, sequences,
     """
     groups = _length_groups(model, sequences)
     trace = np.zeros(config.epochs)
-    current = model
+    current = copy.deepcopy(model)
     for epoch in range(config.epochs):
         try:
             loss, grads = _loss_and_grads(current, groups)
@@ -558,9 +557,8 @@ def train_lstm(model: LstmModel, sequences,
             raise NumericError(f"epoch {epoch}: {exc}") from exc
         if not np.isfinite(loss):
             raise NumericError(f"epoch {epoch}: non-finite loss")
-        for name in PARAM_FIELDS:
-            require_finite(getattr(grads, name), f"epoch {epoch}: gradient of {name}")
+        require_finite(grads.vector, f"epoch {epoch}: gradient")
         trace[epoch] = loss
-        grads = clip_gradients(grads, config.gradient_clip)
-        current = apply_gradients(current, grads, config.learning_rate)
+        apply_gradients(current, clip_gradients(grads, config.gradient_clip),
+                        config.learning_rate)
     return current, trace

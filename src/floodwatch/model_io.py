@@ -10,14 +10,15 @@ load(save(model)) reproduces each parameter bit-exactly.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, require_int
 from .dbn import DbnModel
 from .detector import DetectorModel
 from .errors import InputError, NumericError
-from .lstm import PARAM_FIELDS, LstmModel
+from .lstm import PARAM_FIELDS, LstmModel, param_shapes
 from .rbm import RbmKind, RbmParams
 from .traffic import Normalizer
 
@@ -67,15 +68,18 @@ def save_model(path, model: DetectorModel, config: RunConfig):
         handle.write(text + "\n")
 
 
-def _vector(doc: dict, key: str, length: int, what: str) -> np.ndarray:
+def _array(doc: dict, key: str, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """Field ``key``, a flat row-major list, as an array of ``shape``."""
     values = np.array(doc.get(key, []), dtype=np.float64)
-    if values.shape != (length,):
-        raise InputError(f"{what}: field {key!r} must hold {length} numbers")
-    return values
+    if values.shape != (math.prod(shape),):
+        raise InputError(f"{what}: field {key!r} must hold {math.prod(shape)} numbers")
+    return values.reshape(shape)
 
 
-def _matrix(doc: dict, key: str, rows: int, cols: int, what: str) -> np.ndarray:
-    return _vector(doc, key, rows * cols, what).reshape(rows, cols)
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise InputError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 def load_model(path) -> tuple[DetectorModel, RunConfig]:
@@ -96,48 +100,35 @@ def load_model(path) -> tuple[DetectorModel, RunConfig]:
         )
     try:
         config = RunConfig.from_dict(doc["config"])
-        norm_doc = doc["normalizer"]
-        dims = len(norm_doc.get("feat_min", []))
-        normalizer = Normalizer(
-            feat_min=_vector(norm_doc, "feat_min", dims, "normalizer"),
-            feat_max=_vector(norm_doc, "feat_max", dims, "normalizer"),
-            unit_mean=_vector(norm_doc, "unit_mean", dims, "normalizer"),
-            unit_std=_vector(norm_doc, "unit_std", dims, "normalizer"),
-        )
+        norm_doc = _object(doc["normalizer"], "normalizer")
+        dims = (len(norm_doc.get("feat_min", [])),)
+        normalizer = Normalizer(**{key: _array(norm_doc, key, dims, "normalizer")
+                                   for key in ("feat_min", "feat_max", "unit_mean", "unit_std")})
         layers = []
         for index, layer_doc in enumerate(doc["dbn_layers"]):
             what = f"dbn layer {index}"
+            layer_doc = _object(layer_doc, what)
             try:
                 kind = RbmKind(layer_doc.get("kind"))
             except ValueError:
                 raise InputError(f"{what}: unknown kind "
                                  f"{layer_doc.get('kind')!r}") from None
-            visible = int(layer_doc["num_visible"])
-            hidden = int(layer_doc["num_hidden"])
+            visible = require_int(f"{what}: num_visible", layer_doc["num_visible"])
+            hidden = require_int(f"{what}: num_hidden", layer_doc["num_hidden"])
             layers.append(RbmParams(
                 kind=kind,
-                weights=_matrix(layer_doc, "weights", visible, hidden, what),
-                visible_bias=_vector(layer_doc, "visible_bias", visible, what),
-                hidden_bias=_vector(layer_doc, "hidden_bias", hidden, what),
+                weights=_array(layer_doc, "weights", (visible, hidden), what),
+                visible_bias=_array(layer_doc, "visible_bias", (visible,), what),
+                hidden_bias=_array(layer_doc, "hidden_bias", (hidden,), what),
             ))
         dbn = DbnModel(layers=layers)
-        lstm_doc = doc["lstm"]
-        d = int(lstm_doc["input_dim"])
-        n = int(lstm_doc["hidden_dim"])
-        lstm = LstmModel(
-            input_dim=d, hidden_dim=n,
-            w_f=_matrix(lstm_doc, "w_f", n, n + d, "lstm"),
-            w_i=_matrix(lstm_doc, "w_i", n, n + d, "lstm"),
-            w_c=_matrix(lstm_doc, "w_c", n, n + d, "lstm"),
-            w_o=_matrix(lstm_doc, "w_o", n, n + d, "lstm"),
-            b_f=_vector(lstm_doc, "b_f", n, "lstm"),
-            b_i=_vector(lstm_doc, "b_i", n, "lstm"),
-            b_c=_vector(lstm_doc, "b_c", n, "lstm"),
-            b_o=_vector(lstm_doc, "b_o", n, "lstm"),
-            w_y=_matrix(lstm_doc, "w_y", d, n, "lstm"),
-            b_y=_vector(lstm_doc, "b_y", d, "lstm"),
-        )
-        stats = doc["residual_stats"]
+        lstm_doc = _object(doc["lstm"], "lstm")
+        d = require_int("lstm: input_dim", lstm_doc["input_dim"])
+        n = require_int("lstm: hidden_dim", lstm_doc["hidden_dim"])
+        lstm = LstmModel(input_dim=d, hidden_dim=n,
+                         **{name: _array(lstm_doc, name, shape, "lstm")
+                            for name, shape in param_shapes(d, n).items()})
+        stats = _object(doc["residual_stats"], "residual_stats")
         model = DetectorModel(
             normalizer=normalizer, dbn=dbn, lstm=lstm,
             threshold=doc["threshold"],
@@ -146,8 +137,8 @@ def load_model(path) -> tuple[DetectorModel, RunConfig]:
             residual_mean=stats["mean"],
             residual_std=stats["std"],
         )
-    except InputError:
-        raise
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed model document: {exc}") from exc
     return model, config

@@ -79,18 +79,6 @@ class RbmParams:
 
 
 @dataclass
-class UnitStates:
-    """One joint configuration: visible state ``v`` and hidden state ``h``.
-
-    ``h`` is binary 0/1; ``v`` is binary for Bernoulli layers and real
-    for Gaussian layers.
-    """
-
-    v: np.ndarray
-    h: np.ndarray
-
-
-@dataclass
 class CdConfig:
     """Hyperparameters for contrastive-divergence training."""
 
@@ -197,21 +185,6 @@ def sample_binary(probs, rng: np.random.Generator) -> np.ndarray:
     if not np.all((probs >= 0.0) & (probs <= 1.0)):
         raise InputError("probabilities must lie in [0, 1]")
     return (rng.random(probs.shape) < probs).astype(np.float64)
-
-
-def gibbs_step(params: RbmParams, v, rng: np.random.Generator) -> UnitStates:
-    """One alternating-sampling step: h ~ p(h|v), then v' ~ p(v|h).
-
-    Bernoulli layers sample binary visible states; Gaussian layers draw
-    from the unit-variance Normal around the conditional mean.
-    """
-    hidden = sample_binary(hidden_given_visible(params, v), rng)
-    visible = visible_given_hidden(params, hidden)
-    if params.kind is RbmKind.BERNOULLI_BERNOULLI:
-        visible = sample_binary(visible, rng)
-    else:
-        visible = visible + rng.standard_normal(visible.shape)
-    return UnitStates(v=visible, h=hidden)
 
 
 def cd1_step(params: RbmParams, batch, learning_rate: float,

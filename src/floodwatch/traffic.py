@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import require_int, require_real
 from .errors import InputError
 
 # Address plan for generated traffic (arbitrary but fixed, so seeds
@@ -32,6 +33,11 @@ SERVER_BASE = 0xC0A80001           # 192.168.0.1, pool of 16 service addresses
 SERVER_POOL = 16
 SPOOF_SRC_BASE = 0x64400000        # 100.64.0.0, spoofed flood sources
 VICTIM_IP = SERVER_BASE            # floods all target the first server
+
+# Upper bound on a scenario's expected packet count, about 200x the
+# one-hour benchmark capture (~504k packets); larger scenarios are
+# rejected before any random draw instead of exhausting memory.
+MAX_EXPECTED_PACKETS = 1e8
 
 TCP_SHARE = 0.70                   # remaining traffic: 25% UDP, 5% ICMP
 UDP_SHARE = 0.25
@@ -98,13 +104,6 @@ class FeatureVector:
     def as_array(self) -> np.ndarray:
         return np.array([getattr(self, name) for name in FEATURE_NAMES])
 
-    @classmethod
-    def from_array(cls, values) -> "FeatureVector":
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (NUM_FEATURES,):
-            raise InputError(f"expected {NUM_FEATURES} features, got shape {values.shape}")
-        return cls(**dict(zip(FEATURE_NAMES, map(float, values))))
-
 
 @dataclass
 class AttackInterval:
@@ -127,22 +126,29 @@ class Scenario:
     attacks: list[AttackInterval] = field(default_factory=list)
 
     def validate(self):
+        """Range checks, which NaN fails, then the packet budget: the
+        expected packet count must not exceed MAX_EXPECTED_PACKETS."""
         if not (math.isfinite(self.duration) and self.duration > 0):
             raise InputError("duration must be a positive number of seconds")
         if not (math.isfinite(self.baseline_rate) and self.baseline_rate > 0):
             raise InputError("baseline_rate must be positive")
         if not (0.0 <= self.diurnal_amplitude <= 1.0):
             raise InputError("diurnal_amplitude must lie in [0, 1]")
+        expected = self.duration * self.baseline_rate * (1.0 + self.diurnal_amplitude)
         for k, attack in enumerate(self.attacks):
             if not (0 <= attack.start < attack.end <= self.duration):
                 raise InputError(
                     f"attack {k}: need 0 <= start < end <= duration, "
                     f"got [{attack.start}, {attack.end}) in {self.duration}s"
                 )
-            if attack.multiplier < 1:
+            if not attack.multiplier >= 1:
                 raise InputError(f"attack {k}: multiplier must be >= 1")
-            if attack.source_pool < 1:
+            if not attack.source_pool >= 1:
                 raise InputError(f"attack {k}: source_pool must be >= 1")
+            expected += attack.multiplier * self.baseline_rate * (attack.end - attack.start)
+        if not expected <= MAX_EXPECTED_PACKETS:
+            raise InputError(f"scenario expects {expected:.3g} packets; "
+                             f"the limit is {MAX_EXPECTED_PACKETS:.0e}")
 
     def to_dict(self) -> dict:
         return {
@@ -166,18 +172,19 @@ class Scenario:
             raise InputError(f"unknown scenario keys: {sorted(unknown)}")
         try:
             attacks = []
-            for raw in doc.get("attacks", []):
+            for k, raw in enumerate(doc.get("attacks", [])):
                 attacks.append(AttackInterval(
-                    start=float(raw["start"]),
-                    end=float(raw["end"]),
+                    start=require_real(f"attack {k}: start", raw["start"]),
+                    end=require_real(f"attack {k}: end", raw["end"]),
                     kind=AttackKind(raw["kind"]),
-                    multiplier=float(raw["multiplier"]),
-                    source_pool=int(raw["source_pool"]),
+                    multiplier=require_real(f"attack {k}: multiplier", raw["multiplier"]),
+                    source_pool=require_int(f"attack {k}: source_pool", raw["source_pool"]),
                 ))
             scenario = cls(
-                duration=float(doc["duration"]),
-                baseline_rate=float(doc["baseline_rate"]),
-                diurnal_amplitude=float(doc.get("diurnal_amplitude", 0.0)),
+                duration=require_real("duration", doc["duration"]),
+                baseline_rate=require_real("baseline_rate", doc["baseline_rate"]),
+                diurnal_amplitude=require_real("diurnal_amplitude",
+                                               doc.get("diurnal_amplitude", 0.0)),
                 attacks=attacks,
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -309,7 +316,7 @@ def read_labels_csv(path) -> list[bool]:
         for number, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != 2 or row[1] not in ("0", "1"):
+            if len(row) != 2 or row[1] not in ("0", "1") or not row[0].isdecimal():
                 raise InputError(f"{path}: line {number}: expected index,0/1")
             if int(row[0]) != len(labels):
                 raise InputError(f"{path}: line {number}: window indices must be "

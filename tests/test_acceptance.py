@@ -190,8 +190,7 @@ def test_criterion_6_lstm_learns_sine_wave(criterion):
     sequences = [(wave[i:i + 20].reshape(-1, 1), wave[i + 1:i + 21].reshape(-1, 1))
                  for i in range(480)]
     model = init_lstm(1, 16, np.random.default_rng(7))
-    config = TrainConfig(learning_rate=0.01, epochs=200, sequence_length=20,
-                         rng_seed=7, gradient_clip=5.0)
+    config = TrainConfig(learning_rate=0.01, epochs=200, gradient_clip=5.0)
     _, trace = train_lstm(model, sequences, config)
     elapsed = time.perf_counter() - start
     final = float(trace[-1])

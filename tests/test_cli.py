@@ -145,6 +145,18 @@ def test_bad_scenario_file_exits_2(tmp_path, capsys):
     assert cli.main(["gen", "--scenario", str(bad), "--out",
                      str(tmp_path / "t.csv"), "--labels",
                      str(tmp_path / "l.csv")]) == 2
+    # a NaN multiplier, one whose expected packet count is beyond the
+    # limit, and a fractional source pool
+    flood = {"start": 1.0, "end": 5.0, "kind": "syn_flood",
+             "multiplier": 10.0, "source_pool": 50}
+    for override in ({"multiplier": float("nan")}, {"multiplier": 1e300},
+                     {"source_pool": 2.7}):
+        bad.write_text(json.dumps({"duration": 10.0, "baseline_rate": 10.0,
+                                   "attacks": [{**flood, **override}]}))
+        assert cli.main(["gen", "--scenario", str(bad), "--out",
+                         str(tmp_path / "t.csv"), "--labels",
+                         str(tmp_path / "l.csv")]) == 2, override
+        assert not (tmp_path / "t.csv").exists()
     capsys.readouterr()
 
 
@@ -185,17 +197,48 @@ def test_bad_config_value_exits_2(workspace, tmp_path, capsys, override):
 
 
 @pytest.mark.parametrize("key, value", [("threshold", float("nan")),
-                                        ("lookback", 2.5)])
+                                        ("lookback", 2.5),
+                                        ("normalizer", []),
+                                        ("dbn_layers.0.num_visible", 8.5)])
 def test_bad_model_value_exits_2(workspace, tmp_path, capsys, key, value):
     root, _ = workspace
     doc = json.loads((root / "model.json").read_text())
-    doc[key] = value
+    *parents, last = key.split(".")   # a dotted key names a nested field
+    target = doc
+    for part in parents:
+        target = target[int(part) if part.isdigit() else part]
+    target[last] = value
     tampered = tmp_path / "model.json"
     tampered.write_text(json.dumps(doc))
     assert cli.main(["detect", str(tampered), str(root / "train.csv"),
                      "--out", str(tmp_path / "r.csv")]) == 2
     assert not (tmp_path / "r.csv").exists()
     capsys.readouterr()
+
+
+def test_bad_labels_row_exits_2(workspace, tmp_path, capsys):
+    root, _ = workspace
+    labels = tmp_path / "labels.csv"
+    labels.write_text("window_index,label\nx,1\n")
+    assert cli.main(["eval", str(root / "report.csv"), str(labels)]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
+def test_train_without_epochs_prints_strict_json(workspace, tmp_path, capsys):
+    # no epoch means no final loss: reported as null, never as NaN
+    root, _ = workspace
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dbn_sizes": [8, 8], "rbm_epochs": 0,
+                                  "lstm_epochs": 0}))
+    assert cli.main(["train", str(root / "train.csv"), "--config", str(config),
+                     "--out", str(tmp_path / "model.json")]) == 0
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    summary = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert summary["rbm_final_errors"] == [None]
+    assert summary["lstm_final_loss"] is None
 
 
 def test_gradcheck_passes_and_prints_error(capsys):

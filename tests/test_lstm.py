@@ -194,8 +194,7 @@ def make_sequences(count=6, steps=5, dim=2, seed=0):
 
 def test_train_lstm_zero_learning_rate():
     model = init_lstm(2, 4, np.random.default_rng(0))
-    config = TrainConfig(learning_rate=0.0, epochs=5, sequence_length=5,
-                         rng_seed=0, gradient_clip=5.0)
+    config = TrainConfig(learning_rate=0.0, epochs=5, gradient_clip=5.0)
     trained, trace = train_lstm(model, make_sequences(), config)
     for name in PARAM_FIELDS:
         npt.assert_array_equal(getattr(trained, name), getattr(model, name))
@@ -205,8 +204,7 @@ def test_train_lstm_zero_learning_rate():
 
 def test_train_lstm_zero_epochs():
     model = init_lstm(2, 4, np.random.default_rng(0))
-    config = TrainConfig(learning_rate=0.01, epochs=0, sequence_length=5,
-                         rng_seed=0, gradient_clip=5.0)
+    config = TrainConfig(learning_rate=0.01, epochs=0, gradient_clip=5.0)
     trained, trace = train_lstm(model, make_sequences(), config)
     for name in PARAM_FIELDS:
         npt.assert_array_equal(getattr(trained, name), getattr(model, name))
@@ -215,8 +213,7 @@ def test_train_lstm_zero_epochs():
 
 def test_train_lstm_deterministic():
     model = init_lstm(2, 4, np.random.default_rng(3))
-    config = TrainConfig(learning_rate=0.01, epochs=10, sequence_length=5,
-                         rng_seed=0, gradient_clip=5.0)
+    config = TrainConfig(learning_rate=0.01, epochs=10, gradient_clip=5.0)
     a, trace_a = train_lstm(model, make_sequences(), config)
     b, trace_b = train_lstm(model, make_sequences(), config)
     for name in PARAM_FIELDS:
@@ -234,11 +231,7 @@ def test_init_lstm_forget_bias_and_shapes():
 
 def test_train_config_validation():
     with pytest.raises(InputError):
-        TrainConfig(learning_rate=0.01, epochs=1, sequence_length=1,
-                    rng_seed=0, gradient_clip=5.0)
-    with pytest.raises(InputError):
-        TrainConfig(learning_rate=0.01, epochs=1, sequence_length=5,
-                    rng_seed=0, gradient_clip=0.0)
+        TrainConfig(learning_rate=0.01, epochs=1, gradient_clip=0.0)
 
 
 def naive_sequence(model, xs, hidden, cell):
@@ -321,8 +314,7 @@ def test_train_lstm_mixed_lengths_sums_per_sequence_gradients():
     rng = np.random.default_rng(6)
     sequences = [(rng.normal(size=(steps, 2)), rng.normal(size=(steps, 2)))
                  for steps in (5, 3, 5, 4, 3)]
-    config = TrainConfig(learning_rate=1.0, epochs=1, sequence_length=5,
-                         rng_seed=0, gradient_clip=1e9)
+    config = TrainConfig(learning_rate=1.0, epochs=1, gradient_clip=1e9)
     trained, trace = train_lstm(model, sequences, config)
 
     losses = []
