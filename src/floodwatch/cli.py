@@ -67,21 +67,20 @@ def cmd_gen(args) -> int:
     else:
         scenario = traffic.load_scenario(args.scenario)
     rng = np.random.default_rng(args.seed)
-    records, labels = traffic.generate_traffic(scenario, rng,
+    packets, labels = traffic.generate_traffic(scenario, rng,
                                                window_len=args.window_len)
-    traffic.write_packets_csv(args.out, records)
+    traffic.write_packets_csv(args.out, packets)
     traffic.write_labels_csv(args.labels, labels)
-    _print_json({"packets": len(records), "windows": len(labels),
+    _print_json({"packets": len(packets), "windows": len(labels),
                  "attack_windows": sum(labels)})
     return 0
 
 
 def cmd_featurize(args) -> int:
-    records = _read_packets(args.traffic)
-    windows = traffic.windowize(records, args.window_len)
-    rows = [traffic.extract_features(bucket) for _, bucket in windows]
-    traffic.write_features_csv(args.out, rows)
-    _print_json({"windows": len(rows)})
+    packets = _read_packets(args.traffic)
+    matrix = traffic.feature_matrix(traffic.windowize(packets, args.window_len))
+    traffic.write_features_csv(args.out, matrix)
+    _print_json({"windows": len(matrix)})
     return 0
 
 
@@ -89,9 +88,9 @@ def cmd_train(args) -> int:
     config = load_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
         config = RunConfig.from_dict({**config.to_dict(), "seed": args.seed})
-    records = _read_packets(args.traffic)
+    packets = _read_packets(args.traffic)
     train_packets, valid_packets = traffic.split_packets(
-        records, config.split, config.window_len)
+        packets, config.split, config.window_len)
     model, summary = detector.fit_detailed(train_packets, valid_packets, config)
     model_io.save_model(args.out, model, config)
     _print_json(summary.to_dict())
@@ -100,8 +99,8 @@ def cmd_train(args) -> int:
 
 def cmd_detect(args) -> int:
     model, _config = model_io.load_model(args.model)
-    records = _read_packets(args.traffic)
-    report = detector.detect(model, records)
+    packets = _read_packets(args.traffic)
+    report = detector.detect(model, packets)
     detector.write_report_csv(args.out, report)
     _print_json({"alarms": report.alarm_count,
                  "scored_windows": len(report.scores),

@@ -231,8 +231,9 @@ def fit_detailed(train_packets, valid_packets,
 def fit(train_packets, valid_packets, config: RunConfig) -> DetectorModel:
     """Train the full pipeline on attack-free traffic.
 
-    Both packet lists must span at least lookback+1 windows; the
-    validation list supplies the residuals that calibrate the threshold.
+    Both captures (Packets, or lists of PacketRecord) must span at least
+    lookback+1 windows; the validation capture supplies the residuals
+    that calibrate the threshold.
     Deterministic given config.seed.
     """
     return fit_detailed(train_packets, valid_packets, config)[0]

@@ -1,9 +1,12 @@
 """Packet ingestion, synthetic traffic, windowing and feature extraction.
 
-Traffic is a flat list of per-packet records. Detection operates on
-fixed-length time windows; each window is summarized by an 8-dimensional
-feature vector (volume, size, address-entropy and protocol-mix
-statistics) chosen to move sharply under flood attacks.
+A capture is a ``Packets``: six aligned numpy columns with one entry per
+packet, produced by the generator and the CSV parser and consumed by
+splitting, windowing and featurizing without a per-packet Python object.
+Detection operates on fixed-length time windows; each window is
+summarized by an 8-dimensional feature vector (volume, size,
+address-entropy and protocol-mix statistics) chosen to move sharply
+under flood attacks.
 
 The synthetic generator produces labeled normal/attack streams: normal
 traffic is a nonhomogeneous Poisson process with a sinusoidal diurnal
@@ -15,10 +18,10 @@ from __future__ import annotations
 
 import csv
 import enum
+import itertools
 import json
 import math
-from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -38,6 +41,20 @@ VICTIM_IP = SERVER_BASE            # floods all target the first server
 # one-hour benchmark capture (~504k packets); larger scenarios are
 # rejected before any random draw instead of exhausting memory.
 MAX_EXPECTED_PACKETS = 1e8
+
+# Upper bound on the windows one capture may span: 10**6 one-second
+# windows are about 11.6 days (the one-hour benchmark capture has 3600).
+# Windows count from t = 0, so without it a capture stamped with Unix
+# epoch times (~1.7e9 s) would allocate ~1.7e9 windows; such a capture
+# is rejected before any per-window allocation.
+MAX_WINDOWS = 10**6
+
+# Rows per chunk that the CSV parser transposes into columns. Small
+# chunks keep the rows the garbage collector tracks at any one time
+# few: the one-hour capture (504k rows, 2 CPUs) parsed in 1.2-1.3 s
+# with 512-row chunks and 2.5-2.8 s with 65,536-row ones; 256 and
+# 1024 were within noise of 512.
+PARSE_CHUNK_ROWS = 512
 
 TCP_SHARE = 0.70                   # remaining traffic: 25% UDP, 5% ICMP
 UDP_SHARE = 0.25
@@ -70,6 +87,14 @@ class Protocol(enum.Enum):
     ICMP = "ICMP"
 
 
+# Packets.proto holds codes into PROTOCOLS.
+PROTOCOLS = (Protocol.TCP, Protocol.UDP, Protocol.ICMP)
+TCP, UDP, ICMP = range(len(PROTOCOLS))
+_PROTOCOL_CODES = {protocol.value: code for code, protocol in enumerate(PROTOCOLS)}
+_PROTOCOL_NAMES = tuple(protocol.value for protocol in PROTOCOLS)
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 class AttackKind(enum.Enum):
     SYN_FLOOD = "syn_flood"
     UDP_FLOOD = "udp_flood"
@@ -78,7 +103,7 @@ class AttackKind(enum.Enum):
 
 @dataclass
 class PacketRecord:
-    """One ingested IP packet; addresses are 32-bit integers."""
+    """One packet as a row of Python values; addresses are 32-bit integers."""
 
     timestamp: float
     src_ip: int
@@ -86,6 +111,92 @@ class PacketRecord:
     protocol: Protocol
     length: int
     syn_flag: bool = False
+
+
+_COLUMN_DTYPES = (np.float64, np.uint32, np.uint32, np.uint8, np.int64, np.bool_)
+
+
+@dataclass(eq=False)
+class Packets:
+    """A capture as six aligned columns, one entry per packet.
+
+    ``ts`` seconds (float64), ``src``/``dst`` addresses (uint32),
+    ``proto`` codes into PROTOCOLS (uint8), ``length`` bytes (int64) and
+    ``syn`` flags (bool). An integer index, and iteration, yield
+    PacketRecord rows; any other index (a slice, a mask, an index array)
+    selects a Packets.
+    """
+
+    ts: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    proto: np.ndarray
+    length: np.ndarray
+    syn: np.ndarray
+
+    def __post_init__(self):
+        for column, dtype in zip(fields(self), _COLUMN_DTYPES):
+            setattr(self, column.name, np.asarray(getattr(self, column.name), dtype=dtype))
+        if self.ts.ndim != 1 or len({c.shape for c in self.columns()}) != 1:
+            raise ValueError("packet columns must be 1-d and of equal length")
+
+    @classmethod
+    def from_records(cls, records) -> "Packets":
+        records = list(records)
+        return cls(ts=[r.timestamp for r in records], src=[r.src_ip for r in records],
+                   dst=[r.dst_ip for r in records],
+                   proto=[_PROTOCOL_CODES[r.protocol.value] for r in records],
+                   length=[r.length for r in records], syn=[r.syn_flag for r in records])
+
+    @classmethod
+    def concatenate(cls, parts) -> "Packets":
+        columns = [np.concatenate(c) for c in zip(*(part.columns() for part in parts))]
+        return cls(*columns) if columns else cls.from_records([])
+
+    def columns(self) -> tuple:
+        return self.ts, self.src, self.dst, self.proto, self.length, self.syn
+
+    def __len__(self) -> int:
+        return self.ts.size
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return PacketRecord(float(self.ts[key]), int(self.src[key]), int(self.dst[key]),
+                                PROTOCOLS[self.proto[key]], int(self.length[key]),
+                                bool(self.syn[key]))
+        return Packets(*(column[key] for column in self.columns()))
+
+    def __iter__(self):
+        for ts, src, dst, proto, length, syn in zip(*(c.tolist() for c in self.columns())):
+            yield PacketRecord(ts, src, dst, PROTOCOLS[proto], length, syn)
+
+    def __eq__(self, other):
+        if not isinstance(other, Packets):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in zip(self.columns(), other.columns()))
+
+
+def _as_packets(packets) -> Packets:
+    """A Packets as is; a sequence of PacketRecord rows converted once."""
+    return packets if isinstance(packets, Packets) else Packets.from_records(packets)
+
+
+def _time_ordered(packets: Packets) -> Packets:
+    """The packets by timestamp; ties keep their input order."""
+    ts = packets.ts
+    if np.all(ts[:-1] <= ts[1:]):
+        return packets
+    return packets[np.argsort(ts, kind="stable")]
+
+
+def _window_count(last: float, window_len: float) -> int:
+    """Windows 0..floor(last / window_len), at most MAX_WINDOWS of them."""
+    last_index = last // window_len
+    if not last_index < MAX_WINDOWS:
+        raise InputError(f"last timestamp {last!r} s lies in window {last_index:.0f} of "
+                         f"{window_len!r} s; at most {MAX_WINDOWS} windows from t = 0 "
+                         "are supported")
+    return int(last_index) + 1
 
 
 @dataclass
@@ -243,12 +354,74 @@ def parse_ip(text: str) -> int:
     return value
 
 
-def parse_packets(lines) -> list[PacketRecord]:
-    """Read packet records from CSV text (an open file or iterable of lines).
+class _Memo(dict):
+    """``func`` of each distinct key, computed on first lookup; a capture
+    repeats few addresses many times."""
+
+    def __init__(self, func):
+        super().__init__()
+        self.func = func
+
+    def __missing__(self, key):
+        value = self[key] = self.func(key)
+        return value
+
+
+def _check_row(row, number):
+    """The row rules: raise the InputError naming line ``number`` if the
+    (non-blank) CSV row breaks one, else return."""
+    if len(row) != 6:
+        raise InputError(f"line {number}: expected 6 fields, got {len(row)}")
+    try:
+        timestamp = float(row[0])
+        if not (math.isfinite(timestamp) and timestamp >= 0):
+            raise ValueError("timestamp must be finite and non-negative")
+        parse_ip(row[1])
+        parse_ip(row[2])
+        if row[3] not in _PROTOCOL_CODES:
+            raise ValueError(f"unknown protocol {row[3]!r}")
+        length = int(row[4])
+        if length < 1:
+            raise ValueError("length must be >= 1")
+        if length > _INT64_MAX:
+            raise ValueError("length must be < 2**63")
+        if row[5] not in ("0", "1"):
+            raise ValueError(f"syn must be 0 or 1, got {row[5]!r}")
+    except ValueError as exc:
+        raise InputError(f"line {number}: {exc}") from None
+
+
+def _parse_chunk(rows, addresses: _Memo) -> Packets:
+    """Columns of a chunk of CSV rows, converted with the same ``float``,
+    ``int`` and ``parse_ip`` as _check_row; raises ValueError, KeyError
+    or OverflowError if any row breaks a row rule."""
+    if not all(rows):
+        rows = [row for row in rows if row]   # blank lines are skipped
+    if set(map(len, rows)) - {6}:
+        raise ValueError("a row does not have 6 fields")
+    n = len(rows)
+    ts, src, dst, proto, length, syn = list(zip(*rows)) or [()] * 6
+    ts = np.fromiter(map(float, ts), np.float64, n)
+    length = np.fromiter(map(int, length), np.int64, n)
+    if not (np.all(np.isfinite(ts) & (ts >= 0)) and np.all(length >= 1)
+            and set(syn) <= {"0", "1"}):
+        raise ValueError("a row breaks a timestamp, length or syn rule")
+    return Packets(ts=ts,
+                   src=np.fromiter(map(addresses.__getitem__, src), np.uint32, n),
+                   dst=np.fromiter(map(addresses.__getitem__, dst), np.uint32, n),
+                   proto=np.fromiter(map(_PROTOCOL_CODES.__getitem__, proto), np.uint8, n),
+                   length=length,
+                   syn=np.fromiter(map("1".__eq__, syn), np.bool_, n))
+
+
+def parse_packets(lines) -> Packets:
+    """Read packets from CSV text (an open file or iterable of lines).
 
     The header must match PACKET_CSV_HEADER exactly; any malformed row
-    raises InputError naming its line number. Records are returned in
-    input order, unsorted.
+    raises InputError naming its line number. Packets are returned in
+    input order, unsorted. Rows are transposed into columns a chunk at a
+    time; a chunk that breaks a rule is checked row by row, so the error
+    names the first bad row.
     """
     reader = csv.reader(lines)
     try:
@@ -259,43 +432,34 @@ def parse_packets(lines) -> list[PacketRecord]:
         raise InputError(
             f"bad header {header!r}; expected {','.join(PACKET_CSV_HEADER)}"
         )
-    records = []
-    for number, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 6:
-            raise InputError(f"line {number}: expected 6 fields, got {len(row)}")
+    addresses = _Memo(parse_ip)
+    chunks = []
+    for first in itertools.count(2, PARSE_CHUNK_ROWS):
+        rows = list(itertools.islice(reader, PARSE_CHUNK_ROWS))
+        if not rows:
+            break
         try:
-            timestamp = float(row[0])
-            if not (math.isfinite(timestamp) and timestamp >= 0):
-                raise ValueError("timestamp must be finite and non-negative")
-            src = parse_ip(row[1])
-            dst = parse_ip(row[2])
-            try:
-                protocol = Protocol(row[3])
-            except ValueError:
-                raise ValueError(f"unknown protocol {row[3]!r}") from None
-            length = int(row[4])
-            if length < 1:
-                raise ValueError("length must be >= 1")
-            if row[5] not in ("0", "1"):
-                raise ValueError(f"syn must be 0 or 1, got {row[5]!r}")
-            syn = row[5] == "1"
-        except ValueError as exc:
-            raise InputError(f"line {number}: {exc}") from None
-        records.append(PacketRecord(timestamp=timestamp, src_ip=src, dst_ip=dst,
-                                    protocol=protocol, length=length, syn_flag=syn))
-    return records
+            chunks.append(_parse_chunk(rows, addresses))
+        except (ValueError, KeyError, OverflowError):
+            for number, row in enumerate(rows, start=first):
+                if row:
+                    _check_row(row, number)
+            raise
+    return Packets.concatenate(chunks)
 
 
-def write_packets_csv(path, records):
+def write_packets_csv(path, packets):
+    packets = _as_packets(packets)
+    names = _Memo(format_ip)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(PACKET_CSV_HEADER)
-        for r in records:
-            writer.writerow([repr(r.timestamp), format_ip(r.src_ip),
-                             format_ip(r.dst_ip), r.protocol.value, r.length,
-                             int(r.syn_flag)])
+        writer.writerows(zip(map(repr, packets.ts.tolist()),
+                             map(names.__getitem__, packets.src.tolist()),
+                             map(names.__getitem__, packets.dst.tolist()),
+                             map(_PROTOCOL_NAMES.__getitem__, packets.proto.tolist()),
+                             packets.length.tolist(),
+                             packets.syn.astype(np.uint8).tolist()))
 
 
 def write_labels_csv(path, labels):
@@ -325,13 +489,12 @@ def read_labels_csv(path) -> list[bool]:
     return labels
 
 
-def write_features_csv(path, feature_rows):
+def write_features_csv(path, matrix):
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["window_index", *FEATURE_NAMES])
-        for index, row in enumerate(feature_rows):
-            values = row.as_array() if isinstance(row, FeatureVector) else np.asarray(row)
-            writer.writerow([index, *[repr(float(x)) for x in values]])
+        for index, row in enumerate(np.asarray(matrix, dtype=np.float64).tolist()):
+            writer.writerow([index, *map(repr, row)])
 
 
 def _poisson_arrivals(rng, rate: float, start: float, end: float) -> np.ndarray:
@@ -341,7 +504,7 @@ def _poisson_arrivals(rng, rate: float, start: float, end: float) -> np.ndarray:
 
 
 def generate_traffic(scenario: Scenario, rng: np.random.Generator,
-                     window_len: float = 1.0) -> tuple[list[PacketRecord], list[bool]]:
+                     window_len: float = 1.0) -> tuple[Packets, list[bool]]:
     """Generate one labeled capture.
 
     Normal traffic arrives as a thinned Poisson process with rate
@@ -352,7 +515,7 @@ def generate_traffic(scenario: Scenario, rng: np.random.Generator,
     of its fixed packet shape, aimed at the victim address from spoofed
     sources.
 
-    Returns records sorted by timestamp and one label per window of
+    Returns packets sorted by timestamp and one label per window of
     ``window_len`` seconds; a window is labeled True iff it overlaps an
     attack interval. Deterministic given the generator state.
     """
@@ -375,121 +538,128 @@ def generate_traffic(scenario: Scenario, rng: np.random.Generator,
     proto_draw = rng.random(n)
     lengths = rng.integers(MIN_PACKET_BYTES, MAX_PACKET_BYTES + 1, n)
     syn_draw = rng.random(n)
-
-    records = []
-    for k in range(n):
-        if proto_draw[k] < TCP_SHARE:
-            protocol = Protocol.TCP
-            syn = bool(syn_draw[k] < SYN_RATE)
-        elif proto_draw[k] < TCP_SHARE + UDP_SHARE:
-            protocol = Protocol.UDP
-            syn = False
-        else:
-            protocol = Protocol.ICMP
-            syn = False
-        records.append(PacketRecord(timestamp=float(times[k]), src_ip=int(src[k]),
-                                    dst_ip=int(dst[k]), protocol=protocol,
-                                    length=int(lengths[k]), syn_flag=syn))
+    proto = np.where(proto_draw < TCP_SHARE, TCP,
+                     np.where(proto_draw < TCP_SHARE + UDP_SHARE, UDP, ICMP))
+    parts = [Packets(ts=times, src=src, dst=dst, proto=proto, length=lengths,
+                     syn=(proto == TCP) & (syn_draw < SYN_RATE))]
 
     flood_shape = {
-        AttackKind.SYN_FLOOD: (Protocol.TCP, SYN_FLOOD_BYTES, True),
-        AttackKind.UDP_FLOOD: (Protocol.UDP, UDP_FLOOD_BYTES, False),
-        AttackKind.ICMP_FLOOD: (Protocol.ICMP, ICMP_FLOOD_BYTES, False),
+        AttackKind.SYN_FLOOD: (TCP, SYN_FLOOD_BYTES, True),
+        AttackKind.UDP_FLOOD: (UDP, UDP_FLOOD_BYTES, False),
+        AttackKind.ICMP_FLOOD: (ICMP, ICMP_FLOOD_BYTES, False),
     }
     for attack in scenario.attacks:
-        protocol, size, syn = flood_shape[attack.kind]
+        code, size, syn = flood_shape[attack.kind]
         flood_times = _poisson_arrivals(rng, attack.multiplier * base,
                                         attack.start, attack.end)
-        flood_src = SPOOF_SRC_BASE + rng.integers(0, attack.source_pool,
-                                                  flood_times.size)
-        for k in range(flood_times.size):
-            records.append(PacketRecord(timestamp=float(flood_times[k]),
-                                        src_ip=int(flood_src[k]), dst_ip=VICTIM_IP,
-                                        protocol=protocol, length=size,
-                                        syn_flag=syn))
+        m = flood_times.size
+        flood_src = SPOOF_SRC_BASE + rng.integers(0, attack.source_pool, m)
+        parts.append(Packets(ts=flood_times, src=flood_src, dst=np.full(m, VICTIM_IP),
+                             proto=np.full(m, code), length=np.full(m, size),
+                             syn=np.full(m, syn)))
 
-    records.sort(key=lambda r: r.timestamp)
+    packets = _time_ordered(Packets.concatenate(parts))
 
-    if records:
-        num_windows = int(records[-1].timestamp // window_len) + 1
-    else:
-        num_windows = 0
-    labels = []
-    for index in range(num_windows):
-        lo, hi = index * window_len, (index + 1) * window_len
-        labels.append(any(lo < a.end and hi > a.start for a in scenario.attacks))
-    return records, labels
+    num_windows = _window_count(float(packets.ts[-1]), window_len) if len(packets) else 0
+    lo = np.arange(num_windows) * window_len
+    hi = np.arange(1, num_windows + 1) * window_len
+    labels = np.zeros(num_windows, dtype=bool)
+    for a in scenario.attacks:
+        labels |= (lo < a.end) & (hi > a.start)
+    return packets, labels.tolist()
 
 
-def windowize(records, window_len: float) -> list[tuple[int, list[PacketRecord]]]:
-    """Bin records into contiguous windows of ``window_len`` seconds.
+@dataclass(eq=False)
+class Windows:
+    """Time-ordered packets binned into windows 0..len-1: window k holds
+    ``packets[bounds[k]:bounds[k + 1]]``. Iterating yields (k, bucket)."""
 
-    A record with timestamp t lands in window floor(t / window_len).
+    packets: Packets
+    bounds: np.ndarray
+
+    def __len__(self) -> int:
+        return self.bounds.size - 1
+
+    def __iter__(self):
+        for k in range(len(self)):
+            yield k, self.packets[self.bounds[k]:self.bounds[k + 1]]
+
+
+def windowize(packets, window_len: float) -> Windows:
+    """Bin packets into contiguous windows of ``window_len`` seconds.
+
+    A packet with timestamp t lands in window floor(t / window_len).
     Windows run from 0 through the last non-empty index with empty
-    windows kept, so indices line up with label files.
+    windows kept, so indices line up with label files; more than
+    MAX_WINDOWS of them is an InputError.
     """
     if not window_len > 0:
         raise InputError("window_len must be positive")
-    if not records:
-        return []
-    ordered = sorted(records, key=lambda r: r.timestamp)
-    last = int(ordered[-1].timestamp // window_len)
-    buckets: list[list[PacketRecord]] = [[] for _ in range(last + 1)]
-    for record in ordered:
-        buckets[int(record.timestamp // window_len)].append(record)
-    return list(enumerate(buckets))
+    packets = _time_ordered(_as_packets(packets))
+    if not len(packets):
+        return Windows(packets, np.zeros(1, dtype=np.intp))
+    count = _window_count(float(packets.ts[-1]), window_len)
+    index = np.floor_divide(packets.ts, window_len)
+    return Windows(packets, np.searchsorted(index, np.arange(count + 1)))
 
 
-def _normalized_entropy(counts: Counter, total: int) -> float:
-    """Shannon entropy (bits) over the empirical address distribution,
-    divided by log2(max(distinct, 2)) so the result lies in [0, 1].
+def _entropies(window: np.ndarray, address: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Per window, the Shannon entropy (bits) of its address distribution
+    divided by log2(max(distinct, 2)), so it lies in [0, 1]; 0 for an
+    empty window.
 
-    Terms are accumulated in sorted key order so the sum is exactly
-    invariant to the order packets were seen in.
+    np.unique sorts the (window, address) keys, so each window's terms
+    are summed in address order whatever order the packets came in.
     """
-    entropy = 0.0
-    for key in sorted(counts):
-        p = counts[key] / total
-        entropy -= p * math.log2(p)
-    return entropy / math.log2(max(len(counts), 2))
+    keys, per_key = np.unique((window.astype(np.uint64) << 32) | address,
+                              return_counts=True)
+    key_window = (keys >> 32).astype(np.intp)
+    starts = np.flatnonzero(np.diff(key_window, prepend=-1))
+    p = per_key / count[key_window]
+    entropy = np.zeros(count.size)
+    distinct = np.diff(starts, append=keys.size)
+    entropy[key_window[starts]] = ((0.0 - np.add.reduceat(p * np.log2(p), starts))
+                                   / np.log2(np.maximum(distinct, 2)))
+    return entropy
 
 
-def extract_features(records) -> FeatureVector:
-    """Summarize one window of packets; an empty window is all zeros."""
-    count = len(records)
-    if count == 0:
-        return FeatureVector(*([0.0] * NUM_FEATURES))
-    byte_count = 0
-    syn = udp = icmp = 0
-    src_counts: Counter = Counter()
-    dst_counts: Counter = Counter()
-    for record in records:
-        byte_count += record.length
-        src_counts[record.src_ip] += 1
-        dst_counts[record.dst_ip] += 1
-        if record.protocol is Protocol.TCP:
-            if record.syn_flag:
-                syn += 1
-        elif record.protocol is Protocol.UDP:
-            udp += 1
-        else:
-            icmp += 1
-    return FeatureVector(
-        packet_count=float(count),
-        byte_count=float(byte_count),
-        mean_packet_size=byte_count / count,
-        src_ip_entropy=_normalized_entropy(src_counts, count),
-        dst_ip_entropy=_normalized_entropy(dst_counts, count),
-        syn_fraction=syn / count,
-        udp_fraction=udp / count,
-        icmp_fraction=icmp / count,
-    )
+def feature_matrix(windows: Windows) -> np.ndarray:
+    """Per-window features as an (n_windows, 8) matrix in FEATURE_NAMES
+    order; an empty window is all zeros.
+
+    Counts are exact; byte counts are float sums, exact below 2**53
+    bytes per window. The SYN fraction counts TCP packets only.
+    """
+    n = len(windows)
+    packets = windows.packets
+    window = np.repeat(np.arange(n), np.diff(windows.bounds))
+    count = np.bincount(window, minlength=n)
+    byte_count = np.bincount(window, weights=packets.length, minlength=n)
+    seen = count > 0
+
+    def fraction(mask):
+        out = np.zeros(n)
+        out[seen] = np.bincount(window[mask], minlength=n)[seen] / count[seen]
+        return out
+
+    matrix = np.zeros((n, NUM_FEATURES))
+    matrix[:, 0] = count
+    matrix[:, 1] = byte_count
+    matrix[seen, 2] = byte_count[seen] / count[seen]
+    matrix[:, 3] = _entropies(window, packets.src, count)
+    matrix[:, 4] = _entropies(window, packets.dst, count)
+    matrix[:, 5] = fraction((packets.proto == TCP) & packets.syn)
+    matrix[:, 6] = fraction(packets.proto == UDP)
+    matrix[:, 7] = fraction(packets.proto == ICMP)
+    return matrix
 
 
-def feature_matrix(windows) -> np.ndarray:
-    """Stack per-window features into an (n_windows, 8) matrix."""
-    return np.array([extract_features(records).as_array() for _, records in windows],
-                    dtype=np.float64).reshape(len(windows), NUM_FEATURES)
+def extract_features(packets) -> FeatureVector:
+    """Summarize one window of packets: feature_matrix with every packet
+    in window 0, whatever its timestamp."""
+    packets = _as_packets(packets)
+    window = Windows(packets, np.array([0, len(packets)]))
+    return FeatureVector(*feature_matrix(window)[0].tolist())
 
 
 @dataclass
@@ -509,7 +679,10 @@ class Normalizer:
 
     def __post_init__(self):
         for name in ("feat_min", "feat_max", "unit_mean", "unit_std"):
-            setattr(self, name, np.array(getattr(self, name), dtype=np.float64))
+            value = np.array(getattr(self, name), dtype=np.float64)
+            if not np.all(np.isfinite(value)):
+                raise InputError(f"normalizer {name} contains non-finite entries")
+            setattr(self, name, value)
         if np.any(self.feat_max < self.feat_min):
             raise InputError("feat_max must be >= feat_min in every dimension")
         if np.any(self.unit_std < 0):
@@ -554,8 +727,8 @@ def preprocess(norm: Normalizer, values) -> np.ndarray:
     return standardize(norm, normalize(norm, values))
 
 
-def split_packets(records, fraction: float,
-                  window_len: float) -> tuple[list[PacketRecord], list[PacketRecord]]:
+def split_packets(packets, fraction: float,
+                  window_len: float) -> tuple[Packets, Packets]:
     """Time-ordered train/validation split at a window-aligned boundary.
 
     Validation timestamps are re-based to start at zero so both halves
@@ -563,12 +736,12 @@ def split_packets(records, fraction: float,
     """
     if not 0.0 < fraction < 1.0:
         raise InputError("split fraction must lie strictly between 0 and 1")
-    if not records:
-        return [], []
-    ordered = sorted(records, key=lambda r: r.timestamp)
-    num_windows = int(ordered[-1].timestamp // window_len) + 1
+    packets = _time_ordered(_as_packets(packets))
+    if not len(packets):
+        return packets, packets
+    num_windows = _window_count(float(packets.ts[-1]), window_len)
     boundary = int(num_windows * fraction) * window_len
-    train = [r for r in ordered if r.timestamp < boundary]
-    valid = [replace(r, timestamp=r.timestamp - boundary)
-             for r in ordered if r.timestamp >= boundary]
+    train = packets[packets.ts < boundary]
+    valid = packets[packets.ts >= boundary]
+    valid.ts -= boundary
     return train, valid

@@ -5,7 +5,11 @@ deliberately avoiding the vectorized code paths under test. Slow is
 fine; these run on tiny instances.
 """
 
+import csv
 import math
+from collections import Counter
+
+from floodwatch.errors import InputError
 
 
 def naive_energy_bernoulli(w, b, a, v, h):
@@ -129,3 +133,77 @@ def naive_entropy_normalized(counts):
             p = c / total
             bits -= p * math.log2(p)
     return bits / math.log2(max(len([c for c in counts if c > 0]), 2))
+
+
+def _naive_parse_ip(text):
+    parts = text.split(".")
+    if len(parts) != 4:
+        raise ValueError(f"not a dotted-quad address: {text!r}")
+    value = 0
+    for part in parts:
+        if not part.isdigit() or not 0 <= int(part) <= 255:
+            raise ValueError(f"bad address octet in {text!r}")
+        value = (value << 8) | int(part)
+    return value
+
+
+def naive_parse_packets(lines):
+    """Packet CSV row by row: a list of (timestamp, src, dst, protocol
+    name, length, syn) tuples, or InputError naming the first bad line.
+
+    The header has 6 named columns; blank rows are skipped; a length
+    must lie in [1, 2**63 - 1].
+    """
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header != ["timestamp", "src_ip", "dst_ip", "protocol", "length", "syn"]:
+        raise InputError(f"bad header {header!r}")
+    rows = []
+    for number, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 6:
+            raise InputError(f"line {number}: expected 6 fields, got {len(row)}")
+        try:
+            timestamp = float(row[0])
+            if not (math.isfinite(timestamp) and timestamp >= 0):
+                raise ValueError("timestamp must be finite and non-negative")
+            src = _naive_parse_ip(row[1])
+            dst = _naive_parse_ip(row[2])
+            if row[3] not in ("TCP", "UDP", "ICMP"):
+                raise ValueError(f"unknown protocol {row[3]!r}")
+            length = int(row[4])
+            if not 1 <= length <= 2 ** 63 - 1:
+                raise ValueError("length out of range")
+            if row[5] not in ("0", "1"):
+                raise ValueError(f"syn must be 0 or 1, got {row[5]!r}")
+        except ValueError as exc:
+            raise InputError(f"line {number}: {exc}") from None
+        rows.append((timestamp, src, dst, row[3], length, row[5] == "1"))
+    return rows
+
+
+def naive_window_features(records):
+    """The 8 window features of PacketRecord-like rows, by Counter loops:
+    count, bytes, mean size, src and dst entropy, SYN (TCP only), UDP
+    and ICMP fractions; all zeros for no rows."""
+    count = len(records)
+    if count == 0:
+        return [0.0] * 8
+    byte_count = syn = udp = icmp = 0
+    src_counts = Counter()
+    dst_counts = Counter()
+    for record in records:
+        byte_count += record.length
+        src_counts[record.src_ip] += 1
+        dst_counts[record.dst_ip] += 1
+        if record.protocol.value == "TCP":
+            syn += bool(record.syn_flag)
+        elif record.protocol.value == "UDP":
+            udp += 1
+        else:
+            icmp += 1
+    return [float(count), float(byte_count), byte_count / count,
+            naive_entropy_normalized([src_counts[k] for k in sorted(src_counts)]),
+            naive_entropy_normalized([dst_counts[k] for k in sorted(dst_counts)]),
+            syn / count, udp / count, icmp / count]

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import shutil
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -199,7 +201,9 @@ def test_bad_config_value_exits_2(workspace, tmp_path, capsys, override):
 @pytest.mark.parametrize("key, value", [("threshold", float("nan")),
                                         ("lookback", 2.5),
                                         ("normalizer", []),
-                                        ("dbn_layers.0.num_visible", 8.5)])
+                                        ("dbn_layers.0.num_visible", 8.5),
+                                        ("normalizer.feat_min",
+                                         [float("nan")] + [0.0] * 7)])
 def test_bad_model_value_exits_2(workspace, tmp_path, capsys, key, value):
     root, _ = workspace
     doc = json.loads((root / "model.json").read_text())
@@ -213,6 +217,33 @@ def test_bad_model_value_exits_2(workspace, tmp_path, capsys, key, value):
     assert cli.main(["detect", str(tampered), str(root / "train.csv"),
                      "--out", str(tmp_path / "r.csv")]) == 2
     assert not (tmp_path / "r.csv").exists()
+    capsys.readouterr()
+
+
+def test_epoch_timestamps_exit_2_before_allocating_windows(workspace, tmp_path, capsys):
+    # windows count from t = 0: a Unix-epoch capture would need ~1.7e9 of them
+    root, _ = workspace
+    epoch = tmp_path / "epoch.csv"
+    epoch.write_text("timestamp,src_ip,dst_ip,protocol,length,syn\n"
+                     "1700000000.0,10.0.0.1,192.168.0.1,TCP,64,0\n")
+    start = time.perf_counter()
+    assert cli.main(["featurize", str(epoch), "--out", str(tmp_path / "f.csv")]) == 2
+    assert cli.main(["detect", str(root / "model.json"), str(epoch),
+                     "--out", str(tmp_path / "r.csv")]) == 2
+    assert time.perf_counter() - start < 10.0
+    assert capsys.readouterr().err.count("last timestamp 1700000000.0") == 2
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("preset, seed, digest", [
+    ("syn10", 0, "8ef7cdfb13b015d2d075dc6f5d76c169329c257c9c0b45418833ce68c2d45383"),
+    ("mixed", 1, "a74118c962402e6f5fc202ca73952bf7226d3775a4b8bff63b592c5c96b79a65"),
+])
+def test_gen_bytes_are_pinned(tmp_path, capsys, preset, seed, digest):
+    out = tmp_path / "traffic.csv"
+    assert cli.main(["gen", "--preset", preset, "--seed", str(seed), "--out", str(out),
+                     "--labels", str(tmp_path / "labels.csv")]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     capsys.readouterr()
 
 

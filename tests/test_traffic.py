@@ -1,13 +1,20 @@
+import re
+from unittest import mock
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from floodwatch import traffic
 from floodwatch.errors import InputError
 from floodwatch.traffic import (
     FEATURE_NAMES,
     AttackInterval,
     AttackKind,
     PacketRecord,
+    Packets,
     Protocol,
     Scenario,
     extract_features,
@@ -26,7 +33,7 @@ from floodwatch.traffic import (
     write_labels_csv,
     write_packets_csv,
 )
-from oracles import naive_entropy_normalized
+from oracles import naive_entropy_normalized, naive_parse_packets, naive_window_features
 
 HEADER = "timestamp,src_ip,dst_ip,protocol,length,syn"
 
@@ -37,7 +44,7 @@ def packet(ts, src=1, dst=2, proto=Protocol.TCP, length=100, syn=False):
 
 
 def test_parse_packets_header_only():
-    assert parse_packets([HEADER]) == []
+    assert len(parse_packets([HEADER])) == 0
 
 
 def test_parse_packets_single_tcp_syn_row():
@@ -66,13 +73,76 @@ def test_parse_packets_rejects_bad_header():
         parse_packets(["time,src,dst,proto,len,syn"])
 
 
+def _outcome(parse, lines):
+    """Rows as tuples, or the line number an InputError names."""
+    try:
+        return [(r.timestamp, r.src_ip, r.dst_ip,
+                 getattr(r.protocol, "value", r.protocol), r.length, r.syn_flag)
+                if isinstance(r, PacketRecord) else r for r in parse(lines)]
+    except InputError as exc:
+        return int(re.match(r"line (\d+):", str(exc)).group(1))
+
+
+_GOOD_FIELDS = (st.sampled_from(["0", "0.25", "1e3", "17.5", "-0.0"]),
+                st.sampled_from(["10.0.0.1", "192.168.0.1", "0.0.0.0", "255.255.255.255"]),
+                st.sampled_from(["100.64.1.2", "10.0.0.1"]),
+                st.sampled_from(["TCP", "UDP", "ICMP"]),
+                st.sampled_from(["1", "64", "1500", "9223372036854775807"]),
+                st.sampled_from(["0", "1"]))
+_ANY_FIELDS = (
+    st.one_of(_GOOD_FIELDS[0], st.floats().map(repr), st.sampled_from(
+        ["nan", "inf", "-inf", "-1", "+5", " 5", "1e400", "1_0", "", "x"])),
+    st.one_of(_GOOD_FIELDS[1], st.sampled_from(
+        ["1.2.3", "1.2.3.4.5", "1.2.3.256", "01.2.3.4", " 1.2.3.4", "1.2.3.-4",
+         "1.2.3.\u00b2", "1..3.4", ""])),
+    _GOOD_FIELDS[2],
+    st.sampled_from(["TCP", "UDP", "ICMP", "GRE", "tcp", " TCP", ""]),
+    st.one_of(_GOOD_FIELDS[4], st.integers(-3, 2 ** 64).map(str), st.sampled_from(
+        ["+5", " 5", "5 ", "0", "-3", "9223372036854775808", "1e3", "1_000", "x", ""])),
+    st.sampled_from(["0", "1", "2", " 1", "", "true"]),
+)
+_ROW_TEXT = st.one_of(
+    st.tuples(*_GOOD_FIELDS).map(",".join),
+    st.tuples(*_GOOD_FIELDS).map(",".join),
+    st.tuples(*_ANY_FIELDS).map(",".join),
+    st.just(""),
+    st.lists(_GOOD_FIELDS[0], max_size=8).map(",".join),
+    st.text(st.characters(blacklist_characters="\r\n\x00"), max_size=20),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(_ROW_TEXT, max_size=12), chunk=st.sampled_from([1, 3, 512]))
+@example(rows=["0.5,10.0.0.1,192.168.0.1,TCP,64,1", "", "1.5,10.0.0.2,192.168.0.1,UDP,+5,0",
+               "2.5,10.0.0.2,192.168.0.1,ICMP, 5,0"], chunk=3)
+@example(rows=["0,10.0.0.1,192.168.0.1,TCP,64,0", "nan,10.0.0.1,192.168.0.1,TCP,64,0"],
+         chunk=512)
+@example(rows=["inf,10.0.0.1,192.168.0.1,TCP,64,0"], chunk=512)
+@example(rows=["0,10.0.0.1,192.168.0.1,TCP,9223372036854775808,0"], chunk=512)
+@example(rows=["", "", "0,10.0.0.1,192.168.0.1,TCP,64,0", "0,10.0.0.1,192.168.0.256,TCP,64,0"],
+         chunk=1)
+def test_parse_packets_matches_row_oracle(rows, chunk):
+    # same rows, or an InputError naming the same line, at every chunk size
+    lines = [HEADER, *rows]
+    with mock.patch.object(traffic, "PARSE_CHUNK_ROWS", chunk):
+        assert _outcome(parse_packets, lines) == _outcome(naive_parse_packets, lines)
+
+
+def test_packets_row_adapter_round_trip():
+    packets, _ = generate_traffic(preset_scenario("syn10"), np.random.default_rng(3))
+    rows = list(packets)
+    assert Packets.from_records(rows) == packets
+    assert packets[len(rows) - 1] == rows[-1]
+    assert list(packets[5:8]) == rows[5:8]
+
+
 def test_ip_round_trip():
     for text in ("0.0.0.0", "10.0.0.1", "192.168.0.1", "255.255.255.255"):
         assert format_ip(parse_ip(text)) == text
 
 
 def test_windowize_empty():
-    assert windowize([], 1.0) == []
+    assert len(windowize([], 1.0)) == 0
 
 
 def test_windowize_two_windows():
@@ -142,6 +212,32 @@ def test_extract_features_permutation_invariant():
                            extract_features(shuffled).as_array())
 
 
+def _oracle_matrix(packets, window_len=1.0):
+    buckets = {}
+    for record in packets:
+        buckets.setdefault(int(record.timestamp // window_len), []).append(record)
+    return np.array([naive_window_features(buckets.get(k, []))
+                     for k in range(max(buckets) + 1)])
+
+
+@pytest.mark.parametrize("variant", ["generated", "shuffled", "syn on every protocol"])
+def test_feature_matrix_matches_counter_oracle(variant):
+    packets, _ = generate_traffic(preset_scenario("mixed"), np.random.default_rng(1))
+    rng = np.random.default_rng(0)
+    if variant == "shuffled":
+        packets = packets[rng.permutation(len(packets))]
+    elif variant == "syn on every protocol":   # a parsed capture may flag UDP/ICMP
+        packets.syn = rng.random(len(packets)) < 0.5
+    matrix = feature_matrix(windowize(packets, 1.0))
+    expected = _oracle_matrix(packets)
+    exact = [0, 1, 2, 5, 6, 7]          # counts, bytes, mean size, fractions
+    npt.assert_array_equal(matrix[:, exact], expected[:, exact])
+    npt.assert_allclose(matrix[:, 3:5], expected[:, 3:5], rtol=0, atol=1e-12)
+    if variant == "shuffled":
+        npt.assert_array_equal(
+            matrix, feature_matrix(windowize(packets[np.argsort(packets.ts)], 1.0)))
+
+
 def test_fit_normalizer_clamps():
     matrix = np.array([[0.0, 3.0], [10.0, 3.0], [5.0, 3.0]])
     norm = fit_normalizer(matrix)
@@ -189,6 +285,13 @@ def test_generate_traffic_deterministic():
     recs_b, labels_b = generate_traffic(scenario, np.random.default_rng(9))
     assert recs_a == recs_b
     assert labels_a == labels_b
+
+
+def test_generate_traffic_rejects_too_many_windows():
+    # ~2000 packets spread over 2e6 one-second windows: over MAX_WINDOWS
+    scenario = Scenario(duration=2e6, baseline_rate=1e-3)
+    with pytest.raises(InputError, match="last timestamp"):
+        generate_traffic(scenario, np.random.default_rng(0))
 
 
 def test_generate_traffic_sorted_and_in_range():
