@@ -25,7 +25,14 @@ from .dbn import DbnModel, new_dbn, pretrain, transform
 from .errors import InputError
 from .lstm import LstmModel, TrainConfig, init_lstm, predict_sequence_batch, train_lstm
 from .rbm import CdConfig
-from .traffic import Normalizer, feature_matrix, fit_normalizer, preprocess, windowize
+from .traffic import (
+    Normalizer,
+    csv_errors,
+    feature_matrix,
+    fit_normalizer,
+    preprocess,
+    windowize,
+)
 
 REPORT_CSV_HEADER = ["window_index", "residual", "alarm"]
 SIGMA_FLOOR = 1e-9
@@ -115,11 +122,20 @@ class Metrics:
 @dataclass
 class FitSummary:
     """Training diagnostics surfaced by the CLI; a stage trained for zero
-    epochs reports None (JSON null) as its final value."""
+    epochs reports None (JSON null) as its final value.
+
+    ``lstm_epochs_run`` counts the epochs the LSTM trained before its loss
+    plateaued or the cap was reached. ``mean_predictor_residual`` is the
+    mean RMS residual, over the same validation windows as
+    ``residual_mean``, of always predicting the per-dimension mean of the
+    training codes: the baseline the LSTM has to beat.
+    """
 
     rbm_final_errors: list[float | None]
     lstm_final_loss: float | None
+    lstm_epochs_run: int
     residual_mean: float
+    mean_predictor_residual: float
     residual_std: float
     threshold: float
     train_windows: int
@@ -129,7 +145,9 @@ class FitSummary:
         return {
             "rbm_final_errors": self.rbm_final_errors,
             "lstm_final_loss": self.lstm_final_loss,
+            "lstm_epochs_run": self.lstm_epochs_run,
             "residual_mean": self.residual_mean,
+            "mean_predictor_residual": self.mean_predictor_residual,
             "residual_std": self.residual_std,
             "threshold": self.threshold,
             "train_windows": self.train_windows,
@@ -214,6 +232,8 @@ def fit_detailed(train_packets, valid_packets,
     mean = float(np.mean(residuals))
     std = float(np.std(residuals))
     threshold = calibrate_threshold(residuals, config.k_sigma)
+    mean_errors = valid_codes[lookback:] - codes.mean(axis=0)
+    mean_predictor = float(np.mean(np.sqrt(np.mean(mean_errors ** 2, axis=1))))
 
     model = DetectorModel(normalizer=normalizer, dbn=dbn, lstm=lstm,
                           threshold=threshold, lookback=lookback,
@@ -222,7 +242,9 @@ def fit_detailed(train_packets, valid_packets,
     summary = FitSummary(
         rbm_final_errors=[float(trace[-1]) if len(trace) else None for trace in traces],
         lstm_final_loss=float(loss_trace[-1]) if len(loss_trace) else None,
-        residual_mean=mean, residual_std=std, threshold=threshold,
+        lstm_epochs_run=len(loss_trace),
+        residual_mean=mean, mean_predictor_residual=mean_predictor,
+        residual_std=std, threshold=threshold,
         train_windows=len(train_windows), valid_windows=len(valid_windows),
     )
     return model, summary
@@ -308,19 +330,20 @@ def write_report_csv(path, report: DetectionReport):
 def read_report_csv(path) -> list[WindowScore]:
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != REPORT_CSV_HEADER:
-            raise InputError(f"{path}: bad report header {header!r}")
-        scores = []
-        for number, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                if len(row) != 3 or row[2] not in ("0", "1"):
-                    raise ValueError("expected index,residual,0/1")
-                scores.append(WindowScore(index=int(row[0]),
-                                          residual=float(row[1]),
-                                          alarm=row[2] == "1"))
-            except ValueError as exc:
-                raise InputError(f"{path}: line {number}: {exc}") from None
+        with csv_errors(reader, path):
+            header = next(reader, None)
+            if header != REPORT_CSV_HEADER:
+                raise InputError(f"{path}: bad report header {header!r}")
+            scores = []
+            for number, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                try:
+                    if len(row) != 3 or row[2] not in ("0", "1"):
+                        raise ValueError("expected index,residual,0/1")
+                    scores.append(WindowScore(index=int(row[0]),
+                                              residual=float(row[1]),
+                                              alarm=row[2] == "1"))
+                except ValueError as exc:
+                    raise InputError(f"{path}: line {number}: {exc}") from None
     return scores

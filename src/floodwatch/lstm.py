@@ -12,7 +12,8 @@ Implements the standard gated cell
 with an affine readout y_t = W_y h_t + b_y at every step, mean-squared
 error loss, exact backpropagation through time, central-difference
 gradient checking, and full-batch gradient descent with global-norm
-clipping. Everything is plain float64 numpy and deterministic.
+clipping that stops at its loss plateau. Everything is plain float64
+numpy and deterministic.
 
 One batched kernel (``forward``/``backward`` over a ``Workspace``) does
 all the work. A model's parameters, and its gradients, are one vector
@@ -48,6 +49,10 @@ from .numerics import sigmoid  # noqa: F401
 PARAM_FIELDS = ("w_f", "w_i", "w_c", "w_o",
                 "b_f", "b_i", "b_c", "b_o",
                 "w_y", "b_y")
+
+# Early-stopping window (epochs) and relative tolerance; see ``at_plateau``.
+PLATEAU_EPOCHS = 10
+PLATEAU_TOL = 1e-3
 
 
 def param_shapes(input_dim: int, hidden_dim: int) -> dict[str, tuple[int, ...]]:
@@ -535,6 +540,15 @@ def _loss_and_grads(model: LstmModel, groups) -> tuple[float, LstmModel]:
     return loss_sum / sum(len(indices) for indices, _, _ in groups), total
 
 
+def at_plateau(trace: np.ndarray, epoch: int) -> bool:
+    """Whether the loss at ``epoch`` fell by less than PLATEAU_TOL of the
+    loss PLATEAU_EPOCHS epochs before it (never before that many epochs)."""
+    if epoch < PLATEAU_EPOCHS:
+        return False
+    before = trace[epoch - PLATEAU_EPOCHS]
+    return bool(before - trace[epoch] < PLATEAU_TOL * before)
+
+
 def train_lstm(model: LstmModel, sequences,
                config: TrainConfig) -> tuple[LstmModel, np.ndarray]:
     """Full-batch gradient descent on the summed per-sequence MSE.
@@ -543,9 +557,15 @@ def train_lstm(model: LstmModel, sequences,
     parameters, clips the gradient of the summed loss to
     config.gradient_clip by global norm, and takes one plain descent
     step. Clipping the sum (not the mean) makes the norm bound, not the
-    sequence count, set the worst-case step size. There is no
-    stochasticity: identical inputs produce bit-identical trained
-    parameters.
+    sequence count, set the worst-case step size.
+
+    Training ends after config.epochs epochs, or earlier at the first
+    epoch where ``at_plateau`` holds (early stopping on the training
+    loss, after Prechelt, "Early Stopping -- But When?", 1998). Then the
+    parameters whose loss was just recorded are returned, with no step
+    after the check, and the trace holds the epochs run. The rule reads
+    only the trace, and there is no stochasticity: identical inputs
+    produce bit-identical trained parameters and traces.
     """
     groups = _length_groups(model, sequences)
     trace = np.zeros(config.epochs)
@@ -559,6 +579,8 @@ def train_lstm(model: LstmModel, sequences,
             raise NumericError(f"epoch {epoch}: non-finite loss")
         require_finite(grads.vector, f"epoch {epoch}: gradient")
         trace[epoch] = loss
+        if at_plateau(trace, epoch):
+            return current, trace[:epoch + 1]
         apply_gradients(current, clip_gradients(grads, config.gradient_clip),
                         config.learning_rate)
     return current, trace

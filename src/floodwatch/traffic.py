@@ -16,6 +16,7 @@ packet shape from a pool of spoofed sources.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import enum
 import itertools
@@ -414,6 +415,18 @@ def _parse_chunk(rows, addresses: _Memo) -> Packets:
                    syn=np.fromiter(map("1".__eq__, syn), np.bool_, n))
 
 
+@contextlib.contextmanager
+def csv_errors(reader, path=None):
+    """Report a record that ``reader`` (a ``csv.reader``) rejects, such as a
+    field over the csv module's size limit, as InputError naming its line
+    (and ``path``, when given)."""
+    try:
+        yield
+    except csv.Error as exc:
+        where = f"{path}: " if path is not None else ""
+        raise InputError(f"{where}line {reader.line_num}: {exc}") from None
+
+
 def parse_packets(lines) -> Packets:
     """Read packets from CSV text (an open file or iterable of lines).
 
@@ -424,10 +437,10 @@ def parse_packets(lines) -> Packets:
     names the first bad row.
     """
     reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise InputError("empty input: missing CSV header") from None
+    with csv_errors(reader):
+        header = next(reader, None)
+    if header is None:
+        raise InputError("empty input: missing CSV header")
     if header != PACKET_CSV_HEADER:
         raise InputError(
             f"bad header {header!r}; expected {','.join(PACKET_CSV_HEADER)}"
@@ -435,7 +448,8 @@ def parse_packets(lines) -> Packets:
     addresses = _Memo(parse_ip)
     chunks = []
     for first in itertools.count(2, PARSE_CHUNK_ROWS):
-        rows = list(itertools.islice(reader, PARSE_CHUNK_ROWS))
+        with csv_errors(reader):
+            rows = list(itertools.islice(reader, PARSE_CHUNK_ROWS))
         if not rows:
             break
         try:
@@ -473,19 +487,20 @@ def write_labels_csv(path, labels):
 def read_labels_csv(path) -> list[bool]:
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != LABELS_CSV_HEADER:
-            raise InputError(f"{path}: bad labels header {header!r}")
-        labels = []
-        for number, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2 or row[1] not in ("0", "1") or not row[0].isdecimal():
-                raise InputError(f"{path}: line {number}: expected index,0/1")
-            if int(row[0]) != len(labels):
-                raise InputError(f"{path}: line {number}: window indices must be "
-                                 "contiguous from 0")
-            labels.append(row[1] == "1")
+        with csv_errors(reader, path):
+            header = next(reader, None)
+            if header != LABELS_CSV_HEADER:
+                raise InputError(f"{path}: bad labels header {header!r}")
+            labels = []
+            for number, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 2 or row[1] not in ("0", "1") or not row[0].isdecimal():
+                    raise InputError(f"{path}: line {number}: expected index,0/1")
+                if int(row[0]) != len(labels):
+                    raise InputError(f"{path}: line {number}: window indices must be "
+                                     "contiguous from 0")
+                labels.append(row[1] == "1")
     return labels
 
 
@@ -666,7 +681,8 @@ def extract_features(packets) -> FeatureVector:
 class Normalizer:
     """Feature scaling fitted on training windows only.
 
-    ``feat_min``/``feat_max`` drive clamped min-max scaling into [0, 1];
+    ``feat_min``/``feat_max`` drive min-max scaling (training range onto
+    [0, 1], unclamped outside it);
     ``unit_mean``/``unit_std`` are the statistics of the min-max-scaled
     training data, used to standardize the input of the Gaussian RBM
     layer.
@@ -706,12 +722,14 @@ def fit_normalizer(matrix) -> Normalizer:
 
 def _minmax(values, feat_min, feat_max):
     span = feat_max - feat_min
-    clipped = np.clip(values, feat_min, feat_max)
-    return np.where(span > 0, (clipped - feat_min) / np.where(span > 0, span, 1.0), 0.5)
+    return np.where(span > 0, (values - feat_min) / np.where(span > 0, span, 1.0), 0.5)
 
 
 def normalize(norm: Normalizer, values) -> np.ndarray:
-    """Clamped min-max scaling into [0, 1]; constant dimensions map to 0.5."""
+    """Min-max scaling: the training range maps onto [0, 1] and values
+    outside it extrapolate linearly beyond, so a flood that exceeds every
+    training window stays distinguishable from the busiest normal one.
+    Constant dimensions map to 0.5."""
     values = np.asarray(values, dtype=np.float64)
     return _minmax(values, norm.feat_min, norm.feat_max)
 

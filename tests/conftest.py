@@ -57,5 +57,6 @@ def criterion():
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if _CRITERION_LINES:
         terminalreporter.section("acceptance criteria")
-        for line in sorted(_CRITERION_LINES):
+        for line in sorted(_CRITERION_LINES,
+                           key=lambda line: int(line.split()[1].rstrip("]"))):
             terminalreporter.write_line(line)

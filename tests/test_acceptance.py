@@ -288,3 +288,27 @@ def test_criterion_9_persistence_round_trip(criterion, tmp_path):
               ok, f"params exact {bool(exact)}, rows equal {rows_equal}")
     assert exact
     assert rows_equal
+
+
+def test_criterion_10_detection_across_training_seeds(criterion):
+    # criterion 7 trains on one quiet capture; detection must not hinge on it
+    start = time.perf_counter()
+    config = fw.RunConfig(dbn_sizes=[8, 8])
+    test_records, labels = fw.generate_traffic(preset_scenario("syn10"),
+                                               np.random.default_rng(0))
+    results = []
+    for seed in range(5):
+        train_records, _ = fw.generate_traffic(preset_scenario("quiet"),
+                                               np.random.default_rng(seed))
+        model = fw.fit(*split_packets(train_records, config.split,
+                                      config.window_len), config)
+        metrics = fw.evaluate(fw.detect(model, test_records), labels)
+        results.append((round(metrics.recall, 3),
+                        round(metrics.false_positive_rate, 4)))
+    elapsed = time.perf_counter() - start
+    passed = sum(recall >= 0.9 and fpr <= 0.05 for recall, fpr in results)
+    ok = passed == 5 and elapsed < 180.0
+    criterion(10, "flood detection: recall >= 0.9, FPR <= 0.05 for training seeds 0-4",
+              ok, f"{passed}/5 seeds, (recall, fpr) {results}, {elapsed:.1f}s")
+    assert passed == 5
+    assert elapsed < 180.0

@@ -89,6 +89,15 @@ def test_train_summary_reports_split_and_threshold(workspace):
     assert len(summary["rbm_final_errors"]) == 1
 
 
+def test_train_summary_reports_what_the_lstm_did(workspace):
+    # the Quickstart LSTM stops at its loss plateau, well before the cap,
+    # and its residual is compared with always predicting the mean code
+    _, outputs = workspace
+    summary = outputs["train"]
+    assert 0 < summary["lstm_epochs_run"] < DETECT_CONFIG.lstm_epochs
+    assert summary["mean_predictor_residual"] > 0.0
+
+
 def test_train_is_byte_idempotent(workspace, run_cli):
     root, _ = workspace
     proc = run_cli(["train", "train.csv", "--config", "config.json",
@@ -245,6 +254,27 @@ def test_gen_bytes_are_pinned(tmp_path, capsys, preset, seed, digest):
                      "--labels", str(tmp_path / "labels.csv")]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("reader", ["featurize", "labels", "report"])
+def test_oversized_csv_field_exits_2(workspace, tmp_path, capsys, reader):
+    # the csv module rejects a field over 131072 characters
+    root, _ = workspace
+    path = tmp_path / "big.csv"
+    if reader == "featurize":
+        path.write_text("timestamp,src_ip,dst_ip,protocol,length,syn\n"
+                        f"0.5,10.0.0.1,10.0.0.2,TCP,64,{'x' * 200000}\n")
+        argv = ["featurize", str(path), "--out", str(tmp_path / "f.csv")]
+    elif reader == "labels":
+        path.write_text(f"window_index,label\n0,0\n1,{'x' * 200000}\n")
+        argv = ["eval", str(root / "report.csv"), str(path)]
+    else:
+        path.write_text(f"window_index,residual,alarm\n10,{'x' * 200000},0\n")
+        argv = ["eval", str(path), str(root / "test_labels.csv")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line ")
+    assert "field larger than field limit" in err
 
 
 def test_bad_labels_row_exits_2(workspace, tmp_path, capsys):

@@ -20,13 +20,18 @@ from floodwatch.errors import InputError
 from floodwatch.lstm import LstmModel
 from floodwatch.rbm import RbmKind, RbmParams
 from floodwatch.traffic import (
+    AttackInterval,
+    AttackKind,
     Normalizer,
     PacketRecord,
     Protocol,
     Scenario,
+    feature_matrix,
     generate_traffic,
+    preprocess,
     preset_scenario,
     split_packets,
+    windowize,
 )
 from oracles import naive_mean_std
 
@@ -203,6 +208,46 @@ def test_fit_validation_residuals_stay_below_code_spread():
     assert model.residual_mean < float(np.std(codes))
     assert model.threshold >= model.residual_mean
     assert summary.threshold == model.threshold
+
+
+def test_fit_summary_compares_lstm_with_mean_predictor():
+    config = fw.RunConfig(dbn_sizes=[8, 8], rbm_epochs=10, lstm_epochs=30)
+    records, _ = generate_traffic(Scenario(duration=60.0, baseline_rate=50.0),
+                                  np.random.default_rng(3))
+    train, valid = split_packets(records, config.split, config.window_len)
+    model, summary = fw.fit_detailed(train, valid, config)
+    from floodwatch.detector import _codes
+    codes = _codes(model.normalizer, model.dbn, train, config.window_len)
+    valid_codes = _codes(model.normalizer, model.dbn, valid, config.window_len)
+    naive = [np.sqrt(np.mean((code - codes.mean(axis=0)) ** 2))
+             for code in valid_codes[config.lookback:]]
+    assert summary.mean_predictor_residual == pytest.approx(np.mean(naive), rel=1e-12)
+    assert 1 <= summary.lstm_epochs_run <= config.lstm_epochs
+    doc = summary.to_dict()
+    assert doc["lstm_epochs_run"] == summary.lstm_epochs_run
+    assert doc["mean_predictor_residual"] == summary.mean_predictor_residual
+
+
+def test_window_far_outside_training_range_scores_finite():
+    # features are no longer clamped to the training range: a window at
+    # 1000x the training rate must still give finite codes and residuals
+    config = fw.RunConfig(dbn_sizes=[8, 8], rbm_epochs=10, lstm_epochs=10)
+    records, _ = generate_traffic(Scenario(duration=60.0, baseline_rate=50.0),
+                                  np.random.default_rng(4))
+    model = fit(*split_packets(records, config.split, config.window_len), config)
+    flood = AttackInterval(start=20.0, end=21.0, kind=AttackKind.UDP_FLOOD,
+                           multiplier=1000.0, source_pool=5000)
+    test_records, labels = generate_traffic(
+        Scenario(duration=30.0, baseline_rate=50.0, attacks=[flood]),
+        np.random.default_rng(5))
+    assert labels[20]
+    features = feature_matrix(windowize(test_records, config.window_len))
+    inputs = preprocess(model.normalizer, features)
+    assert np.abs(inputs[20]).max() > 100    # far outside the training range
+    codes = fw.transform(model.dbn, inputs)
+    assert np.isfinite(codes).all()
+    residuals = [residual for _, residual in score(model, test_records)]
+    assert np.isfinite(residuals).all()
 
 
 def test_report_round_trip(tmp_path):

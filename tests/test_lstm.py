@@ -5,10 +5,13 @@ import pytest
 from floodwatch.errors import InputError
 from floodwatch.lstm import (
     PARAM_FIELDS,
+    PLATEAU_EPOCHS,
+    PLATEAU_TOL,
     LstmModel,
     LstmState,
     TrainConfig,
     Workspace,
+    at_plateau,
     backward,
     backward_bptt,
     cell_forward,
@@ -219,6 +222,56 @@ def test_train_lstm_deterministic():
     for name in PARAM_FIELDS:
         npt.assert_array_equal(getattr(a, name), getattr(b, name))
     npt.assert_array_equal(trace_a, trace_b)
+
+
+def noisy_constant_sequences(count=20, steps=5, dim=2, seed=0):
+    # targets are noise around 0.5, independent of the inputs: the loss
+    # falls to the noise variance and stays there
+    rng = np.random.default_rng(seed)
+    return [(rng.normal(size=(steps, dim)), 0.5 + 0.1 * rng.normal(size=(steps, dim)))
+            for _ in range(count)]
+
+
+def test_train_lstm_stops_at_plateau():
+    model = init_lstm(2, 4, np.random.default_rng(1))
+    sequences = noisy_constant_sequences()
+    config = TrainConfig(learning_rate=0.01, epochs=200, gradient_clip=5.0)
+    trained, trace = train_lstm(model, sequences, config)
+    assert PLATEAU_EPOCHS < len(trace) < config.epochs
+    stop = len(trace) - 1
+    assert at_plateau(trace, stop)
+    assert not any(at_plateau(trace, epoch) for epoch in range(stop))
+    # no step after the check: the last entry is the returned model's loss
+    losses = [loss_mse(sequence_forward(trained, xs)[0], targets)
+              for xs, targets in sequences]
+    assert trace[-1] == pytest.approx(np.mean(losses), rel=1e-12)
+
+    again, trace_again = train_lstm(model, sequences, config)
+    npt.assert_array_equal(again.vector, trained.vector)
+    npt.assert_array_equal(trace_again, trace)
+
+
+def test_train_lstm_plateau_check_starts_after_its_window():
+    # at learning rate 0 the loss never falls: every epoch from
+    # PLATEAU_EPOCHS on is a plateau, and none before it is checked
+    model = init_lstm(2, 4, np.random.default_rng(0))
+    for epochs, expected in ((PLATEAU_EPOCHS, PLATEAU_EPOCHS),
+                             (PLATEAU_EPOCHS + 5, PLATEAU_EPOCHS + 1)):
+        config = TrainConfig(learning_rate=0.0, epochs=epochs, gradient_clip=5.0)
+        trained, trace = train_lstm(model, make_sequences(), config)
+        assert trace.size == expected
+        npt.assert_array_equal(trained.vector, model.vector)
+
+
+def test_at_plateau_compares_with_the_loss_a_window_earlier():
+    trace = np.array([1.0] * 5 + [0.5] * 20)
+    stops = [epoch for epoch in range(trace.size) if at_plateau(trace, epoch)]
+    assert stops[0] == 5 + PLATEAU_EPOCHS
+    # relative tolerance: a fall of just under PLATEAU_TOL is a plateau
+    for fall, expected in ((0.9 * PLATEAU_TOL, True), (1.1 * PLATEAU_TOL, False)):
+        trace = np.full(PLATEAU_EPOCHS + 1, 4.0)
+        trace[-1] = 4.0 * (1.0 - fall)
+        assert at_plateau(trace, PLATEAU_EPOCHS) is expected
 
 
 def test_init_lstm_forget_bias_and_shapes():

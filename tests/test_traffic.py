@@ -238,14 +238,14 @@ def test_feature_matrix_matches_counter_oracle(variant):
             matrix, feature_matrix(windowize(packets[np.argsort(packets.ts)], 1.0)))
 
 
-def test_fit_normalizer_clamps():
+def test_fit_normalizer_extrapolates():
     matrix = np.array([[0.0, 3.0], [10.0, 3.0], [5.0, 3.0]])
     norm = fit_normalizer(matrix)
     out = normalize(norm, np.array([10.0, 3.0]))
     assert out[0] == 1.0
     assert out[1] == 0.5  # constant dimension
-    assert normalize(norm, np.array([-5.0, 3.0]))[0] == 0.0
-    assert normalize(norm, np.array([99.0, 3.0]))[0] == 1.0
+    assert normalize(norm, np.array([-5.0, 3.0]))[0] == -0.5
+    assert normalize(norm, np.array([99.0, 3.0]))[0] == 9.9
 
 
 def test_fit_normalizer_maps_training_rows_into_unit_box():
