@@ -6,7 +6,7 @@ against a saved model), eval (metrics from report + labels), gradcheck
 (LSTM backprop self-test).
 
 Exit codes: 0 success, 1 usage error or failed gradcheck, 2 input/data
-error, 3 numeric failure.
+error (also a model too large for memory), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -121,8 +121,7 @@ def cmd_gradcheck(args) -> int:
     model, xs, targets = gradcheck_instance(args.seed)
     analytic = None
     if args.sabotage:
-        _, cache = sequence_forward(model, xs)
-        analytic = backward_bptt(model, cache, targets)
+        analytic = backward_bptt(model, sequence_forward(model, xs)[1], targets)
         analytic.w_f[0, 0] += 1.0
     error = float(grad_check(model, xs, targets, eps=1e-5, analytic=analytic))
     print(repr(error))
@@ -199,6 +198,9 @@ def main(argv=None) -> int:
         return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

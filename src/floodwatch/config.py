@@ -30,7 +30,7 @@ class RunConfig:
     """Defaults reproduce the stock pipeline; override via JSON config."""
 
     window_len: float = 1.0
-    dbn_sizes: list[int] = field(default_factory=lambda: [8, 16, 8])
+    dbn_sizes: list[int] = field(default_factory=lambda: [8, 8])
     lstm_hidden: int = 32
     lookback: int = 10
     k_sigma: float = 3.0

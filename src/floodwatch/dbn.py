@@ -62,7 +62,7 @@ def new_dbn(layer_sizes, rng: np.random.Generator) -> DbnModel:
 
 
 def pretrain(dbn: DbnModel, data, config: CdConfig,
-             rng: np.random.Generator | None = None) -> tuple[DbnModel, list[np.ndarray]]:
+             rng: np.random.Generator) -> tuple[DbnModel, list[np.ndarray]]:
     """Greedy layer-wise CD-1 training.
 
     Layer k trains on the mean-field transform of the data through the
@@ -74,9 +74,6 @@ def pretrain(dbn: DbnModel, data, config: CdConfig,
         raise InputError(
             f"data must be 2-d with {dbn.input_dim} columns, got shape {data.shape}"
         )
-    if rng is None:
-        rng = np.random.default_rng(config.rng_seed)
-
     trained: list[RbmParams] = []
     traces: list[np.ndarray] = []
     current = data

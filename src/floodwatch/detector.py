@@ -16,7 +16,7 @@ windows have no full history and are left unscored.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,6 +27,8 @@ from .lstm import LstmModel, TrainConfig, init_lstm, predict_sequence_batch, tra
 from .rbm import CdConfig
 from .traffic import (
     Normalizer,
+    Packets,
+    Windows,
     csv_errors,
     feature_matrix,
     fit_normalizer,
@@ -107,16 +109,7 @@ class Metrics:
     false_positive_rate: float
 
     def to_dict(self) -> dict:
-        return {
-            "true_positives": self.true_positives,
-            "false_positives": self.false_positives,
-            "false_negatives": self.false_negatives,
-            "true_negatives": self.true_negatives,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "false_positive_rate": self.false_positive_rate,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -142,22 +135,10 @@ class FitSummary:
     valid_windows: int
 
     def to_dict(self) -> dict:
-        return {
-            "rbm_final_errors": self.rbm_final_errors,
-            "lstm_final_loss": self.lstm_final_loss,
-            "lstm_epochs_run": self.lstm_epochs_run,
-            "residual_mean": self.residual_mean,
-            "mean_predictor_residual": self.mean_predictor_residual,
-            "residual_std": self.residual_std,
-            "threshold": self.threshold,
-            "train_windows": self.train_windows,
-            "valid_windows": self.valid_windows,
-        }
+        return asdict(self)
 
 
-def _codes(normalizer: Normalizer, dbn: DbnModel, packets,
-           window_len: float) -> np.ndarray:
-    windows = windowize(packets, window_len)
+def _codes(normalizer: Normalizer, dbn: DbnModel, windows: Windows) -> np.ndarray:
     return transform(dbn, preprocess(normalizer, feature_matrix(windows)))
 
 
@@ -178,7 +159,7 @@ def _residuals(lstm: LstmModel, codes: np.ndarray, lookback: int) -> np.ndarray:
     return np.sqrt(np.mean(errors ** 2, axis=1))
 
 
-def fit_detailed(train_packets, valid_packets,
+def fit_detailed(train_packets: Packets, valid_packets: Packets,
                  config: RunConfig) -> tuple[DetectorModel, FitSummary]:
     """fit() plus training diagnostics for reporting."""
     lookback = config.lookback
@@ -212,10 +193,8 @@ def fit_detailed(train_packets, valid_packets,
     dbn = new_dbn(config.dbn_sizes, np.random.default_rng(seed_init))
     cd_config = CdConfig(learning_rate=config.rbm_learning_rate,
                          epochs=config.rbm_epochs,
-                         batch_size=config.rbm_batch_size,
-                         rng_seed=config.seed)
-    dbn, traces = pretrain(dbn, inputs, cd_config,
-                           rng=np.random.default_rng(seed_pretrain))
+                         batch_size=config.rbm_batch_size)
+    dbn, traces = pretrain(dbn, inputs, cd_config, np.random.default_rng(seed_pretrain))
     codes = transform(dbn, inputs)
 
     lstm = init_lstm(dbn.code_dim, config.lstm_hidden,
@@ -227,7 +206,7 @@ def fit_detailed(train_packets, valid_packets,
                                gradient_clip=config.gradient_clip)
     lstm, loss_trace = train_lstm(lstm, pairs, train_config)
 
-    valid_codes = _codes(normalizer, dbn, valid_packets, config.window_len)
+    valid_codes = _codes(normalizer, dbn, valid_windows)
     residuals = _residuals(lstm, valid_codes, lookback)
     mean = float(np.mean(residuals))
     std = float(np.std(residuals))
@@ -250,20 +229,20 @@ def fit_detailed(train_packets, valid_packets,
     return model, summary
 
 
-def fit(train_packets, valid_packets, config: RunConfig) -> DetectorModel:
+def fit(train_packets: Packets, valid_packets: Packets,
+        config: RunConfig) -> DetectorModel:
     """Train the full pipeline on attack-free traffic.
 
-    Both captures (Packets, or lists of PacketRecord) must span at least
-    lookback+1 windows; the validation capture supplies the residuals
-    that calibrate the threshold.
+    Both captures must span at least lookback+1 windows; the validation
+    capture supplies the residuals that calibrate the threshold.
     Deterministic given config.seed.
     """
     return fit_detailed(train_packets, valid_packets, config)[0]
 
 
-def score(model: DetectorModel, packets) -> list[tuple[int, float]]:
+def score(model: DetectorModel, packets: Packets) -> list[tuple[int, float]]:
     """Prediction residual per window, for windows lookback onward."""
-    codes = _codes(model.normalizer, model.dbn, packets, model.window_len)
+    codes = _codes(model.normalizer, model.dbn, windowize(packets, model.window_len))
     residuals = _residuals(model.lstm, codes, model.lookback)
     return [(model.lookback + i, float(r)) for i, r in enumerate(residuals)]
 
@@ -278,7 +257,7 @@ def calibrate_threshold(residuals, k: float) -> float:
     return float(np.mean(residuals) + k * max(float(np.std(residuals)), SIGMA_FLOOR))
 
 
-def detect(model: DetectorModel, packets) -> DetectionReport:
+def detect(model: DetectorModel, packets: Packets) -> DetectionReport:
     scores = [WindowScore(index=index, residual=residual,
                           alarm=residual > model.threshold)
               for index, residual in score(model, packets)]

@@ -314,26 +314,13 @@ def backward(params: Stack, work: Workspace, d_pred: np.ndarray) -> LstmModel:
     return grads
 
 
-class SequenceCache:
-    """Forward record of one sequence for ``backward_bptt``: its B = 1
-    workspace and (T, N) views of the gates and states (first axis = time)."""
-
-    def __init__(self, work: Workspace):
-        self.work = work
-        self.preds = work.preds[:, 0]
-        self.forget, self.input_gate, self.output_gate, self.candidate = (
-            work.gates[:, k, 0] for k in range(4))
-        self.cell = work.cell[1:, 0]
-        self.hidden = work.hidden[1:, 0]
-        self.init_cell = work.cell[0, 0]
-
-
 def sequence_forward(model: LstmModel, xs,
-                     init: LstmState | None = None) -> tuple[np.ndarray, SequenceCache]:
+                     init: LstmState | None = None) -> tuple[np.ndarray, Workspace]:
     """Run the cell over a sequence and read out a prediction at every step.
 
     ``xs`` is a (T, input_dim) array or list of vectors. Returns the
-    (T, input_dim) prediction matrix and the cache for backward_bptt.
+    (T, input_dim) prediction matrix and the B = 1 workspace of the run,
+    for backward_bptt.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != model.input_dim:
@@ -356,7 +343,7 @@ def sequence_forward(model: LstmModel, xs,
               & np.isfinite(work.hidden[1:, 0]).all(axis=1))
     if not finite.all():
         raise NumericError(f"step {int(np.argmin(finite))}: non-finite cell or hidden state")
-    return preds[:, 0].copy(), SequenceCache(work)
+    return preds[:, 0].copy(), work
 
 
 def cell_forward(model: LstmModel, x, prev: LstmState) -> tuple[LstmState, Gates]:
@@ -364,10 +351,10 @@ def cell_forward(model: LstmModel, x, prev: LstmState) -> tuple[LstmState, Gates
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.input_dim,):
         raise InputError(f"x must have shape ({model.input_dim},), got {x.shape}")
-    _, cache = sequence_forward(model, x[None, :], prev)
-    return (LstmState(hidden=cache.hidden[0], cell=cache.cell[0]),
-            Gates(forget=cache.forget[0], input=cache.input_gate[0],
-                  candidate=cache.candidate[0], output=cache.output_gate[0]))
+    work = sequence_forward(model, x[None, :], prev)[1]
+    forget, input_gate, output_gate, candidate = work.gates[0, :, 0]
+    return (LstmState(hidden=work.hidden[1, 0], cell=work.cell[1, 0]),
+            Gates(forget=forget, input=input_gate, candidate=candidate, output=output_gate))
 
 
 def loss_mse(pred, target) -> float:
@@ -381,16 +368,18 @@ def loss_mse(pred, target) -> float:
     return float(np.mean((pred - target) ** 2))
 
 
-def backward_bptt(model: LstmModel, cache: SequenceCache, targets) -> LstmModel:
-    """Exact gradients of loss_mse(preds, targets) w.r.t. every parameter."""
+def backward_bptt(model: LstmModel, work: Workspace, targets) -> LstmModel:
+    """Exact gradients of loss_mse(preds, targets) w.r.t. every parameter,
+    given the workspace of sequence_forward."""
     targets = np.asarray(targets, dtype=np.float64)
-    if targets.shape != cache.preds.shape:
+    preds = work.preds[:, 0]
+    if targets.shape != preds.shape:
         raise InputError(
-            f"targets shape {targets.shape} != predictions shape {cache.preds.shape}"
+            f"targets shape {targets.shape} != predictions shape {preds.shape}"
         )
     steps, dim = targets.shape
-    d_pred = 2.0 * (cache.preds - targets) / (steps * dim)
-    grads = backward(stack(model), cache.work, d_pred[:, None, :])
+    d_pred = 2.0 * (preds - targets) / (steps * dim)
+    grads = backward(stack(model), work, d_pred[:, None, :])
     require_finite(grads.vector, "gradient")
     return grads
 
@@ -407,8 +396,7 @@ def grad_check(model: LstmModel, xs, targets, eps: float = 1e-5,
     if not eps > 0:
         raise InputError("eps must be positive")
     if analytic is None:
-        _, cache = sequence_forward(model, xs)
-        analytic = backward_bptt(model, cache, targets)
+        analytic = backward_bptt(model, sequence_forward(model, xs)[1], targets)
 
     work = copy.deepcopy(model)
     flat, grad_flat = work.vector, analytic.vector
@@ -456,11 +444,6 @@ def clip_gradients(grads: LstmModel, max_norm: float) -> LstmModel:
         return grads
     return LstmModel.from_vector(grads.input_dim, grads.hidden_dim,
                                  grads.vector * (max_norm / norm))
-
-
-def apply_gradients(model: LstmModel, grads: LstmModel, learning_rate: float):
-    """One descent step, in place."""
-    model.vector -= learning_rate * grads.vector
 
 
 def predict_sequence_batch(model: LstmModel, inputs) -> np.ndarray:
@@ -581,6 +564,6 @@ def train_lstm(model: LstmModel, sequences,
         trace[epoch] = loss
         if at_plateau(trace, epoch):
             return current, trace[:epoch + 1]
-        apply_gradients(current, clip_gradients(grads, config.gradient_clip),
-                        config.learning_rate)
+        current.vector -= config.learning_rate * clip_gradients(
+            grads, config.gradient_clip).vector
     return current, trace

@@ -85,7 +85,6 @@ class CdConfig:
     learning_rate: float
     epochs: int
     batch_size: int
-    rng_seed: int
 
     def __post_init__(self):
         if not self.learning_rate > 0:
@@ -234,13 +233,13 @@ def cd1_step(params: RbmParams, batch, learning_rate: float,
 
 
 def train_rbm(params: RbmParams, data, config: CdConfig,
-              rng: np.random.Generator | None = None) -> tuple[RbmParams, np.ndarray]:
+              rng: np.random.Generator) -> tuple[RbmParams, np.ndarray]:
     """Epoch/minibatch CD-1 loop.
 
-    Batches are consecutive slices of ``data`` in input order, so the
-    result is a pure function of (params, data, seed). Returns the
-    trained parameters and one mean-squared reconstruction error per
-    epoch.
+    Batches are consecutive slices of ``data`` in input order, and ``rng``
+    draws every hidden sample, so the result is a pure function of
+    (params, data, config, generator state). Returns the trained
+    parameters and one mean-squared reconstruction error per epoch.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] == 0:
@@ -250,9 +249,6 @@ def train_rbm(params: RbmParams, data, config: CdConfig,
             f"data has {data.shape[1]} columns but the layer has "
             f"{params.num_visible} visible units"
         )
-    if rng is None:
-        rng = np.random.default_rng(config.rng_seed)
-
     count = data.shape[0]
     trace = np.zeros(config.epochs)
     current = params

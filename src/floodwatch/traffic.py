@@ -177,11 +177,6 @@ class Packets:
         return all(np.array_equal(a, b) for a, b in zip(self.columns(), other.columns()))
 
 
-def _as_packets(packets) -> Packets:
-    """A Packets as is; a sequence of PacketRecord rows converted once."""
-    return packets if isinstance(packets, Packets) else Packets.from_records(packets)
-
-
 def _time_ordered(packets: Packets) -> Packets:
     """The packets by timestamp; ties keep their input order."""
     ts = packets.ts
@@ -198,23 +193,6 @@ def _window_count(last: float, window_len: float) -> int:
                          f"{window_len!r} s; at most {MAX_WINDOWS} windows from t = 0 "
                          "are supported")
     return int(last_index) + 1
-
-
-@dataclass
-class FeatureVector:
-    """Per-window traffic statistics; entropies are normalized to [0, 1]."""
-
-    packet_count: float
-    byte_count: float
-    mean_packet_size: float
-    src_ip_entropy: float
-    dst_ip_entropy: float
-    syn_fraction: float
-    udp_fraction: float
-    icmp_fraction: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in FEATURE_NAMES])
 
 
 @dataclass
@@ -462,8 +440,7 @@ def parse_packets(lines) -> Packets:
     return Packets.concatenate(chunks)
 
 
-def write_packets_csv(path, packets):
-    packets = _as_packets(packets)
+def write_packets_csv(path, packets: Packets):
     names = _Memo(format_ip)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
@@ -600,7 +577,7 @@ class Windows:
             yield k, self.packets[self.bounds[k]:self.bounds[k + 1]]
 
 
-def windowize(packets, window_len: float) -> Windows:
+def windowize(packets: Packets, window_len: float) -> Windows:
     """Bin packets into contiguous windows of ``window_len`` seconds.
 
     A packet with timestamp t lands in window floor(t / window_len).
@@ -610,7 +587,7 @@ def windowize(packets, window_len: float) -> Windows:
     """
     if not window_len > 0:
         raise InputError("window_len must be positive")
-    packets = _time_ordered(_as_packets(packets))
+    packets = _time_ordered(packets)
     if not len(packets):
         return Windows(packets, np.zeros(1, dtype=np.intp))
     count = _window_count(float(packets.ts[-1]), window_len)
@@ -667,14 +644,6 @@ def feature_matrix(windows: Windows) -> np.ndarray:
     matrix[:, 6] = fraction(packets.proto == UDP)
     matrix[:, 7] = fraction(packets.proto == ICMP)
     return matrix
-
-
-def extract_features(packets) -> FeatureVector:
-    """Summarize one window of packets: feature_matrix with every packet
-    in window 0, whatever its timestamp."""
-    packets = _as_packets(packets)
-    window = Windows(packets, np.array([0, len(packets)]))
-    return FeatureVector(*feature_matrix(window)[0].tolist())
 
 
 @dataclass
@@ -745,7 +714,7 @@ def preprocess(norm: Normalizer, values) -> np.ndarray:
     return standardize(norm, normalize(norm, values))
 
 
-def split_packets(packets, fraction: float,
+def split_packets(packets: Packets, fraction: float,
                   window_len: float) -> tuple[Packets, Packets]:
     """Time-ordered train/validation split at a window-aligned boundary.
 
@@ -754,7 +723,7 @@ def split_packets(packets, fraction: float,
     """
     if not 0.0 < fraction < 1.0:
         raise InputError("split fraction must lie strictly between 0 and 1")
-    packets = _time_ordered(_as_packets(packets))
+    packets = _time_ordered(packets)
     if not len(packets):
         return packets, packets
     num_windows = _window_count(float(packets.ts[-1]), window_len)

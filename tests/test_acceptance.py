@@ -128,9 +128,8 @@ def test_criterion_3_cd1_halves_reconstruction_error(criterion):
     for seed in range(5):
         params = init_rbm(RbmKind.BERNOULLI_BERNOULLI, 6, 4,
                           np.random.default_rng(seed))
-        config = CdConfig(learning_rate=0.05, epochs=200, batch_size=1,
-                          rng_seed=seed)
-        _, trace = train_rbm(params, FOUR_PATTERNS, config)
+        config = CdConfig(learning_rate=0.05, epochs=200, batch_size=1)
+        _, trace = train_rbm(params, FOUR_PATTERNS, config, np.random.default_rng(seed))
         ratios.append(float(trace[-1] / trace[0]))
         halved += ratios[-1] <= 0.5
     elapsed = time.perf_counter() - start

@@ -302,6 +302,20 @@ def test_train_without_epochs_prints_strict_json(workspace, tmp_path, capsys):
     assert summary["lstm_final_loss"] is None
 
 
+def test_model_too_large_for_memory_exits_2(workspace, tmp_path, run_cli):
+    # 10**7 hidden units ask for a 728 TiB gate matrix, beyond the 128 TiB
+    # x86-64 user address space, so the allocation fails at once
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dbn_sizes": [8, 8], "rbm_epochs": 0,
+                                  "lstm_hidden": 10_000_000}))
+    proc = run_cli(["train", str(workspace[0] / "train.csv"), "--config", str(config),
+                    "--out", "model.json"], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: out of memory: ")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_gradcheck_passes_and_prints_error(capsys):
     assert cli.main(["gradcheck"]) == 0
     first = capsys.readouterr().out

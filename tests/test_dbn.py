@@ -58,9 +58,9 @@ def test_new_dbn_seeded():
 
 def test_pretrain_single_layer_equals_train_rbm():
     dbn = new_dbn([6, 4], np.random.default_rng(3))
-    config = CdConfig(learning_rate=0.05, epochs=25, batch_size=2, rng_seed=9)
-    trained_dbn, traces = pretrain(dbn, PATTERNS, config)
-    direct, trace = train_rbm(dbn.layers[0], PATTERNS, config)
+    config = CdConfig(learning_rate=0.05, epochs=25, batch_size=2)
+    trained_dbn, traces = pretrain(dbn, PATTERNS, config, np.random.default_rng(9))
+    direct, trace = train_rbm(dbn.layers[0], PATTERNS, config, np.random.default_rng(9))
     npt.assert_array_equal(trained_dbn.layers[0].weights, direct.weights)
     npt.assert_array_equal(trained_dbn.layers[0].visible_bias, direct.visible_bias)
     npt.assert_array_equal(trained_dbn.layers[0].hidden_bias, direct.hidden_bias)
@@ -69,8 +69,8 @@ def test_pretrain_single_layer_equals_train_rbm():
 
 def test_pretrain_zero_epochs_leaves_model_unchanged():
     dbn = new_dbn([6, 4, 3], np.random.default_rng(3))
-    config = CdConfig(learning_rate=0.05, epochs=0, batch_size=1, rng_seed=0)
-    trained, traces = pretrain(dbn, PATTERNS, config)
+    config = CdConfig(learning_rate=0.05, epochs=0, batch_size=1)
+    trained, traces = pretrain(dbn, PATTERNS, config, np.random.default_rng(0))
     for before, after in zip(dbn.layers, trained.layers):
         npt.assert_array_equal(before.weights, after.weights)
     assert all(t.size == 0 for t in traces)
@@ -78,8 +78,8 @@ def test_pretrain_zero_epochs_leaves_model_unchanged():
 
 def test_pretrain_two_layer_traces_improve():
     dbn = new_dbn([6, 4, 3], np.random.default_rng(0))
-    config = CdConfig(learning_rate=0.05, epochs=200, batch_size=1, rng_seed=0)
-    _, traces = pretrain(dbn, PATTERNS, config)
+    config = CdConfig(learning_rate=0.05, epochs=200, batch_size=1)
+    _, traces = pretrain(dbn, PATTERNS, config, np.random.default_rng(0))
     assert len(traces) == 2
     for trace in traces:
         assert trace[-1] < trace[0]
@@ -88,10 +88,10 @@ def test_pretrain_two_layer_traces_improve():
 def test_pretrain_never_mutates_earlier_layers():
     # greedy property: layer k's bytes are fixed before layer k+1 trains
     dbn = new_dbn([6, 4, 3], np.random.default_rng(1))
-    config = CdConfig(learning_rate=0.05, epochs=30, batch_size=1, rng_seed=5)
-    full, _ = pretrain(dbn, PATTERNS, config)
+    config = CdConfig(learning_rate=0.05, epochs=30, batch_size=1)
+    full, _ = pretrain(dbn, PATTERNS, config, np.random.default_rng(5))
     first_only = DbnModel(layers=[dbn.layers[0]])
-    partial, _ = pretrain(first_only, PATTERNS, config)
+    partial, _ = pretrain(first_only, PATTERNS, config, np.random.default_rng(5))
     npt.assert_array_equal(full.layers[0].weights, partial.layers[0].weights)
     npt.assert_array_equal(full.layers[0].visible_bias,
                            partial.layers[0].visible_bias)
@@ -101,9 +101,9 @@ def test_pretrain_never_mutates_earlier_layers():
 
 def test_pretrain_rejects_mismatched_data():
     dbn = new_dbn([6, 4], np.random.default_rng(0))
-    config = CdConfig(learning_rate=0.05, epochs=1, batch_size=1, rng_seed=0)
+    config = CdConfig(learning_rate=0.05, epochs=1, batch_size=1)
     with pytest.raises(InputError):
-        pretrain(dbn, np.zeros((4, 5)), config)
+        pretrain(dbn, np.zeros((4, 5)), config, np.random.default_rng(0))
 
 
 def test_transform_single_layer_is_hidden_conditional():

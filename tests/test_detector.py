@@ -24,6 +24,7 @@ from floodwatch.traffic import (
     AttackKind,
     Normalizer,
     PacketRecord,
+    Packets,
     Protocol,
     Scenario,
     feature_matrix,
@@ -96,7 +97,7 @@ def test_calibrate_threshold_rejects_empty():
 
 def test_score_zero_residual_when_prediction_matches():
     model = constant_code_model(0.5)
-    packets = [packet(t + 0.5) for t in range(15)]
+    packets = Packets.from_records([packet(t + 0.5) for t in range(15)])
     scores = score(model, packets)
     assert [idx for idx, _ in scores] == list(range(10, 15))
     for _, residual in scores:
@@ -106,21 +107,22 @@ def test_score_zero_residual_when_prediction_matches():
 def test_score_uniform_offset_gives_offset_residual():
     # prediction off by 0.1 in every code entry: RMS residual 0.1
     model = constant_code_model(0.6)
-    packets = [packet(t + 0.5) for t in range(15)]
+    packets = Packets.from_records([packet(t + 0.5) for t in range(15)])
     for _, residual in score(model, packets):
         assert residual == pytest.approx(0.1, abs=1e-12)
 
 
 def test_score_requires_enough_windows():
     model = constant_code_model(0.5)
-    packets = [packet(t + 0.5) for t in range(10)]  # needs lookback+1 = 11
+    # needs lookback+1 = 11 windows
+    packets = Packets.from_records([packet(t + 0.5) for t in range(10)])
     with pytest.raises(InputError, match="11"):
         score(model, packets)
 
 
 def test_detect_alarm_consistency():
     model = constant_code_model(0.6)  # residual 0.1 everywhere
-    packets = [packet(t + 0.5) for t in range(15)]
+    packets = Packets.from_records([packet(t + 0.5) for t in range(15)])
     report = detect(model, packets)
     assert report.alarm_count == len(report.scores)  # 0.1 > threshold 0.05
     for entry in report.scores:
@@ -204,7 +206,7 @@ def test_fit_validation_residuals_stay_below_code_spread():
     train, valid = split_packets(records, config.split, config.window_len)
     model, summary = fw.fit_detailed(train, valid, config)
     from floodwatch.detector import _codes
-    codes = _codes(model.normalizer, model.dbn, train, config.window_len)
+    codes = _codes(model.normalizer, model.dbn, windowize(train, config.window_len))
     assert model.residual_mean < float(np.std(codes))
     assert model.threshold >= model.residual_mean
     assert summary.threshold == model.threshold
@@ -217,8 +219,8 @@ def test_fit_summary_compares_lstm_with_mean_predictor():
     train, valid = split_packets(records, config.split, config.window_len)
     model, summary = fw.fit_detailed(train, valid, config)
     from floodwatch.detector import _codes
-    codes = _codes(model.normalizer, model.dbn, train, config.window_len)
-    valid_codes = _codes(model.normalizer, model.dbn, valid, config.window_len)
+    codes = _codes(model.normalizer, model.dbn, windowize(train, config.window_len))
+    valid_codes = _codes(model.normalizer, model.dbn, windowize(valid, config.window_len))
     naive = [np.sqrt(np.mean((code - codes.mean(axis=0)) ** 2))
              for code in valid_codes[config.lookback:]]
     assert summary.mean_predictor_residual == pytest.approx(np.mean(naive), rel=1e-12)
@@ -252,7 +254,7 @@ def test_window_far_outside_training_range_scores_finite():
 
 def test_report_round_trip(tmp_path):
     model = constant_code_model(0.6)
-    packets = [packet(t + 0.5) for t in range(15)]
+    packets = Packets.from_records([packet(t + 0.5) for t in range(15)])
     report = detect(model, packets)
     path = tmp_path / "report.csv"
     write_report_csv(path, report)
@@ -263,6 +265,34 @@ def test_report_round_trip(tmp_path):
 
 def test_report_row_count_equals_scored_windows():
     model = constant_code_model(0.5)
-    packets = [packet(t + 0.5) for t in range(25)]
+    packets = Packets.from_records([packet(t + 0.5) for t in range(25)])
     report = detect(model, packets)
     assert len(report.scores) == 25 - model.lookback
+
+
+@pytest.fixture(scope="module")
+def quickstart_captures():
+    """The README Quickstart captures: quiet seed 42 split for training,
+    syn10 seed 0 (a SYN flood over windows 270-299) with its labels."""
+    config = fw.RunConfig()
+    quiet, _ = generate_traffic(preset_scenario("quiet"), np.random.default_rng(42))
+    test, labels = generate_traffic(preset_scenario("syn10"), np.random.default_rng(0))
+    return split_packets(quiet, config.split, config.window_len), test, labels
+
+
+def test_default_config_detects_syn_flood(quickstart_captures):
+    (train, valid), test, labels = quickstart_captures
+    model = fit(train, valid, fw.RunConfig())
+    metrics = evaluate(detect(model, test), labels)
+    assert metrics.recall >= 0.9
+    assert metrics.false_positive_rate <= 0.05
+
+
+def test_quickstart_result_is_pinned(quickstart_captures):
+    # threshold and alarm column of the README Quickstart; the same under
+    # one and two BLAS threads
+    (train, valid), test, _ = quickstart_captures
+    model = fit(train, valid, fw.RunConfig(dbn_sizes=[8, 8]))
+    assert model.threshold == pytest.approx(0.46264014387809105, rel=1e-9)
+    report = detect(model, test)
+    assert [s.index for s in report.scores if s.alarm] == list(range(270, 300))

@@ -93,13 +93,15 @@ def test_cell_forward_matches_naive_oracle():
 
 def test_gate_ranges_and_cell_recurrence():
     model, xs, _ = gradcheck_instance(5, input_dim=2, hidden_dim=4, steps=12)
-    _, cache = sequence_forward(model, xs)
-    for arr in (cache.forget, cache.input_gate, cache.output_gate):
+    _, work = sequence_forward(model, xs)
+    forget, input_gate, output_gate, candidate = (work.gates[:, k, 0] for k in range(4))
+    cell, hidden = work.cell[1:, 0], work.hidden[1:, 0]
+    for arr in (forget, input_gate, output_gate):
         assert np.all(arr > 0.0) and np.all(arr < 1.0)
-    assert np.all(np.abs(cache.candidate) < 1.0)
-    assert np.all(np.abs(cache.hidden) < 1.0)
-    prev_cell = np.vstack([cache.init_cell, cache.cell[:-1]])
-    identity = cache.cell - cache.forget * prev_cell - cache.input_gate * cache.candidate
+    assert np.all(np.abs(candidate) < 1.0)
+    assert np.all(np.abs(hidden) < 1.0)
+    prev_cell = np.vstack([work.cell[0, 0], cell[:-1]])
+    identity = cell - forget * prev_cell - input_gate * candidate
     npt.assert_allclose(identity, 0.0, atol=1e-15)
 
 
@@ -142,8 +144,8 @@ def test_loss_mse_matches_naive_oracle():
 def test_backward_zero_gradient_at_minimum():
     model = zero_model(2, 3)
     xs = np.random.default_rng(1).normal(size=(5, 2))
-    preds, cache = sequence_forward(model, xs)
-    grads = backward_bptt(model, cache, preds)
+    preds, work = sequence_forward(model, xs)
+    grads = backward_bptt(model, work, preds)
     for name in PARAM_FIELDS:
         npt.assert_array_equal(getattr(grads, name), 0.0)
 
@@ -151,10 +153,10 @@ def test_backward_zero_gradient_at_minimum():
 def test_backward_single_step_readout_gradient():
     # one step: dL/dW_y = outer((2/D)(pred - target), h_1)
     model, xs, targets = gradcheck_instance(13)
-    preds, cache = sequence_forward(model, xs[:1])
-    grads = backward_bptt(model, cache, targets[:1])
+    preds, work = sequence_forward(model, xs[:1])
+    grads = backward_bptt(model, work, targets[:1])
     expected = np.outer((2.0 / model.input_dim) * (preds[0] - targets[0]),
-                        cache.hidden[0])
+                        work.hidden[1, 0])
     npt.assert_allclose(grads.w_y, expected, atol=1e-12)
 
 
@@ -174,16 +176,16 @@ def test_grad_check_small_instance():
 
 def test_grad_check_detects_sabotage():
     model, xs, targets = gradcheck_instance(0)
-    _, cache = sequence_forward(model, xs)
-    grads = backward_bptt(model, cache, targets)
+    _, work = sequence_forward(model, xs)
+    grads = backward_bptt(model, work, targets)
     grads.w_f[0, 0] += 1.0
     assert grad_check(model, xs, targets, analytic=grads) > 0.1
 
 
 def test_clip_gradients_bounds_global_norm():
     model, xs, targets = gradcheck_instance(2)
-    _, cache = sequence_forward(model, xs)
-    grads = backward_bptt(model, cache, targets)
+    _, work = sequence_forward(model, xs)
+    grads = backward_bptt(model, work, targets)
     for max_norm in (0.01, 0.5, 5.0):
         clipped = clip_gradients(grads, max_norm)
         assert gradient_global_norm(clipped) <= max_norm + 1e-12
@@ -318,12 +320,12 @@ def test_batched_kernel_matches_naive_oracle():
     # B = 1 from a nonzero initial state
     rng = np.random.default_rng(22)
     init = LstmState(hidden=rng.normal(size=4), cell=rng.normal(size=4))
-    single, cache = sequence_forward(model, inputs[:, 0], init)
+    single, work = sequence_forward(model, inputs[:, 0], init)
     steps = naive_sequence(model, inputs[:, 0].tolist(), init.hidden.tolist(),
                            init.cell.tolist())
     for t, (h, c, _) in enumerate(steps):
-        npt.assert_allclose(cache.hidden[t], h, atol=1e-12)
-        npt.assert_allclose(cache.cell[t], c, atol=1e-12)
+        npt.assert_allclose(work.hidden[t + 1, 0], h, atol=1e-12)
+        npt.assert_allclose(work.cell[t + 1, 0], c, atol=1e-12)
         npt.assert_allclose(single[t], model.w_y @ h + model.b_y, atol=1e-12)
 
 
@@ -373,9 +375,9 @@ def test_train_lstm_mixed_lengths_sums_per_sequence_gradients():
     losses = []
     expected = {name: np.zeros_like(getattr(model, name)) for name in PARAM_FIELDS}
     for xs, targets in sequences:
-        preds, cache = sequence_forward(model, xs)
+        preds, work = sequence_forward(model, xs)
         losses.append(loss_mse(preds, targets))
-        grads = backward_bptt(model, cache, targets)
+        grads = backward_bptt(model, work, targets)
         for name in PARAM_FIELDS:
             expected[name] += getattr(grads, name)
     assert trace[0] == pytest.approx(np.mean(losses), abs=1e-12)

@@ -216,36 +216,36 @@ def test_cd1_step_deterministic():
 
 def test_train_rbm_zero_epochs():
     params = init_rbm(RbmKind.BERNOULLI_BERNOULLI, 6, 4, np.random.default_rng(1))
-    config = CdConfig(learning_rate=0.05, epochs=0, batch_size=1, rng_seed=0)
-    trained, trace = train_rbm(params, FOUR_PATTERNS, config)
+    config = CdConfig(learning_rate=0.05, epochs=0, batch_size=1)
+    trained, trace = train_rbm(params, FOUR_PATTERNS, config, np.random.default_rng(0))
     npt.assert_array_equal(trained.weights, params.weights)
     assert trace.size == 0
 
 
 def test_train_rbm_deterministic_traces():
     params = init_rbm(RbmKind.BERNOULLI_BERNOULLI, 6, 4, np.random.default_rng(1))
-    config = CdConfig(learning_rate=0.05, epochs=20, batch_size=1, rng_seed=7)
-    _, first = train_rbm(params, FOUR_PATTERNS, config)
-    _, second = train_rbm(params, FOUR_PATTERNS, config)
+    config = CdConfig(learning_rate=0.05, epochs=20, batch_size=1)
+    _, first = train_rbm(params, FOUR_PATTERNS, config, np.random.default_rng(7))
+    _, second = train_rbm(params, FOUR_PATTERNS, config, np.random.default_rng(7))
     npt.assert_array_equal(first, second)
 
 
 def test_train_rbm_error_trace_trends_down():
     # last-quartile mean vs first-quartile mean on the 4-pattern dataset
     params = init_rbm(RbmKind.BERNOULLI_BERNOULLI, 6, 4, np.random.default_rng(0))
-    config = CdConfig(learning_rate=0.05, epochs=200, batch_size=1, rng_seed=0)
-    _, trace = train_rbm(params, FOUR_PATTERNS, config)
+    config = CdConfig(learning_rate=0.05, epochs=200, batch_size=1)
+    _, trace = train_rbm(params, FOUR_PATTERNS, config, np.random.default_rng(0))
     quarter = len(trace) // 4
     assert np.mean(trace[-quarter:]) <= np.mean(trace[:quarter])
 
 
 def test_train_rbm_rejects_bad_data():
     params = init_rbm(RbmKind.BERNOULLI_BERNOULLI, 6, 4, np.random.default_rng(1))
-    config = CdConfig(learning_rate=0.05, epochs=1, batch_size=1, rng_seed=0)
+    config = CdConfig(learning_rate=0.05, epochs=1, batch_size=1)
     with pytest.raises(InputError):
-        train_rbm(params, np.zeros((0, 6)), config)
+        train_rbm(params, np.zeros((0, 6)), config, np.random.default_rng(0))
     with pytest.raises(InputError):
-        train_rbm(params, np.zeros((4, 5)), config)
+        train_rbm(params, np.zeros((4, 5)), config, np.random.default_rng(0))
 
 
 def test_init_rbm_seeded():

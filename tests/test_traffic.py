@@ -17,7 +17,6 @@ from floodwatch.traffic import (
     Packets,
     Protocol,
     Scenario,
-    extract_features,
     feature_matrix,
     fit_normalizer,
     format_ip,
@@ -41,6 +40,12 @@ HEADER = "timestamp,src_ip,dst_ip,protocol,length,syn"
 def packet(ts, src=1, dst=2, proto=Protocol.TCP, length=100, syn=False):
     return PacketRecord(timestamp=ts, src_ip=src, dst_ip=dst,
                         protocol=proto, length=length, syn_flag=syn)
+
+
+def window_features(records):
+    """Features of window 0 of ``records`` (all stamped in [0, 1)), by name."""
+    row = feature_matrix(windowize(Packets.from_records(records), 1.0))[0]
+    return dict(zip(FEATURE_NAMES, row))
 
 
 def test_parse_packets_header_only():
@@ -142,23 +147,23 @@ def test_ip_round_trip():
 
 
 def test_windowize_empty():
-    assert len(windowize([], 1.0)) == 0
+    assert len(windowize(Packets.from_records([]), 1.0)) == 0
 
 
 def test_windowize_two_windows():
-    out = windowize([packet(0.5), packet(1.5)], 1.0)
+    out = windowize(Packets.from_records([packet(0.5), packet(1.5)]), 1.0)
     assert [(idx, len(recs)) for idx, recs in out] == [(0, 1), (1, 1)]
 
 
 def test_windowize_keeps_empty_middle_window():
-    out = windowize([packet(0.1), packet(2.9)], 1.0)
+    out = windowize(Packets.from_records([packet(0.1), packet(2.9)]), 1.0)
     assert [(idx, len(recs)) for idx, recs in out] == [(0, 1), (1, 0), (2, 1)]
 
 
 def test_windowize_partitions_and_sorts():
     rng = np.random.default_rng(0)
     records = [packet(float(t)) for t in rng.uniform(0, 10, 200)]
-    out = windowize(records, 1.0)
+    out = windowize(Packets.from_records(records), 1.0)
     flattened = [rec for _, recs in out for rec in recs]
     assert len(flattened) == len(records)
     stamps = [rec.timestamp for rec in flattened]
@@ -169,21 +174,23 @@ def test_windowize_partitions_and_sorts():
 
 
 def test_extract_features_empty_window():
-    npt.assert_array_equal(extract_features([]).as_array(), np.zeros(8))
+    # window 1 of packets at 0.1 and 2.9 holds no packet
+    packets = Packets.from_records([packet(0.1), packet(2.9)])
+    npt.assert_array_equal(feature_matrix(windowize(packets, 1.0))[1], np.zeros(8))
 
 
 def test_extract_features_single_source_entropy_zero():
     records = [packet(0.1, src=7) for _ in range(4)]
-    assert extract_features(records).src_ip_entropy == 0.0
+    assert window_features(records)["src_ip_entropy"] == 0.0
 
 
 def test_extract_features_hand_computed_entropy():
     # src counts {2,1,1}: raw entropy 1.5 bits, normalized 1.5/log2(3)
     records = [packet(0.1, src=1), packet(0.2, src=1),
                packet(0.3, src=2), packet(0.4, src=3)]
-    feats = extract_features(records)
-    assert feats.src_ip_entropy == pytest.approx(1.5 / np.log2(3), abs=1e-12)
-    assert feats.src_ip_entropy == pytest.approx(
+    feats = window_features(records)
+    assert feats["src_ip_entropy"] == pytest.approx(1.5 / np.log2(3), abs=1e-12)
+    assert feats["src_ip_entropy"] == pytest.approx(
         naive_entropy_normalized([2, 1, 1]), abs=1e-12)
 
 
@@ -192,13 +199,13 @@ def test_extract_features_counts_and_fractions():
                packet(0.2, proto=Protocol.TCP, length=200),
                packet(0.3, proto=Protocol.UDP, length=300),
                packet(0.4, proto=Protocol.ICMP, length=400)]
-    feats = extract_features(records)
-    assert feats.packet_count == 4
-    assert feats.byte_count == 1000
-    assert feats.mean_packet_size == 250
-    assert feats.syn_fraction == 0.25
-    assert feats.udp_fraction == 0.25
-    assert feats.icmp_fraction == 0.25
+    feats = window_features(records)
+    assert feats["packet_count"] == 4
+    assert feats["byte_count"] == 1000
+    assert feats["mean_packet_size"] == 250
+    assert feats["syn_fraction"] == 0.25
+    assert feats["udp_fraction"] == 0.25
+    assert feats["icmp_fraction"] == 0.25
 
 
 def test_extract_features_permutation_invariant():
@@ -208,8 +215,8 @@ def test_extract_features_permutation_invariant():
                for t in rng.uniform(0, 1, 30)]
     shuffled = list(records)
     rng.shuffle(shuffled)
-    npt.assert_array_equal(extract_features(records).as_array(),
-                           extract_features(shuffled).as_array())
+    npt.assert_array_equal(list(window_features(records).values()),
+                           list(window_features(shuffled).values()))
 
 
 def _oracle_matrix(packets, window_len=1.0):
