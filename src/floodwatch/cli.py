@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import detector, model_io, traffic
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, open_text
 from .errors import InputError, NumericError
 from .lstm import backward_bptt, grad_check, gradcheck_instance, sequence_forward
 
@@ -54,11 +54,11 @@ def _print_json(doc: dict):
 
 
 def _read_packets(path):
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open_text(path) as handle:
+        try:
             return traffic.parse_packets(handle)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from None
 
 
 def cmd_gen(args) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import numbers
@@ -92,10 +93,27 @@ class RunConfig:
             raise InputError(f"bad config document: {exc}") from exc
 
 
-def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as handle:
+@contextlib.contextmanager
+def open_text(path):
+    """``path`` open for reading as UTF-8 text with line ends kept as
+    they are (as the csv module needs); bytes that are not UTF-8 raise
+    InputError naming the file."""
+    with open(path, "r", encoding="utf-8", newline="") as handle:
         try:
-            doc = json.load(handle)
+            yield handle
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text: {exc.reason} "
+                             f"(byte 0x{exc.object[exc.start]:02x})") from None
+
+
+def load_json(path):
+    """The JSON document in ``path``; InputError if it is not UTF-8 JSON."""
+    with open_text(path) as handle:
+        try:
+            return json.load(handle)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: not valid JSON: {exc}") from exc
-    return RunConfig.from_dict(doc)
+
+
+def load_config(path) -> RunConfig:
+    return RunConfig.from_dict(load_json(path))

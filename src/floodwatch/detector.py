@@ -16,11 +16,12 @@ windows have no full history and are left unscored.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .config import RunConfig, require_int, require_real
+from .config import RunConfig, open_text, require_int, require_real
 from .dbn import DbnModel, new_dbn, pretrain, transform
 from .errors import InputError
 from .lstm import LstmModel, TrainConfig, init_lstm, predict_sequence_batch, train_lstm
@@ -307,7 +308,7 @@ def write_report_csv(path, report: DetectionReport):
 
 
 def read_report_csv(path) -> list[WindowScore]:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open_text(path) as handle:
         reader = csv.reader(handle)
         with csv_errors(reader, path):
             header = next(reader, None)
@@ -318,11 +319,15 @@ def read_report_csv(path) -> list[WindowScore]:
                 if not row:
                     continue
                 try:
-                    if len(row) != 3 or row[2] not in ("0", "1"):
+                    if len(row) != 3 or row[2] not in ("0", "1") or not row[0].isdecimal():
                         raise ValueError("expected index,residual,0/1")
-                    scores.append(WindowScore(index=int(row[0]),
-                                              residual=float(row[1]),
-                                              alarm=row[2] == "1"))
+                    index, residual = int(row[0]), float(row[1])
+                    if scores and index <= scores[-1].index:
+                        raise ValueError(f"window index {index} does not follow "
+                                         f"{scores[-1].index}; indices must increase")
+                    if not math.isfinite(residual):
+                        raise ValueError(f"residual {row[1]!r} is not finite")
+                    scores.append(WindowScore(index, residual, row[2] == "1"))
                 except ValueError as exc:
                     raise InputError(f"{path}: line {number}: {exc}") from None
     return scores

@@ -498,11 +498,11 @@ def _length_groups(model: LstmModel, sequences) -> list[tuple[list[int], Workspa
             for group in by_length.values()]
 
 
-def _loss_and_grads(model: LstmModel, groups) -> tuple[float, LstmModel]:
-    """Mean per-sequence loss and the gradient of the summed loss."""
-    params = stack(model)
+def _loss(params: Stack, groups) -> tuple[float, list[np.ndarray]]:
+    """Mean per-sequence loss and, per group, dL/dy of the summed loss.
+    Leaves each group's activations in its workspace for ``_gradient``."""
     loss_sum = 0.0
-    total = None
+    d_preds = []
     for indices, work, targets in groups:
         steps, _, dim = targets.shape
         preds = forward(params, work)
@@ -515,12 +515,20 @@ def _loss_and_grads(model: LstmModel, groups) -> tuple[float, LstmModel]:
         loss_sum += float(np.sum(d_pred * d_pred)) / (steps * dim)
         d_pred *= 2.0
         d_pred /= steps * dim
+        d_preds.append(d_pred)
+    return loss_sum / sum(len(indices) for indices, _, _ in groups), d_preds
+
+
+def _gradient(params: Stack, groups, d_preds) -> LstmModel:
+    """Gradient of the summed loss from the activations ``_loss`` left."""
+    total = None
+    for (_, work, _), d_pred in zip(groups, d_preds):
         grads = backward(params, work, d_pred)
         if total is None:
             total = grads
         else:
             total.vector += grads.vector
-    return loss_sum / sum(len(indices) for indices, _, _ in groups), total
+    return total
 
 
 def at_plateau(trace: np.ndarray, epoch: int) -> bool:
@@ -545,25 +553,28 @@ def train_lstm(model: LstmModel, sequences,
     Training ends after config.epochs epochs, or earlier at the first
     epoch where ``at_plateau`` holds (early stopping on the training
     loss, after Prechelt, "Early Stopping -- But When?", 1998). Then the
-    parameters whose loss was just recorded are returned, with no step
-    after the check, and the trace holds the epochs run. The rule reads
-    only the trace, and there is no stochasticity: identical inputs
-    produce bit-identical trained parameters and traces.
+    parameters whose loss was just recorded are returned, with no
+    backward pass or step after the check, and the trace holds the
+    epochs run. The rule reads only the trace, and there is no
+    stochasticity: identical inputs produce bit-identical trained
+    parameters and traces.
     """
     groups = _length_groups(model, sequences)
     trace = np.zeros(config.epochs)
     current = copy.deepcopy(model)
     for epoch in range(config.epochs):
+        params = stack(current)
         try:
-            loss, grads = _loss_and_grads(current, groups)
+            loss, d_preds = _loss(params, groups)
         except NumericError as exc:
             raise NumericError(f"epoch {epoch}: {exc}") from exc
         if not np.isfinite(loss):
             raise NumericError(f"epoch {epoch}: non-finite loss")
-        require_finite(grads.vector, f"epoch {epoch}: gradient")
         trace[epoch] = loss
         if at_plateau(trace, epoch):
             return current, trace[:epoch + 1]
+        grads = _gradient(params, groups, d_preds)
+        require_finite(grads.vector, f"epoch {epoch}: gradient")
         current.vector -= config.learning_rate * clip_gradients(
             grads, config.gradient_clip).vector
     return current, trace

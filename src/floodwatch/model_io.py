@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .config import RunConfig, require_int
+from .config import RunConfig, load_json, require_int
 from .dbn import DbnModel
 from .detector import DetectorModel
 from .errors import InputError, NumericError
@@ -85,11 +85,7 @@ def _object(value, what: str) -> dict:
 def load_model(path) -> tuple[DetectorModel, RunConfig]:
     """Read a model file; a schema_version other than 1 is rejected before
     any parameter is parsed."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: not valid JSON: {exc}") from exc
+    doc = load_json(path)
     if not isinstance(doc, dict):
         raise InputError(f"{path}: model document must be a JSON object")
     version = doc.get("schema_version")

@@ -183,6 +183,22 @@ def naive_parse_packets(lines):
     return rows
 
 
+def _naive_format_ip(address):
+    return ".".join(str((address >> shift) & 255) for shift in (24, 16, 8, 0))
+
+
+def naive_write_packets_csv(path, packets):
+    """Packet CSV through csv.writer, one row per packet: repr timestamps,
+    dotted-quad addresses, protocol names, lengths and syn as 0/1."""
+    names = ("TCP", "UDP", "ICMP")
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["timestamp", "src_ip", "dst_ip", "protocol", "length", "syn"])
+        for ts, src, dst, proto, length, syn in zip(*(c.tolist() for c in packets.columns())):
+            writer.writerow([repr(ts), _naive_format_ip(src), _naive_format_ip(dst),
+                             names[proto], length, int(syn)])
+
+
 def naive_window_features(records):
     """The 8 window features of PacketRecord-like rows, by Counter loops:
     count, bytes, mean size, src and dst entropy, SYN (TCP only), UDP

@@ -285,6 +285,50 @@ def test_bad_labels_row_exits_2(workspace, tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("reader", ["featurize", "labels", "report", "config", "model",
+                                    "scenario"])
+def test_non_utf8_input_exits_2(workspace, tmp_path, capsys, reader):
+    # a valid start, then one byte that no UTF-8 text contains
+    root, _ = workspace
+    bad = str(tmp_path / "bad")
+    out = str(tmp_path / "out")
+    lead, argv = {
+        "featurize": (b"timestamp,src_ip,dst_ip,protocol,length,syn\r\n"
+                      b"0.5,10.0.0.1,10.0.0.2,TCP,64,0\r\n",
+                      ["featurize", bad, "--out", out]),
+        "labels": (b"window_index,label\r\n0,0\r\n",
+                   ["eval", str(root / "report.csv"), bad]),
+        "report": (b"window_index,residual,alarm\r\n",
+                   ["eval", bad, str(root / "test_labels.csv")]),
+        "config": (b'{"seed": 1, "note": "',
+                   ["train", str(root / "train.csv"), "--config", bad, "--out", out]),
+        "model": ((root / "model.json").read_bytes()[:40],
+                  ["detect", bad, str(root / "test.csv"), "--out", out]),
+        "scenario": (b'{"duration": 10, "baseline_rate": 1',
+                     ["gen", "--scenario", bad, "--out", out, "--labels", out + "2"]),
+    }[reader]
+    (tmp_path / "bad").write_bytes(lead + b"\xff\r\n")
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8 text")
+
+
+@pytest.mark.parametrize("rows, line", [
+    ("10,0.1,0\n10,0.2,1\n", 3),                 # a window counted twice
+    ("10,0.1,0\n12,0.2,0\n11,0.3,0\n", 4),       # indices out of order
+    ("10,nan,0\n", 2),
+    ("10,0.1,0\n11,inf,1\n", 3),
+    ("10,-inf,0\n", 2),
+    ("10,0.1,0\n+11,0.2,0\n", 3),
+    ("-1,0.1,0\n", 2),
+])
+def test_report_detect_could_not_write_exits_2(workspace, tmp_path, capsys, rows, line):
+    root, _ = workspace
+    report = tmp_path / "report.csv"
+    report.write_text("window_index,residual,alarm\n" + rows)
+    assert cli.main(["eval", str(report), str(root / "test_labels.csv")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {report}: line {line}: ")
+
+
 def test_train_without_epochs_prints_strict_json(workspace, tmp_path, capsys):
     # no epoch means no final loss: reported as null, never as NaN
     root, _ = workspace

@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from floodwatch import lstm
 from floodwatch.errors import InputError
 from floodwatch.lstm import (
     PARAM_FIELDS,
@@ -263,6 +266,17 @@ def test_train_lstm_plateau_check_starts_after_its_window():
         trained, trace = train_lstm(model, make_sequences(), config)
         assert trace.size == expected
         npt.assert_array_equal(trained.vector, model.vector)
+
+
+def test_train_lstm_runs_backward_only_before_a_step():
+    # one length group: one backward pass per step, none at the stop epoch
+    model = init_lstm(2, 4, np.random.default_rng(0))
+    for epochs, steps in ((PLATEAU_EPOCHS, PLATEAU_EPOCHS),
+                          (PLATEAU_EPOCHS + 5, PLATEAU_EPOCHS)):
+        config = TrainConfig(learning_rate=0.0, epochs=epochs, gradient_clip=5.0)
+        with mock.patch.object(lstm, "backward", wraps=lstm.backward) as spy:
+            train_lstm(model, make_sequences(), config)
+        assert spy.call_count == steps
 
 
 def test_at_plateau_compares_with_the_loss_a_window_earlier():

@@ -1,3 +1,4 @@
+import itertools
 import re
 from unittest import mock
 
@@ -32,7 +33,12 @@ from floodwatch.traffic import (
     write_labels_csv,
     write_packets_csv,
 )
-from oracles import naive_entropy_normalized, naive_parse_packets, naive_window_features
+from oracles import (
+    naive_entropy_normalized,
+    naive_parse_packets,
+    naive_window_features,
+    naive_write_packets_csv,
+)
 
 HEADER = "timestamp,src_ip,dst_ip,protocol,length,syn"
 
@@ -360,6 +366,41 @@ def test_packet_csv_round_trip(tmp_path):
     with open(path) as handle:
         again = parse_packets(handle)
     assert again == records
+
+
+def _edge_packets():
+    # every combination of the extreme column values, all protocols and flags
+    rows = list(itertools.product([0.0, 5e-05, 1e16, 3599.9999999999995],
+                                  [0, 0xFFFFFFFF], [0xFFFFFFFF, 0], range(3),
+                                  [1, 2 ** 63 - 1], [False, True]))
+    return Packets(*zip(*rows))
+
+
+def _same_bytes_as_oracle(directory, packets, chunk):
+    ours, oracle = directory / "ours.csv", directory / "oracle.csv"
+    with mock.patch.object(traffic, "WRITE_CHUNK_ROWS", chunk):
+        write_packets_csv(ours, packets)
+    naive_write_packets_csv(oracle, packets)
+    return ours.read_bytes() == oracle.read_bytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 3, traffic.WRITE_CHUNK_ROWS])
+@pytest.mark.parametrize("packets", [Packets.from_records([]), _edge_packets()],
+                         ids=["empty", "edges"])
+def test_write_packets_csv_matches_writer_oracle(tmp_path, packets, chunk):
+    assert _same_bytes_as_oracle(tmp_path, packets, chunk)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(st.floats(), st.integers(0, 2 ** 32 - 1),
+                               st.integers(0, 2 ** 32 - 1), st.integers(0, 2),
+                               st.integers(-2 ** 63, 2 ** 63 - 1), st.booleans()),
+                     max_size=20),
+       chunk=st.sampled_from([1, 3, traffic.WRITE_CHUNK_ROWS]))
+def test_write_packets_csv_matches_writer_oracle_on_random_columns(tmp_path_factory,
+                                                                   rows, chunk):
+    packets = Packets(*zip(*rows)) if rows else Packets.from_records([])
+    assert _same_bytes_as_oracle(tmp_path_factory.mktemp("write"), packets, chunk)
 
 
 def test_labels_csv_round_trip(tmp_path):
