@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import enum
+import io
 import itertools
 import math
 from dataclasses import dataclass, field, fields
@@ -49,12 +50,28 @@ MAX_EXPECTED_PACKETS = 1e8
 # is rejected before any per-window allocation.
 MAX_WINDOWS = 10**6
 
-# Rows per chunk that the CSV parser transposes into columns. Small
-# chunks keep the rows the garbage collector tracks at any one time
-# few: the one-hour capture (504k rows, 2 CPUs) parsed in 1.2-1.3 s
-# with 512-row chunks and 2.5-2.8 s with 65,536-row ones; 256 and
-# 1024 were within noise of 512.
-PARSE_CHUNK_ROWS = 512
+# Characters that parse_packets takes from a file as one block, at the
+# least (see _text_blocks). A plain block (see _plain_packets) costs a
+# fixed number of numpy calls plus a share per row, and needs scratch
+# arrays of about ten times its size.
+# On the one-hour capture (504k rows, 2 CPUs, 16 alternated runs) the
+# parse took 1.12 s with 64 KiB blocks, 0.96 s with 128 KiB, 0.86 s with
+# 256 KiB and 0.78 s with 1 MiB; parsing the 60k-row syn10 capture
+# peaked at 3.4, 3.5, 4.2 and 11.6 MiB of allocations (3.2 MiB through
+# csv.reader alone).
+PARSE_BLOCK_CHARS = 1 << 18
+
+# Characters that parse_packets asks a file for at once, as many as a
+# text file decodes at a time, so that a block ends near PARSE_BLOCK_CHARS
+# and bytes that are not UTF-8 cost at most one read of the text before
+# them (see _text_blocks).
+_READ_CHARS = 8192
+
+# Rows per chunk that csv.reader hands to _parse_chunk where a block is
+# not plain. Its rows are objects the garbage collector tracks, so small
+# chunks are faster: the one-hour capture read this way took 1.4-1.6 s
+# with 512-row chunks, 2.0 s with 4096-row ones and 2.7 s with 65,536.
+_CSV_CHUNK_ROWS = 512
 
 # Rows per chunk that write_packets_csv formats and writes at once, so
 # its text and lists are bounded by the chunk, not the capture. On the
@@ -189,6 +206,13 @@ def _time_ordered(packets: Packets) -> Packets:
     if np.all(ts[:-1] <= ts[1:]):
         return packets
     return packets[np.argsort(ts, kind="stable")]
+
+
+def _check_window_len(window_len: float):
+    """Window bounds are multiples of ``window_len``, so it must be finite
+    (inf would make them 0 * inf = NaN) and positive; NaN fails both."""
+    if not (math.isfinite(window_len) and window_len > 0):
+        raise InputError(f"window_len must be a finite positive number, got {window_len!r}")
 
 
 def _window_count(last: float, window_len: float) -> int:
@@ -347,6 +371,22 @@ class _Memo(dict):
         return value
 
 
+def _parse_suffix(fields) -> tuple:
+    """(protocol code, length, syn flag) of the last three fields of a
+    row; raises the ValueError naming the rule that a field breaks."""
+    protocol, length, syn = fields
+    if protocol not in _PROTOCOL_CODES:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    value = int(length)
+    if value < 1:
+        raise ValueError("length must be >= 1")
+    if value > _INT64_MAX:
+        raise ValueError("length must be < 2**63")
+    if syn not in ("0", "1"):
+        raise ValueError(f"syn must be 0 or 1, got {syn!r}")
+    return _PROTOCOL_CODES[protocol], value, syn == "1"
+
+
 def _check_row(row, number):
     """The row rules: raise the InputError naming line ``number`` if the
     (non-blank) CSV row breaks one, else return."""
@@ -358,15 +398,7 @@ def _check_row(row, number):
             raise ValueError("timestamp must be finite and non-negative")
         parse_ip(row[1])
         parse_ip(row[2])
-        if row[3] not in _PROTOCOL_CODES:
-            raise ValueError(f"unknown protocol {row[3]!r}")
-        length = int(row[4])
-        if length < 1:
-            raise ValueError("length must be >= 1")
-        if length > _INT64_MAX:
-            raise ValueError("length must be < 2**63")
-        if row[5] not in ("0", "1"):
-            raise ValueError(f"syn must be 0 or 1, got {row[5]!r}")
+        _parse_suffix(row[3:])
     except ValueError as exc:
         raise InputError(f"line {number}: {exc}") from None
 
@@ -374,7 +406,9 @@ def _check_row(row, number):
 def _parse_chunk(rows, addresses: _Memo) -> Packets:
     """Columns of a chunk of CSV rows, converted with the same ``float``,
     ``int`` and ``parse_ip`` as _check_row; raises ValueError, KeyError
-    or OverflowError if any row breaks a row rule."""
+    or OverflowError if any row breaks a row rule. The rules of the last
+    three fields are those of _parse_suffix, checked a column at a time,
+    which is faster than a call per row."""
     if not all(rows):
         rows = [row for row in rows if row]   # blank lines are skipped
     if set(map(len, rows)) - {6}:
@@ -395,26 +429,227 @@ def _parse_chunk(rows, addresses: _Memo) -> Packets:
 
 
 @contextlib.contextmanager
-def csv_errors(reader, path=None):
+def csv_errors(reader, path=None, lines_before=0):
     """Report a record that ``reader`` (a ``csv.reader``) rejects, such as a
     field over the csv module's size limit, as InputError naming its line
-    (and ``path``, when given)."""
+    (and ``path``, when given); ``reader`` starts after ``lines_before``
+    lines of its file."""
     try:
         yield
     except csv.Error as exc:
         where = f"{path}: " if path is not None else ""
-        raise InputError(f"{where}line {reader.line_num}: {exc}") from None
+        raise InputError(f"{where}line {lines_before + reader.line_num}: {exc}") from None
 
 
-def parse_packets(lines) -> Packets:
-    """Read packets from CSV text (an open file or iterable of lines).
+def _parse_rows(reader, first: int, addresses: _Memo, lines_before=0) -> list[Packets]:
+    """The packets of the rows of ``reader``, which starts after
+    ``lines_before`` lines of the file with row ``first``, converted
+    _CSV_CHUNK_ROWS rows at a time. A chunk that breaks a rule is checked
+    row by row, so the InputError names the first bad row."""
+    chunks = []
+    while True:
+        with csv_errors(reader, lines_before=lines_before):
+            rows = list(itertools.islice(reader, _CSV_CHUNK_ROWS))
+        if not rows:
+            return chunks
+        try:
+            chunks.append(_parse_chunk(rows, addresses))
+        except (ValueError, KeyError, OverflowError):
+            for number, row in enumerate(rows, start=first):
+                if row:
+                    _check_row(row, number)
+            raise
+        first += len(rows)
 
-    The header must match PACKET_CSV_HEADER exactly; any malformed row
-    raises InputError naming its line number. Packets are returned in
-    input order, unsorted. Rows are transposed into columns a chunk at a
-    time; a chunk that breaks a rule is checked row by row, so the error
-    names the first bad row.
-    """
+
+# A plain block keys each address and protocol,length,syn suffix by its
+# bytes, zero-filled to _KEY_WIDTH, and gathers each timestamp's bytes,
+# zero-filled to _TS_WIDTH. The bytes are read as little-endian words
+# through a view with a one-byte stride; _MASKS[k] keeps a word's first
+# k bytes.
+_KEY_WIDTH = 16
+_TS_WIDTH = 32
+_MASKS = np.array([(1 << (8 * k)) - 1 for k in range(9)], dtype=np.uint64)
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+_ROW_BITS = 20                      # the low bits of a sorted hash hold its row
+_SUFFIX_DTYPE = np.dtype([("proto", np.uint8), ("length", np.int64), ("syn", np.bool_)])
+
+
+def _field_words(words, start, end, width: int) -> np.ndarray:
+    """The bytes [start, end) of each row, zero-filled to ``width`` bytes,
+    as rows of little-endian words."""
+    length = end - start
+    out = np.empty((start.size, width // 8), np.dtype("<u8"))
+    for k in range(width // 8):
+        out[:, k] = words[start + 8 * k] & _MASKS[np.clip(length - 8 * k, 0, 8)]
+    return out
+
+
+class _FieldTable:
+    """The value of each distinct field of earlier blocks of a file, in
+    arrays sorted by a hash of the field's bytes, so that a block finds
+    the fields it shares with them by numpy alone. Each hash found is
+    checked against the bytes stored with it, so two different fields
+    never share a value. A field not yet in the table is converted by
+    ``convert`` and set aside; the set-aside fields join the table when
+    they are as many as it holds, so each table rebuild at least doubles
+    it and a file of n distinct fields costs O(n log n), however few of
+    its fields repeat. The table ends with a hash above all."""
+
+    def __init__(self, convert, dtype):
+        self.convert = convert
+        self.digests = np.array([2**64 - 1], np.uint64)
+        self.lo = self.hi = np.zeros(1, np.uint64)
+        self.values = np.zeros(1, dtype)
+        self.pending = []
+
+    def lookup(self, text: str, words, start, end) -> np.ndarray | None:
+        """The values of the fields [start, end) of ``text``, or None if a
+        hash puts two different fields together; raises what ``convert``
+        raises for a field it rejects."""
+        keys = _field_words(words, start, end, _KEY_WIDTH)
+        lo, hi = keys[:, 0], keys[:, 1]
+        n = lo.size
+        if n >> _ROW_BITS:
+            return None
+        # Sorting the hash with the row number in its low bits puts equal
+        # hashes together, a stable argsort for the price of a sort.
+        packed = np.sort(((lo * _MIX ^ hi) * _MIX >> _ROW_BITS << _ROW_BITS)
+                         | np.arange(n, dtype=np.uint64))
+        digest = packed >> _ROW_BITS
+        row = (packed & ((1 << _ROW_BITS) - 1)).astype(np.intp)
+        head = np.empty(n, bool)
+        head[0] = True
+        np.not_equal(digest[1:], digest[:-1], out=head[1:])
+        group = np.empty(n, np.intp)
+        group[row] = np.cumsum(head) - 1
+        first, digest, lo, hi = row[head], digest[head], lo[row[head]], hi[row[head]]
+        if not (np.array_equal(lo[group], keys[:, 0]) and np.array_equal(hi[group], keys[:, 1])):
+            return None
+        where = np.searchsorted(self.digests, digest)
+        known = self.digests[where] == digest
+        if not (np.array_equal(self.lo[where[known]], lo[known])
+                and np.array_equal(self.hi[where[known]], hi[known])):
+            return None
+        values = self.values[where]
+        new = ~known
+        if new.any():
+            rows = first[new]
+            values[new] = [self.convert(text[a:b])
+                           for a, b in zip(start[rows].tolist(), end[rows].tolist())]
+            self.pending.append((digest[new], lo[new], hi[new], values[new]))
+            if sum(part[0].size for part in self.pending) >= self.digests.size:
+                self._merge()
+        return values[group]
+
+    def _merge(self):
+        """Sort the set-aside fields into the table; of fields with equal
+        hashes the first is kept, and lookup rejects a block with another."""
+        digests, lo, hi, values = (np.concatenate(column) for column in zip(
+            (self.digests, self.lo, self.hi, self.values), *self.pending))
+        self.pending = []
+        order = np.argsort(digests, kind="stable")
+        head = np.empty(order.size, bool)
+        head[0] = True
+        np.not_equal(digests[order[1:]], digests[order[:-1]], out=head[1:])
+        keep = order[head]
+        self.digests, self.lo, self.hi, self.values = (digests[keep], lo[keep], hi[keep],
+                                                       values[keep])
+
+
+def _plain_packets(text: str, addresses: _FieldTable,
+                   suffixes: _FieldTable) -> Packets | None:
+    """The packets of a block of whole lines if it is plain, else None.
+
+    Plain: ASCII with no double quote and no NUL, CR only right before
+    LF, five commas on every line (so no blank line), every address and
+    suffix at most _KEY_WIDTH bytes and every timestamp at most _TS_WIDTH,
+    none beyond the csv field size limit, and every row keeping the row
+    rules. csv.reader would split each such line at its five commas, so
+    the fields are the same texts, converted by the same functions."""
+    if not text.isascii() or '"' in text or "\0" in text:
+        return None
+    if not text.endswith("\n"):
+        text += "\n"
+    buf = np.zeros(len(text) + _TS_WIDTH, np.uint8)       # zero-filled past the text
+    buf[:len(text)] = np.frombuffer(text.encode("ascii"), np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    commas = np.flatnonzero(buf == ord(","))
+    n = ends.size
+    if commas.size != 5 * n:
+        return None
+    commas = commas.reshape(n, 5)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    if not (np.all(commas[:, 0] >= starts) and np.all(commas[:, 4] < ends)):
+        return None
+    crlf = buf[ends - 1] == ord("\r")
+    if np.count_nonzero(crlf) != np.count_nonzero(buf == ord("\r")):
+        return None
+    ends = ends - crlf
+    c0, c1, c2 = commas[:, 0], commas[:, 1], commas[:, 2]
+    ts_width = np.max(c0 - starts)
+    key_width = max(np.max(c1 - c0), np.max(c2 - c1), np.max(ends - c2)) - 1
+    if (ts_width > _TS_WIDTH or key_width > _KEY_WIDTH
+            or max(ts_width, key_width) > csv.field_size_limit()):
+        return None
+    words = np.ndarray((buf.size - 7,), np.dtype("<u8"), buf, strides=(1,))
+    try:
+        ts = _field_words(words, starts, c0, _TS_WIDTH).view(f"S{_TS_WIDTH}").ravel()
+        ts = np.fromiter(map(float, ts.tolist()), np.float64, n)
+        if not np.all(np.isfinite(ts) & (ts >= 0)):
+            return None
+        address = addresses.lookup(text, words, np.concatenate((c0, c1)) + 1,
+                                   np.concatenate((c1, c2)))
+        suffix = suffixes.lookup(text, words, c2 + 1, ends)
+    except ValueError:
+        return None
+    if address is None or suffix is None:
+        return None
+    return Packets(ts=ts, src=address[:n], dst=address[n:], proto=suffix["proto"],
+                   length=suffix["length"], syn=suffix["syn"])
+
+
+def _text_blocks(handle):
+    """The text of ``handle`` in blocks of whole lines. It is read
+    _READ_CHARS at a time, and a read that ends in CR takes one more
+    character, to tell a lone CR from a CRLF. Once PARSE_BLOCK_CHARS are
+    in hand, a block runs to the last line end of a read, an LF or a CR
+    that no LF follows, and the rest of the read starts the next block.
+    The last block holds what follows the last line end. A read that
+    meets bytes that are not UTF-8 raises after the lines read before it
+    are yielded, so that a bad row among them is reported first, as when
+    rows were read a chunk at a time."""
+    pieces, size = [], 0
+    try:
+        while piece := handle.read(_READ_CHARS):
+            if piece.endswith("\r"):
+                piece += handle.read(1)
+            size += len(piece)
+            # a CR that still ends the read may yet start a CRLF
+            cut = max(piece.rfind("\n"), piece.rfind("\r", 0, len(piece) - 1)) + 1
+            if size < PARSE_BLOCK_CHARS or not cut:
+                pieces.append(piece)
+                continue
+            pieces.append(piece[:cut])
+            yield "".join(pieces)
+            pieces, size = [piece[cut:]], len(piece) - cut
+    except UnicodeDecodeError:
+        text = "".join(pieces)
+        yield text[:max(text.rfind("\n"), text.rfind("\r", 0, len(text) - 1)) + 1]
+        raise
+    tail = "".join(pieces)
+    if tail:
+        yield tail
+
+
+def _lines(blocks):
+    """The lines of text blocks, split at CR, LF and CRLF as a file opened
+    with newline="" (as csv.reader asks) splits them."""
+    return itertools.chain.from_iterable(io.StringIO(text, newline="") for text in blocks)
+
+
+def _parse_csv(lines, addresses: _Memo) -> list[Packets]:
+    """The packets of CSV ``lines`` after their header, by csv.reader."""
     reader = csv.reader(lines)
     with csv_errors(reader):
         header = next(reader, None)
@@ -424,20 +659,53 @@ def parse_packets(lines) -> Packets:
         raise InputError(
             f"bad header {header!r}; expected {','.join(PACKET_CSV_HEADER)}"
         )
+    return _parse_rows(reader, 2, addresses)
+
+
+def parse_packets(lines) -> Packets:
+    """Read packets from CSV text (an open file or iterable of lines).
+
+    The header must match PACKET_CSV_HEADER exactly; any malformed row
+    raises InputError naming its line number. Packets are returned in
+    input order, unsorted.
+
+    A file is read in blocks (see _text_blocks). A plain block (see
+    _plain_packets) is split into fields by numpy, and its distinct
+    addresses and protocol,length,syn suffixes are converted, but for
+    those that earlier blocks put in a table (see _FieldTable). Any other block, a block with a row that breaks a rule, and an
+    iterable of lines go through csv.reader, whose rows are converted a
+    chunk at a time and, if a chunk breaks a rule, checked row by row, so
+    the error names the first bad row. After a block with a double quote,
+    whose quoted fields may hold line ends, csv.reader reads the rest.
+    """
     addresses = _Memo(parse_ip)
+    if not hasattr(lines, "read"):
+        return Packets.concatenate(_parse_csv(lines, addresses))
+    blocks = _text_blocks(lines)
+    first = next(blocks, "")
+    header, newline, body = first.partition("\n")
+    if not newline or header.removesuffix("\r") != ",".join(PACKET_CSV_HEADER):
+        return Packets.concatenate(_parse_csv(_lines(itertools.chain([first], blocks)),
+                                              addresses))
+    tables = (_FieldTable(parse_ip, np.uint32),
+              _FieldTable(lambda text: _parse_suffix(text.split(",")), _SUFFIX_DTYPE))
     chunks = []
-    for first in itertools.count(2, PARSE_CHUNK_ROWS):
-        with csv_errors(reader):
-            rows = list(itertools.islice(reader, PARSE_CHUNK_ROWS))
-        if not rows:
+    number = 2                                  # the row number of the block's first line
+    for text in itertools.chain([body], blocks):
+        if not text:
+            continue
+        packets = _plain_packets(text, *tables)
+        if packets is not None:
+            chunks.append(packets)
+            number += len(packets)
+        elif '"' in text:
+            reader = csv.reader(_lines(itertools.chain([text], blocks)))
+            chunks += _parse_rows(reader, number, addresses, number - 1)
             break
-        try:
-            chunks.append(_parse_chunk(rows, addresses))
-        except (ValueError, KeyError, OverflowError):
-            for number, row in enumerate(rows, start=first):
-                if row:
-                    _check_row(row, number)
-            raise
+        else:
+            reader = csv.reader(_lines([text]))   # one record per line
+            chunks += _parse_rows(reader, number, addresses, number - 1)
+            number += reader.line_num
     return Packets.concatenate(chunks)
 
 
@@ -521,8 +789,27 @@ def write_features_csv(path, matrix):
 
 def _poisson_arrivals(rng, rate: float, start: float, end: float) -> np.ndarray:
     """Homogeneous Poisson arrival times on [start, end)."""
-    count = rng.poisson(rate * (end - start))
-    return start + (end - start) * np.sort(rng.random(count))
+    arrivals = rng.random(rng.poisson(rate * (end - start)))
+    arrivals.sort()
+    arrivals *= end - start
+    arrivals += start
+    return arrivals
+
+
+def _in_time_order(parts: list[list]) -> Packets:
+    """The packets of ``parts``, each a list of the six columns of some
+    packets, by timestamp; ties keep their order, as _time_ordered keeps
+    it. A column of every part is dropped once it has been copied, so the
+    parts and their concatenation are never held in full at once."""
+    ts = np.concatenate([part[0] for part in parts])
+    order = None if np.all(ts[:-1] <= ts[1:]) else np.argsort(ts, kind="stable")
+    columns = []
+    for k in range(len(_COLUMN_DTYPES)):
+        column = ts if k == 0 else np.concatenate([part[k] for part in parts])
+        for part in parts:
+            part[k] = None
+        columns.append(column if order is None else column[order])
+    return Packets(*columns)
 
 
 def generate_traffic(scenario: Scenario, rng: np.random.Generator,
@@ -542,28 +829,35 @@ def generate_traffic(scenario: Scenario, rng: np.random.Generator,
     attack interval. Deterministic given the generator state.
     """
     scenario.validate()
-    if not window_len > 0:
-        raise InputError("window_len must be positive")
+    _check_window_len(window_len)
     base = scenario.baseline_rate
     amplitude = scenario.diurnal_amplitude
     duration = scenario.duration
 
+    # Each random draw is used, in the same order and with the same
+    # arithmetic as ever, then released; in-place steps keep one array
+    # of temporaries at a time.
     peak = base * (1.0 + amplitude)
-    raw_times = _poisson_arrivals(rng, peak, 0.0, duration)
-    rate = base * (1.0 + amplitude * np.sin(2.0 * np.pi * raw_times / duration))
-    keep = rng.random(raw_times.size) < rate / peak
-    times = raw_times[keep]
+    times = _poisson_arrivals(rng, peak, 0.0, duration)
+    rate = 2.0 * np.pi * times
+    rate /= duration
+    np.sin(rate, out=rate)
+    rate *= amplitude
+    rate += 1.0
+    rate *= base
+    rate /= peak
+    times = times[rng.random(times.size) < rate]
+    del rate
     n = times.size
 
-    src = LEGIT_SRC_BASE + rng.integers(0, LEGIT_SRC_POOL, n)
-    dst = SERVER_BASE + rng.integers(0, SERVER_POOL, n)
-    proto_draw = rng.random(n)
+    src = (LEGIT_SRC_BASE + rng.integers(0, LEGIT_SRC_POOL, n)).astype(np.uint32)
+    dst = (SERVER_BASE + rng.integers(0, SERVER_POOL, n)).astype(np.uint32)
+    proto = np.searchsorted([TCP_SHARE, TCP_SHARE + UDP_SHARE], rng.random(n),
+                            side="right").astype(np.uint8)         # TCP, UDP or ICMP
     lengths = rng.integers(MIN_PACKET_BYTES, MAX_PACKET_BYTES + 1, n)
-    syn_draw = rng.random(n)
-    proto = np.where(proto_draw < TCP_SHARE, TCP,
-                     np.where(proto_draw < TCP_SHARE + UDP_SHARE, UDP, ICMP))
-    parts = [Packets(ts=times, src=src, dst=dst, proto=proto, length=lengths,
-                     syn=(proto == TCP) & (syn_draw < SYN_RATE))]
+    syn = (proto == TCP) & (rng.random(n) < SYN_RATE)
+    parts = [[times, src, dst, proto, lengths, syn]]
+    del times, src, dst, proto, lengths, syn
 
     flood_shape = {
         AttackKind.SYN_FLOOD: (TCP, SYN_FLOOD_BYTES, True),
@@ -575,12 +869,11 @@ def generate_traffic(scenario: Scenario, rng: np.random.Generator,
         flood_times = _poisson_arrivals(rng, attack.multiplier * base,
                                         attack.start, attack.end)
         m = flood_times.size
-        flood_src = SPOOF_SRC_BASE + rng.integers(0, attack.source_pool, m)
-        parts.append(Packets(ts=flood_times, src=flood_src, dst=np.full(m, VICTIM_IP),
-                             proto=np.full(m, code), length=np.full(m, size),
-                             syn=np.full(m, syn)))
+        flood_src = (SPOOF_SRC_BASE + rng.integers(0, attack.source_pool, m)).astype(np.uint32)
+        parts.append([flood_times, flood_src, np.full(m, VICTIM_IP, np.uint32),
+                      np.full(m, code, np.uint8), np.full(m, size, np.int64), np.full(m, syn)])
 
-    packets = _time_ordered(Packets.concatenate(parts))
+    packets = _in_time_order(parts)
 
     num_windows = _window_count(float(packets.ts[-1]), window_len) if len(packets) else 0
     lo = np.arange(num_windows) * window_len
@@ -615,8 +908,7 @@ def windowize(packets: Packets, window_len: float) -> Windows:
     windows kept, so indices line up with label files; more than
     MAX_WINDOWS of them is an InputError.
     """
-    if not window_len > 0:
-        raise InputError("window_len must be positive")
+    _check_window_len(window_len)
     packets = _time_ordered(packets)
     if not len(packets):
         return Windows(packets, np.zeros(1, dtype=np.intp))

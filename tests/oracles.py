@@ -152,9 +152,17 @@ def naive_parse_packets(lines):
     name, length, syn) tuples, or InputError naming the first bad line.
 
     The header has 6 named columns; blank rows are skipped; a length
-    must lie in [1, 2**63 - 1].
+    must lie in [1, 2**63 - 1]; a record csv.reader rejects names the
+    line it was reading.
     """
     reader = csv.reader(lines)
+    try:
+        return _naive_rows(reader)
+    except csv.Error as exc:
+        raise InputError(f"line {reader.line_num}: {exc}") from None
+
+
+def _naive_rows(reader):
     header = next(reader, None)
     if header != ["timestamp", "src_ip", "dst_ip", "protocol", "length", "syn"]:
         raise InputError(f"bad header {header!r}")

@@ -1,4 +1,7 @@
+import contextlib
+import csv
 import hashlib
+import io
 import json
 import shutil
 import subprocess
@@ -7,16 +10,24 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import floodwatch as fw
 from floodwatch import cli
 from floodwatch.detector import evaluate, read_report_csv
 from floodwatch.traffic import (
+    PacketRecord,
+    Packets,
+    Protocol,
     Scenario,
+    feature_matrix,
     generate_traffic,
     read_labels_csv,
+    windowize,
     write_packets_csv,
 )
+from oracles import naive_parse_packets
 
 # Shallow compressor configuration recommended for detection runs (see
 # README); full training epochs so detection-quality assertions hold.
@@ -244,6 +255,21 @@ def test_epoch_timestamps_exit_2_before_allocating_windows(workspace, tmp_path, 
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("window_len", ["inf", "nan", "0"])
+@pytest.mark.parametrize("command", ["gen", "featurize"])
+def test_non_finite_window_len_exits_2(workspace, tmp_path, capsys, command, window_len):
+    # an infinite window made every window bound 0 * inf = NaN, so gen
+    # labeled no window as an attack
+    root, _ = workspace
+    out = tmp_path / "out.csv"
+    argv = {"gen": ["gen", "--preset", "syn10", "--seed", "0", "--labels",
+                    str(tmp_path / "labels.csv")],
+            "featurize": ["featurize", str(root / "test.csv")]}[command]
+    assert cli.main([*argv, "--window-len", window_len, "--out", str(out)]) == 2
+    assert "window_len must be a finite positive number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("preset, seed, digest", [
     ("syn10", 0, "8ef7cdfb13b015d2d075dc6f5d76c169329c257c9c0b45418833ce68c2d45383"),
     ("mixed", 1, "a74118c962402e6f5fc202ca73952bf7226d3775a4b8bff63b592c5c96b79a65"),
@@ -310,6 +336,20 @@ def test_non_utf8_input_exits_2(workspace, tmp_path, capsys, reader):
     (tmp_path / "bad").write_bytes(lead + b"\xff\r\n")
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8 text")
+
+
+@pytest.mark.parametrize("good_rows, error", [(10, "not UTF-8 text"),
+                                              (3000, "line 2: unknown protocol")])
+def test_bad_row_then_non_utf8_bytes_exits_2(tmp_path, capsys, good_rows, error):
+    # the error of the text read first is reported: bytes that are not
+    # UTF-8 right after a bad row, and the bad row when 3000 good rows
+    # (about 100 KB) lie between them
+    rows = ["timestamp,src_ip,dst_ip,protocol,length,syn", "0.5,10.0.0.1,10.0.0.2,GRE,64,0",
+            *["1.5,10.0.0.1,10.0.0.2,TCP,64,0"] * good_rows]
+    path = tmp_path / "bad.csv"
+    path.write_bytes("".join(row + "\r\n" for row in rows).encode() + b"\xff\r\n")
+    assert cli.main(["featurize", str(path), "--out", str(tmp_path / "f.csv")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: {error}")
 
 
 @pytest.mark.parametrize("rows, line", [
@@ -389,3 +429,84 @@ def test_console_script_target_prints_help(monkeypatch, capsys):
         cli.entry()
     assert exc.value.code == 0
     assert "gradcheck" in capsys.readouterr().out
+
+
+# --- every reader fuzzed through cli.main -------------------------------------
+
+_PACKET_FIELD = st.one_of(
+    st.sampled_from(["0", "0.5", "299.75", "1e3", "nan", "inf", "-1", "1_0", " 5", "+5", "",
+                     "10.0.0.1", "192.168.0.1", "1.2.3.256", "10.0.0.٣", "TCP", "UDP",
+                     "ICMP", "GRE", "64", "9223372036854775807", "9223372036854775808",
+                     "1", '"0"', '"', "\x00"]),
+    st.text(max_size=6))
+_PACKET_ROW = st.tuples(st.sampled_from(["0.25", "1.5", "7", "299.75", "1e2"]),
+                        st.sampled_from(["10.0.0.1", "100.64.0.9"]),
+                        st.sampled_from(["192.168.0.1", "192.168.0.2"]),
+                        st.sampled_from(["TCP", "UDP", "ICMP"]),
+                        st.sampled_from(["64", "1500", " 5"]),
+                        st.sampled_from(["0", "1"])).map(",".join)
+_REPORT_ROW = st.tuples(
+    st.sampled_from(["0", "1", "10", "11", "299", "300", "-1", "x", ""]),
+    st.one_of(st.floats().map(repr), st.sampled_from(["0.5", "nan", "-inf", "1e999", ""])),
+    st.sampled_from(["0", "1", "2", ""])).map(",".join)
+_LABELS_ROW = st.tuples(st.sampled_from(["0", "1", "2", "3", "-1", "x", "٣", ""]),
+                        st.sampled_from(["0", "1", "2", ""])).map(",".join)
+_ANY_ROW = st.one_of(st.lists(_PACKET_FIELD, max_size=8).map(",".join), st.text(max_size=30))
+
+
+@st.composite
+def _csv_bytes(draw, header, row):
+    """CSV bytes: mostly ``header`` and ``row`` lines, else any text, with
+    any line ends and now and then a byte that no UTF-8 text holds."""
+    def mostly(usual, other):
+        return draw(usual if draw(st.integers(0, 7)) else other)
+
+    lines = [mostly(st.just(header), st.text(max_size=20)),
+             *(mostly(row, _ANY_ROW) for _ in range(draw(st.integers(0, 10))))]
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines)
+    return text.encode("utf-8") + mostly(st.just(b""), st.just(b"\xff"))
+
+
+def _main(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3)
+    return code
+
+
+def _oracle_features(path):
+    """Features of the rows that the row-by-row oracle reads from ``path``."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        rows = naive_parse_packets(handle)
+    packets = Packets.from_records(
+        PacketRecord(ts, src, dst, Protocol(proto), length, syn)
+        for ts, src, dst, proto, length, syn in rows)
+    return feature_matrix(windowize(packets, 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_csv_bytes("timestamp,src_ip,dst_ip,protocol,length,syn", _PACKET_ROW))
+def test_fuzzed_packet_csv_through_featurize_and_detect(workspace, tmp_path_factory, data):
+    root, _ = workspace
+    directory = tmp_path_factory.mktemp("fuzz")
+    capture, out = directory / "traffic.csv", directory / "out.csv"
+    capture.write_bytes(data)
+    if _main(["featurize", str(capture), "--out", str(out)]) == 0:
+        with open(out, newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        written = np.array([[float(v) for v in row[1:]] for row in rows]).reshape(-1, 8)
+        assert np.array_equal(written, _oracle_features(capture))
+    _main(["detect", str(root / "model.json"), str(capture), "--out", str(out)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(labels=_csv_bytes("window_index,label", _LABELS_ROW),
+       report=_csv_bytes("window_index,residual,alarm", _REPORT_ROW))
+def test_fuzzed_labels_and_report_through_eval(workspace, tmp_path_factory, labels, report):
+    root, _ = workspace
+    directory = tmp_path_factory.mktemp("fuzz")
+    (directory / "labels.csv").write_bytes(labels)
+    (directory / "report.csv").write_bytes(report)
+    _main(["eval", str(root / "report.csv"), str(directory / "labels.csv")])
+    _main(["eval", str(directory / "report.csv"), str(root / "test_labels.csv")])
+    _main(["eval", str(directory / "report.csv"), str(directory / "labels.csv")])

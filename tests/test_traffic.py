@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import re
 from unittest import mock
@@ -122,21 +124,133 @@ _ROW_TEXT = st.one_of(
 )
 
 
+# line ends taken in turn, a lone CR among them
+_LINE_ENDS = (("\r\n",), ("\n",), ("\n", "\r\n"), ("\r\n", "\r", "\n"), ("\r",))
+_BLOCKS = (1, 7, 40, traffic.PARSE_BLOCK_CHARS)
+
+
+def _as_text(lines, ends, final=True):
+    """``lines`` joined with ``ends`` in turn, the last line end dropped
+    unless ``final``."""
+    text = "".join(line + ends[k % len(ends)] for k, line in enumerate(lines))
+    return text if final else text[:-len(ends[(len(lines) - 1) % len(ends)])]
+
+
+def _text_outcome_matches_oracle(text, block):
+    # a file is split into lines at CR, LF and CRLF, as open_text opens it;
+    # reads a third of a block long make the reads that fill one
+    read = min(traffic._READ_CHARS, max(1, block // 3))
+    with (mock.patch.object(traffic, "PARSE_BLOCK_CHARS", block),
+          mock.patch.object(traffic, "_READ_CHARS", read)):
+        ours = _outcome(parse_packets, io.StringIO(text, newline=""))
+    return ours == _outcome(naive_parse_packets, io.StringIO(text, newline=""))
+
+
 @settings(max_examples=300, deadline=None)
-@given(rows=st.lists(_ROW_TEXT, max_size=12), chunk=st.sampled_from([1, 3, 512]))
+@given(rows=st.lists(_ROW_TEXT, max_size=12), chunk=st.sampled_from([1, 3, 512]),
+       ends=st.sampled_from(_LINE_ENDS), final=st.booleans(), block=st.sampled_from(_BLOCKS))
 @example(rows=["0.5,10.0.0.1,192.168.0.1,TCP,64,1", "", "1.5,10.0.0.2,192.168.0.1,UDP,+5,0",
-               "2.5,10.0.0.2,192.168.0.1,ICMP, 5,0"], chunk=3)
+               "2.5,10.0.0.2,192.168.0.1,ICMP, 5,0"], chunk=3, ends=("\r\n",), final=True,
+         block=40)
 @example(rows=["0,10.0.0.1,192.168.0.1,TCP,64,0", "nan,10.0.0.1,192.168.0.1,TCP,64,0"],
-         chunk=512)
-@example(rows=["inf,10.0.0.1,192.168.0.1,TCP,64,0"], chunk=512)
-@example(rows=["0,10.0.0.1,192.168.0.1,TCP,9223372036854775808,0"], chunk=512)
+         chunk=512, ends=("\n",), final=False, block=7)
+@example(rows=["inf,10.0.0.1,192.168.0.1,TCP,64,0"], chunk=512, ends=("\r\n",), final=True,
+         block=traffic.PARSE_BLOCK_CHARS)
+@example(rows=["0,10.0.0.1,192.168.0.1,TCP,9223372036854775808,0"], chunk=512, ends=("\n",),
+         final=True, block=1)
 @example(rows=["", "", "0,10.0.0.1,192.168.0.1,TCP,64,0", "0,10.0.0.1,192.168.0.256,TCP,64,0"],
-         chunk=1)
-def test_parse_packets_matches_row_oracle(rows, chunk):
+         chunk=1, ends=("\n", "\r\n"), final=True, block=40)
+def test_parse_packets_matches_row_oracle(rows, chunk, ends, final, block):
     # same rows, or an InputError naming the same line, at every chunk size
+    # for a list of lines and at every block size for the text of a file
     lines = [HEADER, *rows]
-    with mock.patch.object(traffic, "PARSE_CHUNK_ROWS", chunk):
+    with mock.patch.object(traffic, "_CSV_CHUNK_ROWS", chunk):
         assert _outcome(parse_packets, lines) == _outcome(naive_parse_packets, lines)
+        assert _text_outcome_matches_oracle(_as_text(lines, ends, final), block)
+
+
+_GOOD_ROW = "0.5,10.0.0.1,192.168.0.1,TCP,64,1"
+_OTHER_ROW = "1.5,10.0.0.2,192.168.0.1,UDP,512,0"
+
+
+_EDGE_ROWS = {
+    "quoted field": [_GOOD_ROW, '2.5,"10.0.0.3",192.168.0.1,ICMP,64,0'],
+    "line end in quotes": ['"0.5\n",10.0.0.1,192.168.0.1,TCP,64,0', _OTHER_ROW],
+    "lone CR between rows": [_GOOD_ROW + "\r" + _OTHER_ROW],
+    "lone CR in a timestamp": ["0.5\r,10.0.0.1,192.168.0.1,TCP,64,1", _OTHER_ROW],
+    "lone CR in a length": ["0.5,10.0.0.1,192.168.0.1,TCP, 64\r,1", _OTHER_ROW],
+    "lone CR before a CRLF": [_GOOD_ROW + "\r", _OTHER_ROW, _GOOD_ROW.replace("TCP", "GRE")],
+    "NUL": [_GOOD_ROW, "0.5,10.0.0.1\0,192.168.0.1,TCP,64,1"],
+    "blank line": [_GOOD_ROW, "", _OTHER_ROW],
+    "largest length": [_GOOD_ROW, "0.5,10.0.0.1,192.168.0.1,TCP,9223372036854775807,1"],
+    "length past 64 bits": [_GOOD_ROW, "0.5,10.0.0.1,192.168.0.1,TCP,9223372036854775808,1"],
+    "signed and spaced lengths": ["0.5,10.0.0.1,192.168.0.1,TCP, 5,1",
+                                  "1.5,10.0.0.2,192.168.0.1,UDP,+5,0"],
+    "underscore timestamp": ["1_0,10.0.0.1,192.168.0.1,TCP,64,1", _OTHER_ROW],
+    "nan timestamp": [_GOOD_ROW, "nan,10.0.0.1,192.168.0.1,TCP,64,1"],
+    "non-ASCII digit": ["0.5,10.0.0.\u0663,192.168.0.1,TCP,64,1", _OTHER_ROW],
+    "7 fields then 5": [_GOOD_ROW + ",1", _OTHER_ROW[:-2]],
+    "5 fields": [_GOOD_ROW, _OTHER_ROW[:-2]],
+    "wide address": ["0.5,0000000010.0.0.1,192.168.0.1,TCP,64,1", _OTHER_ROW],
+    "wide timestamp": ["0" * 40 + ".5,10.0.0.1,192.168.0.1,TCP,64,1", _OTHER_ROW],
+    "field over the csv limit": [_GOOD_ROW, "x" * 200_000 + ",1,2,3,4,5"],
+}
+
+
+@pytest.mark.parametrize("rows", _EDGE_ROWS.values(), ids=_EDGE_ROWS.keys())
+def test_parse_packets_edge_rows_match_row_oracle(rows):
+    lines = [HEADER, *rows]
+    assert _outcome(parse_packets, lines) == _outcome(naive_parse_packets, lines)
+    for ends, final, block in itertools.product((*_LINE_ENDS[:3], ("\r",)), [True, False],
+                                                _BLOCKS):
+        assert _text_outcome_matches_oracle(_as_text(lines, ends, final), block)
+
+
+@pytest.mark.parametrize("block", [7, traffic.PARSE_BLOCK_CHARS])
+def test_parse_packets_checks_fields_behind_their_hash(block):
+    # with a hash that maps every field to 0, only the byte checks keep
+    # different fields apart, within a block and, with one line per
+    # block, across blocks
+    lines = [HEADER, "0.5,10.0.0.1,10.0.0.1,TCP,64,1", "1.5,10.0.0.2,10.0.0.2,UDP,512,0",
+             "2.5,10.0.0.1,10.0.0.2,ICMP,64,0"]
+    with mock.patch.object(traffic, "_MIX", np.uint64(0)):
+        assert _text_outcome_matches_oracle(_as_text(lines, ("\r\n",)), block)
+
+
+def test_lone_cr_line_ends_cut_blocks():
+    # lines ended by a lone CR cut the text into blocks as LF does, so a
+    # block holds at most a block's worth of text, the rest of the line
+    # where it filled and one read, with the character after a CR that
+    # ends it
+    lines = [HEADER, *[_GOOD_ROW, _OTHER_ROW] * 20]
+    text = _as_text(lines, ("\r",))
+    with (mock.patch.object(traffic, "PARSE_BLOCK_CHARS", 7),
+          mock.patch.object(traffic, "_READ_CHARS", 3)):
+        blocks = list(traffic._text_blocks(io.StringIO(text, newline="")))
+    assert "".join(blocks) == text
+    assert max(map(len, blocks)) <= 7 + max(map(len, lines)) + 1 + 3 + 1
+    assert _text_outcome_matches_oracle(text, 7)
+
+
+def test_parse_packets_keeps_a_lowered_csv_field_limit():
+    lines = [HEADER, "0.5,10.0.0.1,10.0.0.1,TCP,64,1", _GOOD_ROW]
+    limit = csv.field_size_limit(10)
+    try:
+        for block in _BLOCKS:
+            assert _text_outcome_matches_oracle(_as_text(lines, ("\n",)), block)
+    finally:
+        csv.field_size_limit(limit)
+
+
+def test_plain_capture_bypasses_csv_reader(tmp_path):
+    packets, _ = generate_traffic(preset_scenario("mixed"), np.random.default_rng(5))
+    path = tmp_path / "packets.csv"
+    write_packets_csv(path, packets)
+    for block in (1 << 12, traffic.PARSE_BLOCK_CHARS):
+        with (mock.patch.object(traffic, "PARSE_BLOCK_CHARS", block),
+              mock.patch.object(traffic, "_parse_chunk", side_effect=AssertionError),
+              open(path, newline="") as handle):
+            assert parse_packets(handle) == packets
 
 
 def test_packets_row_adapter_round_trip():
