@@ -27,6 +27,7 @@ from .errors import InputError
 from .lstm import LstmModel, TrainConfig, init_lstm, predict_sequence_batch, train_lstm
 from .rbm import CdConfig
 from .traffic import (
+    NUM_FEATURES,
     Normalizer,
     Packets,
     Windows,
@@ -64,6 +65,11 @@ class DetectorModel:
             raise InputError("window_len must be positive")
         if self.threshold < 0:
             raise InputError("threshold must be non-negative")
+        if not self.normalizer.feat_min.shape == (NUM_FEATURES,) == (self.dbn.input_dim,):
+            raise InputError(
+                f"normalizer ({self.normalizer.feat_min.size}) and DBN input "
+                f"({self.dbn.input_dim}) dimensions must equal the {NUM_FEATURES} features"
+            )
         if self.dbn.code_dim != self.lstm.input_dim:
             raise InputError(
                 f"code dimension {self.dbn.code_dim} does not match "

@@ -10,16 +10,10 @@ def sigmoid(x):
 
     Evaluates 1/(1 + exp(-x)) for x >= 0 and exp(x)/(1 + exp(x)) for
     x < 0, so the exponential argument is never positive and the result
-    is NaN-free for any finite input.
+    is NaN-free for any input but NaN.
     """
-    scalar = np.ndim(x) == 0
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    exp_neg = np.exp(arr[~pos])
-    out[~pos] = exp_neg / (1.0 + exp_neg)
-    return float(out[0]) if scalar else out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1 / (1 + e), e / (1 + e))
 
 
 def require_finite(arr, what: str):

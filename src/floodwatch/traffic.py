@@ -53,11 +53,11 @@ MAX_WINDOWS = 10**6
 # Characters that parse_packets takes from a file as one block, at the
 # least (see _text_blocks). A plain block (see _plain_packets) costs a
 # fixed number of numpy calls plus a share per row, and needs scratch
-# arrays of about ten times its size.
-# On the one-hour capture (504k rows, 2 CPUs, 16 alternated runs) the
-# parse took 1.12 s with 64 KiB blocks, 0.96 s with 128 KiB, 0.86 s with
-# 256 KiB and 0.78 s with 1 MiB; parsing the 60k-row syn10 capture
-# peaked at 3.4, 3.5, 4.2 and 11.6 MiB of allocations (3.2 MiB through
+# arrays of about eight times its size.
+# On the one-hour capture (504k rows, 2 CPUs, 8 alternated runs) the
+# parse took 0.96 s with 64 KiB blocks, 0.88 s with 128 KiB, 0.81 s with
+# 256 KiB and 0.80 s with 1 MiB; parsing the 60k-row syn10 capture
+# peaked at 3.2, 3.3, 4.3 and 12.7 MiB of allocations (3.2 MiB through
 # csv.reader alone).
 PARSE_BLOCK_CHARS = 1 << 18
 
@@ -371,22 +371,6 @@ class _Memo(dict):
         return value
 
 
-def _parse_suffix(fields) -> tuple:
-    """(protocol code, length, syn flag) of the last three fields of a
-    row; raises the ValueError naming the rule that a field breaks."""
-    protocol, length, syn = fields
-    if protocol not in _PROTOCOL_CODES:
-        raise ValueError(f"unknown protocol {protocol!r}")
-    value = int(length)
-    if value < 1:
-        raise ValueError("length must be >= 1")
-    if value > _INT64_MAX:
-        raise ValueError("length must be < 2**63")
-    if syn not in ("0", "1"):
-        raise ValueError(f"syn must be 0 or 1, got {syn!r}")
-    return _PROTOCOL_CODES[protocol], value, syn == "1"
-
-
 def _check_row(row, number):
     """The row rules: raise the InputError naming line ``number`` if the
     (non-blank) CSV row breaks one, else return."""
@@ -398,7 +382,15 @@ def _check_row(row, number):
             raise ValueError("timestamp must be finite and non-negative")
         parse_ip(row[1])
         parse_ip(row[2])
-        _parse_suffix(row[3:])
+        if row[3] not in _PROTOCOL_CODES:
+            raise ValueError(f"unknown protocol {row[3]!r}")
+        length = int(row[4])
+        if length < 1:
+            raise ValueError("length must be >= 1")
+        if length > _INT64_MAX:
+            raise ValueError("length must be < 2**63")
+        if row[5] not in ("0", "1"):
+            raise ValueError(f"syn must be 0 or 1, got {row[5]!r}")
     except ValueError as exc:
         raise InputError(f"line {number}: {exc}") from None
 
@@ -407,7 +399,7 @@ def _parse_chunk(rows, addresses: _Memo) -> Packets:
     """Columns of a chunk of CSV rows, converted with the same ``float``,
     ``int`` and ``parse_ip`` as _check_row; raises ValueError, KeyError
     or OverflowError if any row breaks a row rule. The rules of the last
-    three fields are those of _parse_suffix, checked a column at a time,
+    three fields are those of _check_row, checked a column at a time,
     which is faster than a call per row."""
     if not all(rows):
         rows = [row for row in rows if row]   # blank lines are skipped
@@ -444,17 +436,20 @@ def csv_errors(reader, path=None, lines_before=0):
 def _parse_rows(reader, first: int, addresses: _Memo, lines_before=0) -> list[Packets]:
     """The packets of the rows of ``reader``, which starts after
     ``lines_before`` lines of the file with row ``first``, converted
-    _CSV_CHUNK_ROWS rows at a time. A chunk that breaks a rule is checked
-    row by row, so the InputError names the first bad row."""
+    _CSV_CHUNK_ROWS rows at a time. A chunk that breaks a rule, or whose
+    reading stops at a record csv.reader rejects, is checked row by row,
+    so the InputError names the first bad row."""
     chunks = []
     while True:
-        with csv_errors(reader, lines_before=lines_before):
-            rows = list(itertools.islice(reader, _CSV_CHUNK_ROWS))
-        if not rows:
-            return chunks
+        rows = []
         try:
+            with csv_errors(reader, lines_before=lines_before):
+                for row in itertools.islice(reader, _CSV_CHUNK_ROWS):
+                    rows.append(row)            # kept if a later record raises
+            if not rows:
+                return chunks
             chunks.append(_parse_chunk(rows, addresses))
-        except (ValueError, KeyError, OverflowError):
+        except (InputError, ValueError, KeyError, OverflowError):
             for number, row in enumerate(rows, start=first):
                 if row:
                     _check_row(row, number)
@@ -462,17 +457,12 @@ def _parse_rows(reader, first: int, addresses: _Memo, lines_before=0) -> list[Pa
         first += len(rows)
 
 
-# A plain block keys each address and protocol,length,syn suffix by its
-# bytes, zero-filled to _KEY_WIDTH, and gathers each timestamp's bytes,
-# zero-filled to _TS_WIDTH. The bytes are read as little-endian words
-# through a view with a one-byte stride; _MASKS[k] keeps a word's first
-# k bytes.
-_KEY_WIDTH = 16
+# A plain block gathers each timestamp's bytes, zero-filled to _TS_WIDTH,
+# and reads each protocol name as one word. The bytes are read as
+# little-endian words through a view with a one-byte stride; _MASKS[k]
+# keeps a word's first k bytes.
 _TS_WIDTH = 32
 _MASKS = np.array([(1 << (8 * k)) - 1 for k in range(9)], dtype=np.uint64)
-_MIX = np.uint64(0x9E3779B97F4A7C15)
-_ROW_BITS = 20                      # the low bits of a sorted hash hold its row
-_SUFFIX_DTYPE = np.dtype([("proto", np.uint8), ("length", np.int64), ("syn", np.bool_)])
 
 
 def _field_words(words, start, end, width: int) -> np.ndarray:
@@ -485,128 +475,106 @@ def _field_words(words, start, end, width: int) -> np.ndarray:
     return out
 
 
-class _FieldTable:
-    """The value of each distinct field of earlier blocks of a file, in
-    arrays sorted by a hash of the field's bytes, so that a block finds
-    the fields it shares with them by numpy alone. Each hash found is
-    checked against the bytes stored with it, so two different fields
-    never share a value. A field not yet in the table is converted by
-    ``convert`` and set aside; the set-aside fields join the table when
-    they are as many as it holds, so each table rebuild at least doubles
-    it and a file of n distinct fields costs O(n log n), however few of
-    its fields repeat. The table ends with a hash above all."""
-
-    def __init__(self, convert, dtype):
-        self.convert = convert
-        self.digests = np.array([2**64 - 1], np.uint64)
-        self.lo = self.hi = np.zeros(1, np.uint64)
-        self.values = np.zeros(1, dtype)
-        self.pending = []
-
-    def lookup(self, text: str, words, start, end) -> np.ndarray | None:
-        """The values of the fields [start, end) of ``text``, or None if a
-        hash puts two different fields together; raises what ``convert``
-        raises for a field it rejects."""
-        keys = _field_words(words, start, end, _KEY_WIDTH)
-        lo, hi = keys[:, 0], keys[:, 1]
-        n = lo.size
-        if n >> _ROW_BITS:
-            return None
-        # Sorting the hash with the row number in its low bits puts equal
-        # hashes together, a stable argsort for the price of a sort.
-        packed = np.sort(((lo * _MIX ^ hi) * _MIX >> _ROW_BITS << _ROW_BITS)
-                         | np.arange(n, dtype=np.uint64))
-        digest = packed >> _ROW_BITS
-        row = (packed & ((1 << _ROW_BITS) - 1)).astype(np.intp)
-        head = np.empty(n, bool)
-        head[0] = True
-        np.not_equal(digest[1:], digest[:-1], out=head[1:])
-        group = np.empty(n, np.intp)
-        group[row] = np.cumsum(head) - 1
-        first, digest, lo, hi = row[head], digest[head], lo[row[head]], hi[row[head]]
-        if not (np.array_equal(lo[group], keys[:, 0]) and np.array_equal(hi[group], keys[:, 1])):
-            return None
-        where = np.searchsorted(self.digests, digest)
-        known = self.digests[where] == digest
-        if not (np.array_equal(self.lo[where[known]], lo[known])
-                and np.array_equal(self.hi[where[known]], hi[known])):
-            return None
-        values = self.values[where]
-        new = ~known
-        if new.any():
-            rows = first[new]
-            values[new] = [self.convert(text[a:b])
-                           for a, b in zip(start[rows].tolist(), end[rows].tolist())]
-            self.pending.append((digest[new], lo[new], hi[new], values[new]))
-            if sum(part[0].size for part in self.pending) >= self.digests.size:
-                self._merge()
-        return values[group]
-
-    def _merge(self):
-        """Sort the set-aside fields into the table; of fields with equal
-        hashes the first is kept, and lookup rejects a block with another."""
-        digests, lo, hi, values = (np.concatenate(column) for column in zip(
-            (self.digests, self.lo, self.hi, self.values), *self.pending))
-        self.pending = []
-        order = np.argsort(digests, kind="stable")
-        head = np.empty(order.size, bool)
-        head[0] = True
-        np.not_equal(digests[order[1:]], digests[order[:-1]], out=head[1:])
-        keep = order[head]
-        self.digests, self.lo, self.hi, self.values = (digests[keep], lo[keep], hi[keep],
-                                                       values[keep])
+def _decimals(buf, end, width, most: int) -> np.ndarray | None:
+    """The values of the fields of ``buf`` that end before ``end`` and are
+    ``width`` bytes wide, or None unless each is 1 to ``most`` ASCII
+    digits; ``most`` is at most 19, so no value overflows its uint64."""
+    if not (np.all(width >= 1) and np.all(width <= most)):
+        return None
+    value = np.zeros(end.shape, np.min_scalar_type(10**most - 1))
+    bad = np.zeros(end.shape, bool)
+    width = width.astype(np.uint8)
+    for k in range(int(width.max())):
+        digit = buf[end - (k + 1)] - np.uint8(ord("0"))     # bytes below "0" wrap past 9
+        digit *= width > k
+        bad |= digit > 9
+        value += value.dtype.type(10**k) * digit
+    return None if bad.any() else value
 
 
-def _plain_packets(text: str, addresses: _FieldTable,
-                   suffixes: _FieldTable) -> Packets | None:
+def _line_fields(buf, size: int) -> tuple | None:
+    """Where the fields of the lines of ``buf[:size]`` lie, or None unless
+    each line holds five commas and, from its first comma to its third,
+    three dots between its first two commas and three between the next
+    two, with no other byte below "0", and CR only right before an LF.
+
+    Returns the lines' starts, their ends (before any CR), a (9, n) array
+    of the first three commas with the dots between them, which bound the
+    eight octets of the two addresses, and the last two commas."""
+    # the bytes below "0": line ends, commas, dots and any other punctuation
+    marks = np.flatnonzero(buf[:size] < ord("0"))
+    kind = buf[marks]
+    ends = marks[kind == ord("\n")]
+    at = np.flatnonzero(kind == ord(","))               # the commas' places among the marks
+    n = ends.size
+    if at.size != 5 * n:
+        return None
+    at = at.reshape(n, 5).T
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    if not (np.all(marks[at[0]] >= starts) and np.all(marks[at[4]] < ends)):
+        return None
+    crlf = buf[ends - 1] == ord("\r")
+    if np.count_nonzero(crlf) != np.count_nonzero(kind == ord("\r")):
+        return None
+    between = at[0] + np.arange(9)[:, None]                 # (9, n)
+    if not (np.all(at[2] - at[0] == 8)
+            and np.all(kind[between] == np.frombuffer(b",...,...,", np.uint8)[:, None])):
+        return None
+    return starts, ends - crlf, marks[between], marks[at[3]], marks[at[4]]
+
+
+def _plain_packets(text: str) -> Packets | None:
     """The packets of a block of whole lines if it is plain, else None.
 
     Plain: ASCII with no double quote and no NUL, CR only right before
-    LF, five commas on every line (so no blank line), every address and
-    suffix at most _KEY_WIDTH bytes and every timestamp at most _TS_WIDTH,
-    none beyond the csv field size limit, and every row keeping the row
-    rules. csv.reader would split each such line at its five commas, so
-    the fields are the same texts, converted by the same functions."""
+    LF, five commas on every line (so no blank line), a csv field size
+    limit of at least _TS_WIDTH, and on every line a timestamp of at most
+    _TS_WIDTH bytes that ``float`` reads as finite and non-negative, two
+    addresses of four octets of 1 to 3 ASCII digits, each at most 255,
+    joined by three dots, a protocol spelled as a name in PROTOCOLS, a
+    length of 1 to 19 ASCII digits in [1, 2**63 - 1] and a syn of 0 or
+    1. csv.reader would split each such line at its five commas, so the
+    fields are the same texts, and each value is the one the row path
+    converts: every value but the timestamps is computed from the bytes
+    by numpy. Nothing is kept from one block to the next."""
     if not text.isascii() or '"' in text or "\0" in text:
         return None
     if not text.endswith("\n"):
         text += "\n"
     buf = np.zeros(len(text) + _TS_WIDTH, np.uint8)       # zero-filled past the text
     buf[:len(text)] = np.frombuffer(text.encode("ascii"), np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    commas = np.flatnonzero(buf == ord(","))
-    n = ends.size
-    if commas.size != 5 * n:
+    fields = _line_fields(buf, len(text))
+    if fields is None:
         return None
-    commas = commas.reshape(n, 5)
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    if not (np.all(commas[:, 0] >= starts) and np.all(commas[:, 4] < ends)):
+    starts, ends, bounds, c3, c4 = fields
+    n, c0, c2 = starts.size, bounds[0], bounds[8]
+    # no field is wider than _TS_WIDTH: the checks below hold the others to 19 bytes
+    if np.max(c0 - starts) > _TS_WIDTH or _TS_WIDTH > csv.field_size_limit():
         return None
-    crlf = buf[ends - 1] == ord("\r")
-    if np.count_nonzero(crlf) != np.count_nonzero(buf == ord("\r")):
-        return None
-    ends = ends - crlf
-    c0, c1, c2 = commas[:, 0], commas[:, 1], commas[:, 2]
-    ts_width = np.max(c0 - starts)
-    key_width = max(np.max(c1 - c0), np.max(c2 - c1), np.max(ends - c2)) - 1
-    if (ts_width > _TS_WIDTH or key_width > _KEY_WIDTH
-            or max(ts_width, key_width) > csv.field_size_limit()):
-        return None
+    width = np.diff(bounds, axis=0)
+    width -= 1                                  # in place: one array fewer at the peak
+    octets = _decimals(buf, bounds[1:], width, 3)                     # (8, n)
     words = np.ndarray((buf.size - 7,), np.dtype("<u8"), buf, strides=(1,))
+    names = np.array([int.from_bytes(name.encode(), "little") for name in _PROTOCOL_NAMES],
+                     np.uint64)
+    proto = (words[c2 + 1] & _MASKS[np.minimum(c3 - c2 - 1, 8)]) == names[:, None]  # (3, n)
+    length = _decimals(buf, c4, c4 - c3 - 1, 19)
+    syn = buf[c4 + 1] - np.uint8(ord("0"))
+    if (octets is None or np.any(octets > 255) or not np.all(proto.any(axis=0))
+            or length is None or np.any(length < 1) or np.any(length > _INT64_MAX)
+            or np.any(ends - c4 != 2) or np.any(syn > 1)):
+        return None
     try:
         ts = _field_words(words, starts, c0, _TS_WIDTH).view(f"S{_TS_WIDTH}").ravel()
         ts = np.fromiter(map(float, ts.tolist()), np.float64, n)
-        if not np.all(np.isfinite(ts) & (ts >= 0)):
-            return None
-        address = addresses.lookup(text, words, np.concatenate((c0, c1)) + 1,
-                                   np.concatenate((c1, c2)))
-        suffix = suffixes.lookup(text, words, c2 + 1, ends)
     except ValueError:
         return None
-    if address is None or suffix is None:
+    if not np.all(np.isfinite(ts) & (ts >= 0)):
         return None
-    return Packets(ts=ts, src=address[:n], dst=address[n:], proto=suffix["proto"],
-                   length=suffix["length"], syn=suffix["syn"])
+    src, dst = (octets.astype(np.uint32) << np.uint32([24, 16, 8, 0] * 2)[:, None]).reshape(
+        2, 4, n).sum(axis=1, dtype=np.uint32)
+    return Packets(ts=ts, src=src, dst=dst, proto=proto.argmax(axis=0), length=length,
+                   syn=syn == 1)
 
 
 def _text_blocks(handle):
@@ -670,13 +638,13 @@ def parse_packets(lines) -> Packets:
     input order, unsorted.
 
     A file is read in blocks (see _text_blocks). A plain block (see
-    _plain_packets) is split into fields by numpy, and its distinct
-    addresses and protocol,length,syn suffixes are converted, but for
-    those that earlier blocks put in a table (see _FieldTable). Any other block, a block with a row that breaks a rule, and an
-    iterable of lines go through csv.reader, whose rows are converted a
-    chunk at a time and, if a chunk breaks a rule, checked row by row, so
-    the error names the first bad row. After a block with a double quote,
-    whose quoted fields may hold line ends, csv.reader reads the rest.
+    _plain_packets) is split into fields and converted by numpy, but for
+    its timestamps, which ``float`` reads one by one. Any other block, a
+    block with a row that breaks a rule, and an iterable of lines go
+    through csv.reader, whose rows are converted a chunk at a time and,
+    if a chunk breaks a rule, checked row by row, so the error names the
+    first bad row. After a block with a double quote, whose quoted fields
+    may hold line ends, csv.reader reads the rest.
     """
     addresses = _Memo(parse_ip)
     if not hasattr(lines, "read"):
@@ -687,14 +655,12 @@ def parse_packets(lines) -> Packets:
     if not newline or header.removesuffix("\r") != ",".join(PACKET_CSV_HEADER):
         return Packets.concatenate(_parse_csv(_lines(itertools.chain([first], blocks)),
                                               addresses))
-    tables = (_FieldTable(parse_ip, np.uint32),
-              _FieldTable(lambda text: _parse_suffix(text.split(",")), _SUFFIX_DTYPE))
     chunks = []
     number = 2                                  # the row number of the block's first line
     for text in itertools.chain([body], blocks):
         if not text:
             continue
-        packets = _plain_packets(text, *tables)
+        packets = _plain_packets(text)
         if packets is not None:
             chunks.append(packets)
             number += len(packets)

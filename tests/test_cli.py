@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import floodwatch as fw
 from floodwatch import cli
 from floodwatch.detector import evaluate, read_report_csv
+from floodwatch.model_io import load_model
 from floodwatch.traffic import (
     PacketRecord,
     Packets,
@@ -23,6 +24,7 @@ from floodwatch.traffic import (
     Scenario,
     feature_matrix,
     generate_traffic,
+    parse_packets,
     read_labels_csv,
     windowize,
     write_packets_csv,
@@ -223,7 +225,8 @@ def test_bad_config_value_exits_2(workspace, tmp_path, capsys, override):
                                         ("normalizer", []),
                                         ("dbn_layers.0.num_visible", 8.5),
                                         ("normalizer.feat_min",
-                                         [float("nan")] + [0.0] * 7)])
+                                         [float("nan")] + [0.0] * 7),
+                                        ("normalizer", {})])
 def test_bad_model_value_exits_2(workspace, tmp_path, capsys, key, value):
     root, _ = workspace
     doc = json.loads((root / "model.json").read_text())
@@ -510,3 +513,127 @@ def test_fuzzed_labels_and_report_through_eval(workspace, tmp_path_factory, labe
     _main(["eval", str(root / "report.csv"), str(directory / "labels.csv")])
     _main(["eval", str(directory / "report.csv"), str(root / "test_labels.csv")])
     _main(["eval", str(directory / "report.csv"), str(directory / "labels.csv")])
+
+
+# --- every document fuzzed through cli.main -----------------------------------
+
+# Numbers bounded so that a document that passes validation still runs fast:
+# no duration, rate or size above 40, no positive value below 0.5.
+_NUMBER = st.one_of(st.integers(-3, 40), st.sampled_from(
+    [0.0, -0.0, 0.5, 2.5, -1.5, 30.0, 1e300, -1e300, float("nan"), float("inf"), -float("inf")]))
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), _NUMBER, st.text(max_size=6)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6)
+_VALUE = st.one_of(_NUMBER, _NUMBER, _JSON)
+
+
+def _maybe(good):
+    """A value from ``good``, one time in eight any value."""
+    return st.integers(0, 7).flatmap(lambda k: good if k else _VALUE)
+
+
+def _document(required, optional):
+    """Mostly an object with the keys of ``required`` and maybe those of
+    ``optional``; else the same with one more key, or arbitrary JSON."""
+    keys = st.fixed_dictionaries(required, optional=optional)
+    extra = st.fixed_dictionaries({**required, "extra": _JSON}, optional=optional)
+    return st.integers(0, 7).flatmap(lambda k: (_JSON, extra)[k] if k < 2 else keys)
+
+
+_ATTACK = _document({name: _maybe(good) for name, good in [
+    ("start", st.floats(0, 20)), ("end", st.floats(20, 40)), ("multiplier", st.floats(1, 4)),
+    ("source_pool", st.sampled_from([1, 400, 2**24])),
+    ("kind", st.sampled_from(["syn_flood", "udp_flood", "icmp_flood", "gre"]))]}, {})
+_SCENARIO_DOC = _document(
+    {"duration": _maybe(st.floats(1, 40)), "baseline_rate": _maybe(st.floats(0.5, 30))},
+    {"diurnal_amplitude": _maybe(st.floats(0, 1)),
+     "attacks": _maybe(st.lists(_ATTACK, max_size=3))})
+# every config sets both epoch counts, so that a valid one trains in a moment
+_CONFIG_DOC = _document(
+    {name: _maybe(st.integers(0, 3)) for name in ("rbm_epochs", "lstm_epochs")},
+    {name: _maybe(good) for name, good in [
+        ("window_len", st.sampled_from([0.5, 1, 2.5])), ("lstm_hidden", st.integers(1, 8)),
+        ("lookback", st.integers(1, 12)), ("k_sigma", st.floats(0, 5)),
+        ("rbm_learning_rate", st.floats(0.01, 1)), ("rbm_batch_size", st.integers(1, 40)),
+        ("lstm_learning_rate", st.floats(0.01, 1)), ("gradient_clip", st.floats(0.1, 10)),
+        ("seed", st.integers(0, 2**32)), ("split", st.floats(0.05, 0.95)),
+        ("dbn_sizes", st.lists(st.integers(1, 12), min_size=1, max_size=3).map(
+            lambda sizes: [8, *sizes]))]})
+
+
+@st.composite
+def _mutated(draw, doc):
+    """``doc`` with one to three of its values, at any depth, replaced by
+    arbitrary JSON or removed."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(1, 3))):
+        node = doc
+        while True:
+            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                       else range(len(node))))
+            if isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+                node = node[key]
+                continue
+            if isinstance(node, dict) and not draw(st.integers(0, 4)):
+                del node[key]
+            else:
+                node[key] = draw(_VALUE)
+            break
+        if not doc:
+            break
+    return doc
+
+
+@pytest.fixture(scope="module")
+def small_capture(tmp_path_factory):
+    """A 60 s attack-free capture at 20 packets/s: 60 windows."""
+    path = tmp_path_factory.mktemp("small") / "small.csv"
+    packets, _ = generate_traffic(Scenario(duration=60.0, baseline_rate=20.0),
+                                  np.random.default_rng(7))
+    write_packets_csv(path, packets)
+    return path
+
+
+def _write_json(directory, name, doc):
+    path = directory / name
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=_SCENARIO_DOC)
+def test_fuzzed_scenario_through_gen(tmp_path_factory, doc):
+    directory = tmp_path_factory.mktemp("fuzz")
+    out, labels = directory / "traffic.csv", directory / "labels.csv"
+    argv = ["gen", "--scenario", str(_write_json(directory, "scenario.json", doc)),
+            "--out", str(out), "--labels", str(labels)]
+    if _main(argv) == 0:
+        with open(out, newline="") as handle:
+            parse_packets(handle)
+        read_labels_csv(labels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=_CONFIG_DOC)
+def test_fuzzed_config_through_train(small_capture, tmp_path_factory, doc):
+    directory = tmp_path_factory.mktemp("fuzz")
+    out = directory / "model.json"
+    argv = ["train", str(small_capture), "--config",
+            str(_write_json(directory, "config.json", doc)), "--out", str(out)]
+    if _main(argv) == 0:
+        load_model(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fuzzed_model_through_detect(workspace, small_capture, tmp_path_factory, data):
+    root, _ = workspace
+    doc = data.draw(st.one_of(_mutated(json.loads((root / "model.json").read_text())), _JSON))
+    directory = tmp_path_factory.mktemp("fuzz")
+    out = directory / "report.csv"
+    argv = ["detect", str(_write_json(directory, "model.json", doc)), str(small_capture),
+            "--out", str(out)]
+    if _main(argv) == 0:
+        read_report_csv(out)
