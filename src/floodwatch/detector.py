@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import RunConfig, open_text, require_int, require_real
 from .dbn import DbnModel, new_dbn, pretrain, transform
-from .errors import InputError
+from .errors import InputError, NumericError
 from .lstm import LstmModel, TrainConfig, init_lstm, predict_sequence_batch, train_lstm
 from .rbm import CdConfig
 from .traffic import (
@@ -153,7 +153,8 @@ def _residuals(lstm: LstmModel, codes: np.ndarray, lookback: int) -> np.ndarray:
     """RMS one-step-ahead prediction error for every window >= lookback.
 
     Each window starts from a zero LSTM state so scores are independent
-    of each other and of traffic-file boundaries.
+    of each other and of traffic-file boundaries. A non-finite residual
+    is a NumericError naming its window.
     """
     n = codes.shape[0]
     if n < lookback + 1:
@@ -162,8 +163,13 @@ def _residuals(lstm: LstmModel, codes: np.ndarray, lookback: int) -> np.ndarray:
             f"{lookback}, got {n}"
         )
     batch = np.stack([codes[i:i + lookback] for i in range(n - lookback)])
-    errors = predict_sequence_batch(lstm, batch) - codes[lookback:]
-    return np.sqrt(np.mean(errors ** 2, axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):     # checked below
+        errors = predict_sequence_batch(lstm, batch) - codes[lookback:]
+        residuals = np.sqrt(np.mean(errors ** 2, axis=1))
+    finite = np.isfinite(residuals)
+    if not finite.all():
+        raise NumericError(f"window {lookback + int(np.argmin(finite))}: non-finite residual")
+    return residuals
 
 
 def fit_detailed(train_packets: Packets, valid_packets: Packets,

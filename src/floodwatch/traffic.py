@@ -57,8 +57,8 @@ MAX_WINDOWS = 10**6
 # On the one-hour capture (504k rows, 2 CPUs, 8 alternated runs) the
 # parse took 0.96 s with 64 KiB blocks, 0.88 s with 128 KiB, 0.81 s with
 # 256 KiB and 0.80 s with 1 MiB; parsing the 60k-row syn10 capture
-# peaked at 3.2, 3.3, 4.3 and 12.7 MiB of allocations (3.2 MiB through
-# csv.reader alone).
+# peaked at 3.2, 3.3, 4.3 and 12.7 MiB of allocations (6.3 MiB with 64 KiB
+# blocks when every block goes through csv.reader).
 PARSE_BLOCK_CHARS = 1 << 18
 
 # Characters that parse_packets asks a file for at once, as many as a
@@ -66,12 +66,6 @@ PARSE_BLOCK_CHARS = 1 << 18
 # and bytes that are not UTF-8 cost at most one read of the text before
 # them (see _text_blocks).
 _READ_CHARS = 8192
-
-# Rows per chunk that csv.reader hands to _parse_chunk where a block is
-# not plain. Its rows are objects the garbage collector tracks, so small
-# chunks are faster: the one-hour capture read this way took 1.4-1.6 s
-# with 512-row chunks, 2.0 s with 4096-row ones and 2.7 s with 65,536.
-_CSV_CHUNK_ROWS = 512
 
 # Rows per chunk that write_packets_csv formats and writes at once, so
 # its text and lists are bounded by the chunk, not the capture. On the
@@ -371,17 +365,18 @@ class _Memo(dict):
         return value
 
 
-def _check_row(row, number):
-    """The row rules: raise the InputError naming line ``number`` if the
-    (non-blank) CSV row breaks one, else return."""
+def _check_row(row, number, addresses: _Memo) -> tuple:
+    """The six column values of the (non-blank) CSV row on line ``number``,
+    its addresses converted by ``addresses`` (a _Memo of parse_ip), or the
+    InputError naming the line if the row breaks a row rule."""
     if len(row) != 6:
         raise InputError(f"line {number}: expected 6 fields, got {len(row)}")
     try:
         timestamp = float(row[0])
         if not (math.isfinite(timestamp) and timestamp >= 0):
             raise ValueError("timestamp must be finite and non-negative")
-        parse_ip(row[1])
-        parse_ip(row[2])
+        src = addresses[row[1]]
+        dst = addresses[row[2]]
         if row[3] not in _PROTOCOL_CODES:
             raise ValueError(f"unknown protocol {row[3]!r}")
         length = int(row[4])
@@ -393,31 +388,7 @@ def _check_row(row, number):
             raise ValueError(f"syn must be 0 or 1, got {row[5]!r}")
     except ValueError as exc:
         raise InputError(f"line {number}: {exc}") from None
-
-
-def _parse_chunk(rows, addresses: _Memo) -> Packets:
-    """Columns of a chunk of CSV rows, converted with the same ``float``,
-    ``int`` and ``parse_ip`` as _check_row; raises ValueError, KeyError
-    or OverflowError if any row breaks a row rule. The rules of the last
-    three fields are those of _check_row, checked a column at a time,
-    which is faster than a call per row."""
-    if not all(rows):
-        rows = [row for row in rows if row]   # blank lines are skipped
-    if set(map(len, rows)) - {6}:
-        raise ValueError("a row does not have 6 fields")
-    n = len(rows)
-    ts, src, dst, proto, length, syn = list(zip(*rows)) or [()] * 6
-    ts = np.fromiter(map(float, ts), np.float64, n)
-    length = np.fromiter(map(int, length), np.int64, n)
-    if not (np.all(np.isfinite(ts) & (ts >= 0)) and np.all(length >= 1)
-            and set(syn) <= {"0", "1"}):
-        raise ValueError("a row breaks a timestamp, length or syn rule")
-    return Packets(ts=ts,
-                   src=np.fromiter(map(addresses.__getitem__, src), np.uint32, n),
-                   dst=np.fromiter(map(addresses.__getitem__, dst), np.uint32, n),
-                   proto=np.fromiter(map(_PROTOCOL_CODES.__getitem__, proto), np.uint8, n),
-                   length=length,
-                   syn=np.fromiter(map("1".__eq__, syn), np.bool_, n))
+    return timestamp, src, dst, _PROTOCOL_CODES[row[3]], length, row[5] == "1"
 
 
 @contextlib.contextmanager
@@ -433,28 +404,17 @@ def csv_errors(reader, path=None, lines_before=0):
         raise InputError(f"{where}line {lines_before + reader.line_num}: {exc}") from None
 
 
-def _parse_rows(reader, first: int, addresses: _Memo, lines_before=0) -> list[Packets]:
+def _parse_rows(reader, first: int, addresses: _Memo, lines_before=0) -> Packets:
     """The packets of the rows of ``reader``, which starts after
-    ``lines_before`` lines of the file with row ``first``, converted
-    _CSV_CHUNK_ROWS rows at a time. A chunk that breaks a rule, or whose
-    reading stops at a record csv.reader rejects, is checked row by row,
-    so the InputError names the first bad row."""
-    chunks = []
-    while True:
-        rows = []
-        try:
-            with csv_errors(reader, lines_before=lines_before):
-                for row in itertools.islice(reader, _CSV_CHUNK_ROWS):
-                    rows.append(row)            # kept if a later record raises
-            if not rows:
-                return chunks
-            chunks.append(_parse_chunk(rows, addresses))
-        except (InputError, ValueError, KeyError, OverflowError):
-            for number, row in enumerate(rows, start=first):
-                if row:
-                    _check_row(row, number)
-            raise
-        first += len(rows)
+    ``lines_before`` lines of the file with row ``first``. Each row is
+    checked and converted by _check_row before the next record is read,
+    so the InputError names the first bad row, even one before a record
+    csv.reader rejects."""
+    dtype = np.dtype([(column.name, t) for column, t in zip(fields(Packets), _COLUMN_DTYPES)])
+    with csv_errors(reader, lines_before=lines_before):
+        rows = np.fromiter((_check_row(row, number, addresses)
+                            for number, row in enumerate(reader, start=first) if row), dtype)
+    return Packets(*(rows[name].copy() for name in dtype.names))   # contiguous columns
 
 
 # A plain block gathers each timestamp's bytes, zero-filled to _TS_WIDTH,
@@ -585,8 +545,7 @@ def _text_blocks(handle):
     that no LF follows, and the rest of the read starts the next block.
     The last block holds what follows the last line end. A read that
     meets bytes that are not UTF-8 raises after the lines read before it
-    are yielded, so that a bad row among them is reported first, as when
-    rows were read a chunk at a time."""
+    are yielded, so that a bad row among them is reported first."""
     pieces, size = [], 0
     try:
         while piece := handle.read(_READ_CHARS):
@@ -616,7 +575,7 @@ def _lines(blocks):
     return itertools.chain.from_iterable(io.StringIO(text, newline="") for text in blocks)
 
 
-def _parse_csv(lines, addresses: _Memo) -> list[Packets]:
+def _parse_csv(lines, addresses: _Memo) -> Packets:
     """The packets of CSV ``lines`` after their header, by csv.reader."""
     reader = csv.reader(lines)
     with csv_errors(reader):
@@ -641,20 +600,19 @@ def parse_packets(lines) -> Packets:
     _plain_packets) is split into fields and converted by numpy, but for
     its timestamps, which ``float`` reads one by one. Any other block, a
     block with a row that breaks a rule, and an iterable of lines go
-    through csv.reader, whose rows are converted a chunk at a time and,
-    if a chunk breaks a rule, checked row by row, so the error names the
-    first bad row. After a block with a double quote, whose quoted fields
-    may hold line ends, csv.reader reads the rest.
+    through csv.reader, and _check_row checks and converts each of its
+    rows before the next is read, so the error names the first bad row.
+    After a block with a double quote, whose quoted fields may hold line
+    ends, csv.reader reads the rest.
     """
     addresses = _Memo(parse_ip)
     if not hasattr(lines, "read"):
-        return Packets.concatenate(_parse_csv(lines, addresses))
+        return _parse_csv(lines, addresses)
     blocks = _text_blocks(lines)
     first = next(blocks, "")
     header, newline, body = first.partition("\n")
     if not newline or header.removesuffix("\r") != ",".join(PACKET_CSV_HEADER):
-        return Packets.concatenate(_parse_csv(_lines(itertools.chain([first], blocks)),
-                                              addresses))
+        return _parse_csv(_lines(itertools.chain([first], blocks)), addresses)
     chunks = []
     number = 2                                  # the row number of the block's first line
     for text in itertools.chain([body], blocks):
@@ -666,11 +624,11 @@ def parse_packets(lines) -> Packets:
             number += len(packets)
         elif '"' in text:
             reader = csv.reader(_lines(itertools.chain([text], blocks)))
-            chunks += _parse_rows(reader, number, addresses, number - 1)
+            chunks.append(_parse_rows(reader, number, addresses, number - 1))
             break
         else:
             reader = csv.reader(_lines([text]))   # one record per line
-            chunks += _parse_rows(reader, number, addresses, number - 1)
+            chunks.append(_parse_rows(reader, number, addresses, number - 1))
             number += reader.line_num
     return Packets.concatenate(chunks)
 

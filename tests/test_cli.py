@@ -243,6 +243,20 @@ def test_bad_model_value_exits_2(workspace, tmp_path, capsys, key, value):
     capsys.readouterr()
 
 
+def test_non_finite_residuals_exit_3_without_a_report(workspace, tmp_path, run_cli):
+    # output weights of alternating sign near the float64 limit: the
+    # predictions stay finite but their squared errors overflow
+    root, _ = workspace
+    doc = json.loads((root / "model.json").read_text())
+    doc["lstm"]["w_y"] = [(-1) ** k * 1e308 for k in range(len(doc["lstm"]["w_y"]))]
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    proc = run_cli(["detect", "model.json", str(root / "test.csv"), "--out", "r.csv"],
+                   tmp_path)
+    assert proc.returncode == 3
+    assert proc.stderr == "numeric error: window 10: non-finite residual\n"
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_epoch_timestamps_exit_2_before_allocating_windows(workspace, tmp_path, capsys):
     # windows count from t = 0: a Unix-epoch capture would need ~1.7e9 of them
     root, _ = workspace

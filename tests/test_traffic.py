@@ -147,26 +147,24 @@ def _text_outcome_matches_oracle(text, block):
 
 
 @settings(max_examples=300, deadline=None)
-@given(rows=st.lists(_ROW_TEXT, max_size=12), chunk=st.sampled_from([1, 3, 512]),
-       ends=st.sampled_from(_LINE_ENDS), final=st.booleans(), block=st.sampled_from(_BLOCKS))
+@given(rows=st.lists(_ROW_TEXT, max_size=12), ends=st.sampled_from(_LINE_ENDS),
+       final=st.booleans(), block=st.sampled_from(_BLOCKS))
 @example(rows=["0.5,10.0.0.1,192.168.0.1,TCP,64,1", "", "1.5,10.0.0.2,192.168.0.1,UDP,+5,0",
-               "2.5,10.0.0.2,192.168.0.1,ICMP, 5,0"], chunk=3, ends=("\r\n",), final=True,
-         block=40)
+               "2.5,10.0.0.2,192.168.0.1,ICMP, 5,0"], ends=("\r\n",), final=True, block=40)
 @example(rows=["0,10.0.0.1,192.168.0.1,TCP,64,0", "nan,10.0.0.1,192.168.0.1,TCP,64,0"],
-         chunk=512, ends=("\n",), final=False, block=7)
-@example(rows=["inf,10.0.0.1,192.168.0.1,TCP,64,0"], chunk=512, ends=("\r\n",), final=True,
+         ends=("\n",), final=False, block=7)
+@example(rows=["inf,10.0.0.1,192.168.0.1,TCP,64,0"], ends=("\r\n",), final=True,
          block=traffic.PARSE_BLOCK_CHARS)
-@example(rows=["0,10.0.0.1,192.168.0.1,TCP,9223372036854775808,0"], chunk=512, ends=("\n",),
+@example(rows=["0,10.0.0.1,192.168.0.1,TCP,9223372036854775808,0"], ends=("\n",),
          final=True, block=1)
 @example(rows=["", "", "0,10.0.0.1,192.168.0.1,TCP,64,0", "0,10.0.0.1,192.168.0.256,TCP,64,0"],
-         chunk=1, ends=("\n", "\r\n"), final=True, block=40)
-def test_parse_packets_matches_row_oracle(rows, chunk, ends, final, block):
-    # same rows, or an InputError naming the same line, at every chunk size
-    # for a list of lines and at every block size for the text of a file
+         ends=("\n", "\r\n"), final=True, block=40)
+def test_parse_packets_matches_row_oracle(rows, ends, final, block):
+    # same rows, or an InputError naming the same line, for a list of
+    # lines and at every block size for the text of a file
     lines = [HEADER, *rows]
-    with mock.patch.object(traffic, "_CSV_CHUNK_ROWS", chunk):
-        assert _outcome(parse_packets, lines) == _outcome(naive_parse_packets, lines)
-        assert _text_outcome_matches_oracle(_as_text(lines, ends, final), block)
+    assert _outcome(parse_packets, lines) == _outcome(naive_parse_packets, lines)
+    assert _text_outcome_matches_oracle(_as_text(lines, ends, final), block)
 
 
 _GOOD_ROW = "0.5,10.0.0.1,192.168.0.1,TCP,64,1"
@@ -263,9 +261,26 @@ def test_plain_capture_bypasses_csv_reader(tmp_path):
         write_packets_csv(path, packets)
         for block in (1 << 12, traffic.PARSE_BLOCK_CHARS):
             with (mock.patch.object(traffic, "PARSE_BLOCK_CHARS", block),
-                  mock.patch.object(traffic, "_parse_chunk", side_effect=AssertionError),
+                  mock.patch.object(traffic, "_check_row", side_effect=AssertionError),
                   open(path, newline="") as handle):
                 assert parse_packets(handle) == packets
+
+
+def test_capture_without_plain_blocks_parses_as_plain(tmp_path):
+    # a blank line after every 100th row leaves no block plain, so each
+    # row of the file goes through csv.reader and _check_row
+    packets, _ = generate_traffic(preset_scenario("mixed"), np.random.default_rng(1))
+    path = tmp_path / "packets.csv"
+    write_packets_csv(path, packets)
+    with open(path, newline="") as handle:
+        header, *rows = handle.read().splitlines(keepends=True)
+    lines = [header, *(row + "\r\n" * (k % 100 == 99) for k, row in enumerate(rows))]
+    path.write_text("".join(lines), newline="")
+    with (mock.patch.object(traffic, "_check_row", wraps=traffic._check_row) as check,
+          open(path, newline="") as handle):
+        assert parse_packets(handle) == packets
+    assert check.call_count == len(packets)
+    assert parse_packets(lines) == packets
 
 
 def test_packets_row_adapter_round_trip():
