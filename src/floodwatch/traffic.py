@@ -53,12 +53,12 @@ MAX_WINDOWS = 10**6
 # Characters that parse_packets takes from a file as one block, at the
 # least (see _text_blocks). A plain block (see _plain_packets) costs a
 # fixed number of numpy calls plus a share per row, and needs scratch
-# arrays of about eight times its size.
-# On the one-hour capture (504k rows, 2 CPUs, 8 alternated runs) the
-# parse took 0.96 s with 64 KiB blocks, 0.88 s with 128 KiB, 0.81 s with
-# 256 KiB and 0.80 s with 1 MiB; parsing the 60k-row syn10 capture
-# peaked at 3.2, 3.3, 4.3 and 12.7 MiB of allocations (6.3 MiB with 64 KiB
-# blocks when every block goes through csv.reader).
+# arrays of about nine times its size.
+# On the one-hour capture (504k rows, 2 CPUs, 12 interleaved runs, one
+# process each) the parse took 0.68 s with 64 KiB blocks, 0.55 s with
+# 128 KiB, 0.50 s with 256 KiB and 0.52 s with 1 MiB; parsing the 60k-row
+# syn10 capture peaked at 2.3, 3.0, 4.5 and 13.6 MiB of allocations
+# (2.3 MiB with 64 KiB blocks when every block goes through csv.reader).
 PARSE_BLOCK_CHARS = 1 << 18
 
 # Characters that parse_packets asks a file for at once, as many as a
@@ -165,11 +165,6 @@ class Packets:
                    dst=[r.dst_ip for r in records],
                    proto=[_PROTOCOL_CODES[r.protocol.value] for r in records],
                    length=[r.length for r in records], syn=[r.syn_flag for r in records])
-
-    @classmethod
-    def concatenate(cls, parts) -> "Packets":
-        columns = [np.concatenate(c) for c in zip(*(part.columns() for part in parts))]
-        return cls(*columns) if columns else cls.from_records([])
 
     def columns(self) -> tuple:
         return self.ts, self.src, self.dst, self.proto, self.length, self.syn
@@ -452,6 +447,57 @@ def _decimals(buf, end, width, most: int) -> np.ndarray | None:
     return None if bad.any() else value
 
 
+# D / 10**k, for D < 10**19 and k <= 27, is exact or rounds once where long
+# double is the x87 80-bit format (63 fraction bits) or IEEE binary128
+# (112): D and 10**k fit its significand (5**27 < 2**63), and it rounds
+# each division correctly. A plain double (52) is too narrow, and IBM
+# double-double (105) does not round division correctly.
+_EXACT_QUOTIENTS = np.finfo(np.longdouble).nmant in (63, 112)
+_POW10 = np.array([10**k for k in range(19)], np.uint64)
+_POW10_LD = np.multiply.accumulate(np.array([1] + [10] * 27, np.longdouble))  # exact products
+
+
+def _timestamps(padded, words, starts, dots, ends) -> np.ndarray:
+    """The timestamp fields [starts, ends) of a block's bytes as ``float``
+    reads them, ``dots`` being each field's dot or its end; ValueError
+    where ``float`` raises. The bytes are those of ``padded`` after its
+    first _TS_WIDTH, and ``words`` views them as in _field_words.
+
+    A field of digits with at most one dot, whose digits form an integer D
+    below 10**19 with k <= 27 of them after the dot, is D / 10**k divided
+    in long double and rounded to float64 (see _EXACT_QUOTIENTS). Every
+    point halfway between two doubles fits the long double significand,
+    so its rounding moves no quotient across one, and the second rounding
+    gives ``float``'s value unless the quotient lies on one. Such
+    quotients and all other fields go through ``float`` one by one, as
+    does every field where long double does not qualify."""
+    slow = np.ones(starts.size, bool)
+    ts = np.empty(starts.size)
+    if _EXACT_QUOTIENTS:
+        has_dot = dots < ends
+        k = ends - dots - has_dot                       # digits after the dot
+        width = ends - starts - has_dot                 # digits in all
+        size = int(np.max(ends - starts, initial=1))
+        # row i: byte i from the right of each field; then digit i, past
+        # the dot; the bytes before a field are zeroed
+        tails = np.ndarray((padded.size - size + 1, size), np.uint8, padded, strides=(1, 1))
+        digit = np.ascontiguousarray(tails[ends + (_TS_WIDTH - size)].T[::-1])
+        digit -= np.uint8(ord("0"))                     # bytes below "0" wrap past 9
+        i = np.arange(size)[:, None]
+        digit[:-1] = np.where(i[:-1] < np.where(has_dot, k, size), digit[:-1], digit[1:])
+        digit *= i < width
+        slow = (digit.max(axis=0) > 9) | digit[19:].any(axis=0) | (width < 1) | (k > 27)
+        quotient = ((_POW10[:size] @ digit[:19]).astype(np.longdouble)
+                    / _POW10_LD[np.minimum(k, 27)])
+        ts = quotient.astype(np.float64)
+        off = (quotient - ts).astype(np.float64)       # exact: a few bits, near ts
+        slow |= 2 * np.abs(off) == np.abs(np.nextafter(ts, np.copysign(np.inf, off)) - ts)
+    if slow.any():
+        text = _field_words(words, starts[slow], ends[slow], _TS_WIDTH).view(f"S{_TS_WIDTH}")
+        ts[slow] = np.fromiter(map(float, text.ravel().tolist()), np.float64)
+    return ts
+
+
 def _line_fields(buf, size: int) -> tuple | None:
     """Where the fields of the lines of ``buf[:size]`` lie, or None unless
     each line holds five commas and, from its first comma to its third,
@@ -460,12 +506,15 @@ def _line_fields(buf, size: int) -> tuple | None:
 
     Returns the lines' starts, their ends (before any CR), a (9, n) array
     of the first three commas with the dots between them, which bound the
-    eight octets of the two addresses, and the last two commas."""
+    eight octets of the two addresses, the last two commas, and where a
+    timestamp holds one byte below "0" and that is a dot, the dot, else
+    the first comma."""
     # the bytes below "0": line ends, commas, dots and any other punctuation
     marks = np.flatnonzero(buf[:size] < ord("0"))
     kind = buf[marks]
-    ends = marks[kind == ord("\n")]
+    lf = np.flatnonzero(kind == ord("\n"))               # the line ends' places among the marks
     at = np.flatnonzero(kind == ord(","))               # the commas' places among the marks
+    ends = marks[lf]
     n = ends.size
     if at.size != 5 * n:
         return None
@@ -480,7 +529,10 @@ def _line_fields(buf, size: int) -> tuple | None:
     if not (np.all(at[2] - at[0] == 8)
             and np.all(kind[between] == np.frombuffer(b",...,...,", np.uint8)[:, None])):
         return None
-    return starts, ends - crlf, marks[between], marks[at[3]], marks[at[4]]
+    first = np.concatenate(([0], lf[:-1] + 1))          # each line's first mark
+    one_dot = (at[0] - first == 1) & (kind[first] == ord("."))
+    dots = marks[np.where(one_dot, first, at[0])]
+    return starts, ends - crlf, marks[between], marks[at[3]], marks[at[4]], dots
 
 
 def _plain_packets(text: str) -> Packets | None:
@@ -495,18 +547,20 @@ def _plain_packets(text: str) -> Packets | None:
     length of 1 to 19 ASCII digits in [1, 2**63 - 1] and a syn of 0 or
     1. csv.reader would split each such line at its five commas, so the
     fields are the same texts, and each value is the one the row path
-    converts: every value but the timestamps is computed from the bytes
-    by numpy. Nothing is kept from one block to the next."""
+    converts: numpy computes every value from the bytes, a timestamp by
+    long double division where _timestamps can, and ``float`` reads the
+    few other timestamps. Nothing is kept from one block to the next."""
     if not text.isascii() or '"' in text or "\0" in text:
         return None
     if not text.endswith("\n"):
         text += "\n"
-    buf = np.zeros(len(text) + _TS_WIDTH, np.uint8)       # zero-filled past the text
+    padded = np.zeros(_TS_WIDTH + len(text) + _TS_WIDTH, np.uint8)
+    buf = padded[_TS_WIDTH:]                    # zero-filled before and past the text
     buf[:len(text)] = np.frombuffer(text.encode("ascii"), np.uint8)
     fields = _line_fields(buf, len(text))
     if fields is None:
         return None
-    starts, ends, bounds, c3, c4 = fields
+    starts, ends, bounds, c3, c4, dots = fields
     n, c0, c2 = starts.size, bounds[0], bounds[8]
     # no field is wider than _TS_WIDTH: the checks below hold the others to 19 bytes
     if np.max(c0 - starts) > _TS_WIDTH or _TS_WIDTH > csv.field_size_limit():
@@ -525,8 +579,7 @@ def _plain_packets(text: str) -> Packets | None:
             or np.any(ends - c4 != 2) or np.any(syn > 1)):
         return None
     try:
-        ts = _field_words(words, starts, c0, _TS_WIDTH).view(f"S{_TS_WIDTH}").ravel()
-        ts = np.fromiter(map(float, ts.tolist()), np.float64, n)
+        ts = _timestamps(padded, words, starts, dots, c0)
     except ValueError:
         return None
     if not np.all(np.isfinite(ts) & (ts >= 0)):
@@ -597,13 +650,15 @@ def parse_packets(lines) -> Packets:
     input order, unsorted.
 
     A file is read in blocks (see _text_blocks). A plain block (see
-    _plain_packets) is split into fields and converted by numpy, but for
-    its timestamps, which ``float`` reads one by one. Any other block, a
-    block with a row that breaks a rule, and an iterable of lines go
-    through csv.reader, and _check_row checks and converts each of its
-    rows before the next is read, so the error names the first bad row.
-    After a block with a double quote, whose quoted fields may hold line
-    ends, csv.reader reads the rest.
+    _plain_packets) is split into fields and converted by numpy,
+    timestamps included; ``float`` reads only the few timestamps that
+    _timestamps cannot convert exactly, such as ``5e-05``. Any other
+    block, a block with a row that breaks a rule, and an iterable of
+    lines go through csv.reader, and _check_row checks and converts each
+    of its rows before the next is read, so the error names the first bad
+    row. After a block with a double quote, whose quoted fields may hold
+    line ends, csv.reader reads the rest. The blocks' columns are joined
+    one column at a time (see _joined).
     """
     addresses = _Memo(parse_ip)
     if not hasattr(lines, "read"):
@@ -620,17 +675,17 @@ def parse_packets(lines) -> Packets:
             continue
         packets = _plain_packets(text)
         if packets is not None:
-            chunks.append(packets)
+            chunks.append(list(packets.columns()))
             number += len(packets)
         elif '"' in text:
             reader = csv.reader(_lines(itertools.chain([text], blocks)))
-            chunks.append(_parse_rows(reader, number, addresses, number - 1))
+            chunks.append(list(_parse_rows(reader, number, addresses, number - 1).columns()))
             break
         else:
             reader = csv.reader(_lines([text]))   # one record per line
-            chunks.append(_parse_rows(reader, number, addresses, number - 1))
+            chunks.append(list(_parse_rows(reader, number, addresses, number - 1).columns()))
             number += reader.line_num
-    return Packets.concatenate(chunks)
+    return _joined(chunks)
 
 
 def _rows_text(packets: Packets, names: _Memo) -> str:
@@ -720,20 +775,28 @@ def _poisson_arrivals(rng, rate: float, start: float, end: float) -> np.ndarray:
     return arrivals
 
 
-def _in_time_order(parts: list[list]) -> Packets:
+def _joined(parts: list[list]) -> Packets:
     """The packets of ``parts``, each a list of the six columns of some
-    packets, by timestamp; ties keep their order, as _time_ordered keeps
-    it. A column of every part is dropped once it has been copied, so the
-    parts and their concatenation are never held in full at once."""
-    ts = np.concatenate([part[0] for part in parts])
-    order = None if np.all(ts[:-1] <= ts[1:]) else np.argsort(ts, kind="stable")
+    packets, in order. A column of every part is dropped once it has been
+    copied, so the parts and their concatenation are never held in full
+    at once."""
     columns = []
-    for k in range(len(_COLUMN_DTYPES)):
-        column = ts if k == 0 else np.concatenate([part[k] for part in parts])
+    for k, dtype in enumerate(_COLUMN_DTYPES):
+        columns.append(np.concatenate([np.empty(0, dtype)] + [part[k] for part in parts]))
         for part in parts:
             part[k] = None
-        columns.append(column if order is None else column[order])
     return Packets(*columns)
+
+
+def _in_time_order(parts: list[list]) -> Packets:
+    """The packets of ``parts`` (see _joined) by timestamp; ties keep their
+    order, as _time_ordered keeps it. Each column is reordered in turn."""
+    packets = _joined(parts)
+    if not np.all(packets.ts[:-1] <= packets.ts[1:]):
+        order = np.argsort(packets.ts, kind="stable")
+        for column in fields(Packets):
+            setattr(packets, column.name, getattr(packets, column.name)[order])
+    return packets
 
 
 def generate_traffic(scenario: Scenario, rng: np.random.Generator,
@@ -841,23 +904,40 @@ def windowize(packets: Packets, window_len: float) -> Windows:
     return Windows(packets, np.searchsorted(index, np.arange(count + 1)))
 
 
-def _entropies(window: np.ndarray, address: np.ndarray, count: np.ndarray) -> np.ndarray:
+def _entropies(address: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """Per window, the Shannon entropy (bits) of its address distribution
     divided by log2(max(distinct, 2)), so it lies in [0, 1]; 0 for an
-    empty window.
+    empty window. ``address`` holds the addresses of time-ordered packets
+    that ``bounds`` cuts into windows, as in Windows.
 
-    np.unique sorts the (window, address) keys, so each window's terms
-    are summed in address order whatever order the packets came in.
+    Each key holds its window above its address, so the sorted keys keep
+    the packets' windows in place and sum each window's terms in address
+    order whatever order the packets came in. Each array is dropped once
+    used: the keys and the distinct keys' places are each about the size
+    of a packet column.
     """
-    keys, per_key = np.unique((window.astype(np.uint64) << 32) | address,
-                              return_counts=True)
-    key_window = (keys >> 32).astype(np.intp)
-    starts = np.flatnonzero(np.diff(key_window, prepend=-1))
-    p = per_key / count[key_window]
+    count = np.diff(bounds)
+    seen = count > 0
+    keys = np.repeat(np.arange(count.size, dtype=np.uint64) << np.uint64(32), count)
+    keys |= address
+    keys.sort()
+    new = np.ones(keys.size + 1, bool)              # a key unlike the one before, and the end
+    np.not_equal(keys[1:], keys[:-1], out=new[1:-1])
+    del keys
+    edges = np.flatnonzero(new)                     # each distinct key's first place, and the end
+    del new
+    per_key = np.diff(edges)
+    starts = np.searchsorted(edges, bounds[:-1][seen])      # each window's first distinct key
+    del edges
+    distinct = np.diff(starts, append=per_key.size)
+    p = np.repeat(count[seen].astype(np.float64), distinct)
+    np.divide(per_key, p, out=p)
+    del per_key
+    terms = np.log2(p)
+    terms *= p
     entropy = np.zeros(count.size)
-    distinct = np.diff(starts, append=keys.size)
-    entropy[key_window[starts]] = ((0.0 - np.add.reduceat(p * np.log2(p), starts))
-                                   / np.log2(np.maximum(distinct, 2)))
+    entropy[seen] = ((0.0 - np.add.reduceat(terms, starts))
+                     / np.log2(np.maximum(distinct, 2)))
     return entropy
 
 
@@ -865,27 +945,34 @@ def feature_matrix(windows: Windows) -> np.ndarray:
     """Per-window features as an (n_windows, 8) matrix in FEATURE_NAMES
     order; an empty window is all zeros.
 
-    Counts are exact; byte counts are float sums, exact below 2**53
-    bytes per window. The SYN fraction counts TCP packets only.
+    Counts come from the window bounds and are exact. Per-window sums are
+    taken with np.add.reduceat from each non-empty window's first packet,
+    as the empty windows between add nothing; byte counts are float64
+    sums, exact below 2**53 bytes per window. The SYN fraction counts TCP
+    packets only.
     """
     n = len(windows)
     packets = windows.packets
-    window = np.repeat(np.arange(n), np.diff(windows.bounds))
-    count = np.bincount(window, minlength=n)
-    byte_count = np.bincount(window, weights=packets.length, minlength=n)
+    count = np.diff(windows.bounds)
     seen = count > 0
+    starts = windows.bounds[:-1][seen]
+
+    def per_window(values, dtype):
+        out = np.zeros(n)
+        out[seen] = np.add.reduceat(values, starts, dtype=dtype)
+        return out
 
     def fraction(mask):
-        out = np.zeros(n)
-        out[seen] = np.bincount(window[mask], minlength=n)[seen] / count[seen]
+        out = per_window(mask, np.intp)
+        out[seen] /= count[seen]
         return out
 
     matrix = np.zeros((n, NUM_FEATURES))
     matrix[:, 0] = count
-    matrix[:, 1] = byte_count
-    matrix[seen, 2] = byte_count[seen] / count[seen]
-    matrix[:, 3] = _entropies(window, packets.src, count)
-    matrix[:, 4] = _entropies(window, packets.dst, count)
+    matrix[:, 1] = per_window(packets.length, np.float64)
+    matrix[seen, 2] = matrix[seen, 1] / count[seen]
+    matrix[:, 3] = _entropies(packets.src, windows.bounds)
+    matrix[:, 4] = _entropies(packets.dst, windows.bounds)
     matrix[:, 5] = fraction((packets.proto == TCP) & packets.syn)
     matrix[:, 6] = fraction(packets.proto == UDP)
     matrix[:, 7] = fraction(packets.proto == ICMP)

@@ -283,6 +283,83 @@ def test_capture_without_plain_blocks_parses_as_plain(tmp_path):
     assert parse_packets(lines) == packets
 
 
+def _parsed_stamps(stamps):
+    """The ts column of a file whose rows carry ``stamps``."""
+    rows = "".join(f"{stamp},10.0.0.1,192.168.0.1,TCP,64,0\n" for stamp in stamps)
+    return parse_packets(io.StringIO(HEADER + "\n" + rows, newline="")).ts
+
+
+def _digit_string(digits, dot):
+    return digits if dot is None else digits[:dot] + "." + digits[dot:]
+
+
+def _digits_with_dot(sizes):
+    """Strings of a number of digits drawn from ``sizes``, with a dot
+    anywhere in them or none."""
+    return sizes.flatmap(lambda size: st.builds(
+        _digit_string, st.text("0123456789", min_size=size, max_size=size),
+        st.none() | st.integers(0, size)))
+
+
+def _halfway(m, e):
+    """(2m+1) * 2**(e-1), halfway between the doubles m * 2**e and
+    (m+1) * 2**e, written out in full."""
+    if e >= 1:
+        return str((2 * m + 1) << (e - 1))
+    places = 1 - e                              # (2m+1) * 5**places / 10**places
+    digits = str((2 * m + 1) * 5**places).rjust(places + 1, "0")
+    return digits[:-places] + "." + digits[-places:]
+
+
+_STAMPS = st.one_of(
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(repr),
+    _digits_with_dot(st.integers(1, 19)),
+    _digits_with_dot(st.integers(20, 31)),
+    st.builds(str.__add__, st.text("0", min_size=1, max_size=12),
+              _digits_with_dot(st.integers(1, 19))),
+    st.builds(_halfway, st.integers(2**52, 2**53 - 1), st.integers(-70, 12)),
+    st.sampled_from(["5e-05", "1E3", "1.", ".5", "-0.0", "+1", "1_0"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stamps=st.lists(_STAMPS, min_size=1, max_size=60))
+@example(stamps=["17.53832141", ".1618207698", "4503599627370496.25", "9007199254740993",
+                 "0.00012345678901234567", "0000000000000000000000000000001.5"])
+def test_parsed_timestamps_are_float_bit_for_bit(stamps):
+    # the first four lie halfway between two doubles as long double
+    # quotients (the first two only once rounded), so they must reach float
+    expected = np.array([float(stamp) for stamp in stamps])
+    npt.assert_array_equal(_parsed_stamps(stamps).view(np.uint64), expected.view(np.uint64))
+
+
+def _float_calls(path):
+    """The Packets of the file at ``path`` and how many values ``float``
+    converted on the way."""
+    with (mock.patch.object(traffic, "float", wraps=float, create=True) as convert,
+          open(path, newline="") as handle):
+        return parse_packets(handle), convert.call_count
+
+
+def test_timestamps_rarely_reach_float(tmp_path):
+    packets, _ = generate_traffic(preset_scenario("mixed"), np.random.default_rng(1))
+    path = tmp_path / "packets.csv"
+    write_packets_csv(path, packets)
+    parsed, calls = _float_calls(path)
+    assert parsed == packets
+    assert calls < len(packets) / 1000
+
+
+def test_narrow_long_double_reads_every_timestamp_with_float(tmp_path):
+    packets, _ = generate_traffic(preset_scenario("syn10"), np.random.default_rng(2))
+    path = tmp_path / "packets.csv"
+    write_packets_csv(path, packets)
+    with mock.patch.object(traffic, "_EXACT_QUOTIENTS", False):
+        parsed, calls = _float_calls(path)
+    assert parsed == packets
+    assert calls == len(packets)
+
+
 def test_packets_row_adapter_round_trip():
     packets, _ = generate_traffic(preset_scenario("syn10"), np.random.default_rng(3))
     rows = list(packets)
@@ -393,6 +470,22 @@ def test_feature_matrix_matches_counter_oracle(variant):
     if variant == "shuffled":
         npt.assert_array_equal(
             matrix, feature_matrix(windowize(packets[np.argsort(packets.ts)], 1.0)))
+
+
+def test_feature_matrix_sums_lengths_past_int64():
+    # byte sums of 2**63 - 1 byte packets are float sums, not wrapped int64
+    # ones; windows 1, 2 and 4 are empty
+    top = 2**63 - 1
+    packets = Packets.from_records([
+        packet(0.1, src=1, length=top), packet(0.2, src=2, length=top),
+        packet(3.1, src=1, length=top), packet(3.2, src=1, length=5, proto=Protocol.UDP),
+        packet(5.5, src=3, length=top, proto=Protocol.ICMP)])
+    matrix = feature_matrix(windowize(packets, 1.0))
+    expected = _oracle_matrix(packets)
+    assert matrix.shape == (6, 8)
+    npt.assert_array_equal(matrix[:, 1], [float(2 * top), 0, 0, float(top + 5), 0, float(top)])
+    npt.assert_array_equal(matrix[:, [0, 1, 2, 5, 6, 7]], expected[:, [0, 1, 2, 5, 6, 7]])
+    npt.assert_allclose(matrix[:, 3:5], expected[:, 3:5], rtol=0, atol=1e-12)
 
 
 def test_fit_normalizer_extrapolates():
