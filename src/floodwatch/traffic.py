@@ -490,7 +490,9 @@ def _timestamps(padded, words, starts, dots, ends) -> np.ndarray:
         quotient = ((_POW10[:size] @ digit[:19]).astype(np.longdouble)
                     / _POW10_LD[np.minimum(k, 27)])
         ts = quotient.astype(np.float64)
-        off = (quotient - ts).astype(np.float64)       # exact: a few bits, near ts
+        # exact in x87 format (11 bits); in binary128 its rounding can only
+        # send more quotients to float
+        off = (quotient - ts).astype(np.float64)
         slow |= 2 * np.abs(off) == np.abs(np.nextafter(ts, np.copysign(np.inf, off)) - ts)
     if slow.any():
         text = _field_words(words, starts[slow], ends[slow], _TS_WIDTH).view(f"S{_TS_WIDTH}")
