@@ -69,11 +69,6 @@ def pretrain(dbn: DbnModel, data, config: CdConfig,
     already-trained layers 0..k-1. Earlier layers are never revisited.
     Returns the trained stack and one error trace per layer.
     """
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2 or data.shape[1] != dbn.input_dim:
-        raise InputError(
-            f"data must be 2-d with {dbn.input_dim} columns, got shape {data.shape}"
-        )
     trained: list[RbmParams] = []
     traces: list[np.ndarray] = []
     current = data
@@ -92,13 +87,9 @@ def transform(dbn: DbnModel, v) -> np.ndarray:
     """Deterministic top-layer code of one input vector (or matrix of rows).
 
     Composes hidden_given_visible across the stack using probabilities,
-    so every output entry lies in (0, 1) and no RNG is involved.
+    so every output entry lies in (0, 1) and no RNG is involved. Layer
+    0's conditional checks the input's shape.
     """
-    x = np.asarray(v, dtype=np.float64)
-    if x.ndim not in (1, 2) or x.shape[-1] != dbn.input_dim:
-        raise InputError(
-            f"input must have {dbn.input_dim} entries per vector, got shape {x.shape}"
-        )
     for layer in dbn.layers:
-        x = hidden_given_visible(layer, x)
-    return x
+        v = hidden_given_visible(layer, v)
+    return v

@@ -505,16 +505,17 @@ def _loss(params: Stack, groups) -> tuple[float, list[np.ndarray]]:
     d_preds = []
     for indices, work, targets in groups:
         steps, _, dim = targets.shape
-        preds = forward(params, work)
-        bad = ~np.isfinite(preds).all(axis=(0, 2))
-        if bad.any():
-            raise NumericError(
-                f"sequence {indices[int(np.argmax(bad))]}: non-finite forward output"
-            )
-        d_pred = preds - targets
-        loss_sum += float(np.sum(d_pred * d_pred)) / (steps * dim)
-        d_pred *= 2.0
-        d_pred /= steps * dim
+        with np.errstate(over="ignore", invalid="ignore"):     # checked here and in train_lstm
+            preds = forward(params, work)
+            bad = ~np.isfinite(preds).all(axis=(0, 2))
+            if bad.any():
+                raise NumericError(
+                    f"sequence {indices[int(np.argmax(bad))]}: non-finite forward output"
+                )
+            d_pred = preds - targets
+            loss_sum += float(np.sum(d_pred * d_pred)) / (steps * dim)
+            d_pred *= 2.0
+            d_pred /= steps * dim
         d_preds.append(d_pred)
     return loss_sum / sum(len(indices) for indices, _, _ in groups), d_preds
 

@@ -45,6 +45,10 @@ class RbmParams:
     hidden_bias: np.ndarray
 
     def __post_init__(self):
+        try:
+            self.kind = RbmKind(self.kind)
+        except ValueError:
+            raise InputError(f"unknown RBM kind {self.kind!r}") from None
         self.weights = np.array(self.weights, dtype=np.float64)
         self.visible_bias = np.array(self.visible_bias, dtype=np.float64)
         self.hidden_bias = np.array(self.hidden_bias, dtype=np.float64)
@@ -197,6 +201,9 @@ def cd1_step(params: RbmParams, batch, learning_rate: float,
     reconstruction. Per-entry updates are the phase difference divided
     by the batch size, scaled by the learning rate.
 
+    The batch is checked once on entry and the update once at the end;
+    in between are the formulas of the conditionals and ``sample_binary``.
+
     Returns the updated parameters and the mean squared reconstruction
     error of the batch.
     """
@@ -207,29 +214,27 @@ def cd1_step(params: RbmParams, batch, learning_rate: float,
         )
     if batch.shape[0] == 0:
         raise InputError("batch must not be empty")
+    require_finite(batch, "visible state")
     size = batch.shape[0]
-
-    pos_hidden = hidden_given_visible(params, batch)
-    hidden_sample = sample_binary(pos_hidden, rng)
-    recon = visible_given_hidden(params, hidden_sample)
-    neg_hidden = hidden_given_visible(params, recon)
-
-    delta_w = (batch.T @ pos_hidden - recon.T @ neg_hidden) / size
-    delta_vb = np.sum(batch - recon, axis=0) / size
-    delta_hb = np.sum(pos_hidden - neg_hidden, axis=0) / size
-
-    weights = params.weights + learning_rate * delta_w
-    visible_bias = params.visible_bias + learning_rate * delta_vb
-    hidden_bias = params.hidden_bias + learning_rate * delta_hb
-    for name, arr in (("weights", weights), ("visible bias", visible_bias),
-                      ("hidden bias", hidden_bias)):
+    w = params.weights
+    with np.errstate(over="ignore", invalid="ignore"):     # checked below
+        pos_hidden = sigmoid(batch @ w + params.hidden_bias)
+        hidden_sample = (rng.random(pos_hidden.shape) < pos_hidden).astype(np.float64)
+        recon = hidden_sample @ w.T + params.visible_bias
+        if params.kind is RbmKind.BERNOULLI_BERNOULLI:
+            recon = sigmoid(recon)
+        neg_hidden = sigmoid(recon @ w + params.hidden_bias)
+        delta_w = (batch.T @ pos_hidden - recon.T @ neg_hidden) / size
+        delta_vb = np.sum(batch - recon, axis=0) / size
+        delta_hb = np.sum(pos_hidden - neg_hidden, axis=0) / size
+        update = {"weights": w + learning_rate * delta_w,
+                  "visible_bias": params.visible_bias + learning_rate * delta_vb,
+                  "hidden_bias": params.hidden_bias + learning_rate * delta_hb}
+        error = float(np.mean((batch - recon) ** 2))
+    for name, arr in update.items():
         if not np.all(np.isfinite(arr)):
-            raise NumericError(f"CD-1 update produced non-finite {name}")
-
-    error = float(np.mean((batch - recon) ** 2))
-    updated = RbmParams(kind=params.kind, weights=weights,
-                        visible_bias=visible_bias, hidden_bias=hidden_bias)
-    return updated, error
+            raise NumericError(f"CD-1 update produced non-finite {name.replace('_', ' ')}")
+    return RbmParams(kind=params.kind, **update), error
 
 
 def train_rbm(params: RbmParams, data, config: CdConfig,

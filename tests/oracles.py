@@ -1,15 +1,18 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is written with plain Python loops and the math module,
-deliberately avoiding the vectorized code paths under test. Slow is
-fine; these run on tiny instances.
+Everything here but ``naive_cd1_step`` is written with plain Python
+loops and the math module, deliberately avoiding the vectorized code
+paths under test. Slow is fine; these run on tiny instances.
 """
 
 import csv
 import math
 from collections import Counter
 
+import numpy as np
+
 from floodwatch.errors import InputError
+from floodwatch.rbm import hidden_given_visible, sample_binary, visible_given_hidden
 
 
 def naive_energy_bernoulli(w, b, a, v, h):
@@ -73,6 +76,29 @@ def enum_visible_conditional(w, b, a, h):
             if v[i] == 1:
                 numer[i] += weight
     return [n / denom for n in numer]
+
+
+def naive_cd1_step(params, batch, learning_rate, rng):
+    """CD-1 composed from the checked public pieces: hidden_given_visible
+    twice, sample_binary and visible_given_hidden, each of which validates
+    its own input. Unlike the rest of this module it reuses vectorized
+    code, because the step's value lies in how the pieces are wired;
+    the pieces themselves are checked against enumeration above.
+    Returns (weights, visible_bias, hidden_bias, error).
+    """
+    batch = np.asarray(batch, dtype=np.float64)
+    size = batch.shape[0]
+    pos_hidden = hidden_given_visible(params, batch)
+    hidden_sample = sample_binary(pos_hidden, rng)
+    recon = visible_given_hidden(params, hidden_sample)
+    neg_hidden = hidden_given_visible(params, recon)
+    delta_w = (batch.T @ pos_hidden - recon.T @ neg_hidden) / size
+    delta_vb = np.sum(batch - recon, axis=0) / size
+    delta_hb = np.sum(pos_hidden - neg_hidden, axis=0) / size
+    return (params.weights + learning_rate * delta_w,
+            params.visible_bias + learning_rate * delta_vb,
+            params.hidden_bias + learning_rate * delta_hb,
+            float(np.mean((batch - recon) ** 2)))
 
 
 def _sig(x):

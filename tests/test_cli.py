@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -255,6 +256,24 @@ def test_non_finite_residuals_exit_3_without_a_report(workspace, tmp_path, run_c
     assert proc.returncode == 3
     assert proc.stderr == "numeric error: window 10: non-finite residual\n"
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("override, stderr", [
+    ({"rbm_learning_rate": 10},
+     r"numeric error: layer 0: epoch \d+, batch \d+: CD-1 update produced non-finite weights\n"),
+    ({"lstm_learning_rate": 1e300}, r"numeric error: epoch 1: non-finite loss\n"),
+], ids=["rbm", "lstm"])
+def test_divergent_training_exits_3_with_one_line(workspace, tmp_path, run_cli,
+                                                   override, stderr):
+    # the overflow on the way to the non-finite update must not print
+    # numpy RuntimeWarnings ahead of the error line
+    root, _ = workspace
+    (tmp_path / "config.json").write_text(json.dumps({"dbn_sizes": [8, 8], **override}))
+    proc = run_cli(["train", str(root / "train.csv"), "--config", "config.json",
+                    "--out", "model.json"], tmp_path)
+    assert proc.returncode == 3
+    assert re.fullmatch(stderr, proc.stderr), proc.stderr
+    assert not (tmp_path / "model.json").exists()
 
 
 def test_epoch_timestamps_exit_2_before_allocating_windows(workspace, tmp_path, capsys):

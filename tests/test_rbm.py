@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from floodwatch.errors import InputError
+from floodwatch.errors import InputError, NumericError
 from floodwatch.numerics import sigmoid
 from floodwatch.rbm import (
     CdConfig,
@@ -20,6 +22,7 @@ from floodwatch.rbm import (
 from oracles import (
     enum_hidden_conditional,
     enum_visible_conditional,
+    naive_cd1_step,
     naive_energy_bernoulli,
     naive_energy_gaussian,
 )
@@ -212,6 +215,100 @@ def test_cd1_step_deterministic():
     second = cd1_step(params, FOUR_PATTERNS, 0.05, np.random.default_rng(5))
     npt.assert_array_equal(first[0].weights, second[0].weights)
     assert first[1] == second[1]
+
+
+def random_batch(kind, size, seed):
+    rng = np.random.default_rng(seed)
+    if kind is RbmKind.GAUSSIAN_BERNOULLI:
+        return rng.normal(0.0, 1.0, (size, 6))
+    return (rng.random((size, 6)) < 0.5).astype(np.float64)
+
+
+@pytest.mark.parametrize("kind", list(RbmKind))
+@pytest.mark.parametrize("size", [1, 5, 32])
+@pytest.mark.parametrize("learning_rate", [0.0, 0.05])
+def test_cd1_step_matches_composed_oracle(kind, size, learning_rate):
+    for seed in range(4):
+        params = random_params(kind, 6, 4, seed=seed)
+        batch = random_batch(kind, size, seed + 100)
+        updated, error = cd1_step(params, batch, learning_rate, np.random.default_rng(seed))
+        weights, visible_bias, hidden_bias, want_error = naive_cd1_step(
+            params, batch, learning_rate, np.random.default_rng(seed))
+        npt.assert_array_equal(updated.weights, weights)
+        npt.assert_array_equal(updated.visible_bias, visible_bias)
+        npt.assert_array_equal(updated.hidden_bias, hidden_bias)
+        assert error == want_error
+        assert updated.kind is kind
+
+
+@pytest.mark.parametrize("kind", list(RbmKind))
+def test_train_rbm_matches_oracle_loop(kind):
+    # 20 rows in batches of 6: the last batch of each epoch holds 2 rows
+    params = random_params(kind, 6, 4, seed=3, scale=0.1)
+    data = random_batch(kind, 20, seed=4)
+    config = CdConfig(learning_rate=0.05, epochs=3, batch_size=6)
+    trained, trace = train_rbm(params, data, config, np.random.default_rng(9))
+
+    rng = np.random.default_rng(9)
+    current = params
+    want_trace = []
+    for _ in range(config.epochs):
+        squared_sum = 0.0
+        for start in range(0, len(data), config.batch_size):
+            batch = data[start:start + config.batch_size]
+            *arrays, error = naive_cd1_step(current, batch, config.learning_rate, rng)
+            current = RbmParams(kind, *arrays)
+            squared_sum += error * len(batch)
+        want_trace.append(squared_sum / len(data))
+    npt.assert_array_equal(trained.weights, current.weights)
+    npt.assert_array_equal(trained.visible_bias, current.visible_bias)
+    npt.assert_array_equal(trained.hidden_bias, current.hidden_bias)
+    npt.assert_array_equal(trace, want_trace)
+
+
+def test_cd1_step_rejects_non_finite_batch():
+    params = random_params(RbmKind.GAUSSIAN_BERNOULLI, 6, 4, seed=1)
+    batch = random_batch(RbmKind.GAUSSIAN_BERNOULLI, 5, seed=2)
+    batch[3, 2] = np.nan
+    with pytest.raises(NumericError, match="^visible state contains non-finite values$"):
+        cd1_step(params, batch, 0.05, np.random.default_rng(0))
+
+
+def test_train_rbm_names_the_batch_with_non_finite_data():
+    params = random_params(RbmKind.GAUSSIAN_BERNOULLI, 6, 4, seed=1)
+    data = random_batch(RbmKind.GAUSSIAN_BERNOULLI, 12, seed=2)
+    data[7, 0] = np.inf
+    config = CdConfig(learning_rate=0.05, epochs=2, batch_size=3)
+    with pytest.raises(NumericError,
+                       match="^epoch 0, batch 2: visible state contains non-finite values$"):
+        train_rbm(params, data, config, np.random.default_rng(0))
+
+
+def test_diverging_train_rbm_names_epoch_and_batch():
+    # a learning rate this large overflows the weights within a few
+    # steps; no RuntimeWarning may escape on the way (pyproject turns
+    # them into errors)
+    params = random_params(RbmKind.GAUSSIAN_BERNOULLI, 6, 4, seed=1)
+    data = random_batch(RbmKind.GAUSSIAN_BERNOULLI, 12, seed=2)
+    config = CdConfig(learning_rate=1e100, epochs=50, batch_size=3)
+    with pytest.raises(NumericError) as info:
+        train_rbm(params, data, config, np.random.default_rng(0))
+    assert re.fullmatch(r"epoch \d+, batch \d: CD-1 update produced non-finite "
+                        r"(weights|visible bias|hidden bias)", str(info.value))
+
+
+def test_rbm_params_coerces_kind():
+    params = RbmParams(kind="bernoulli", weights=np.zeros((2, 1)),
+                       visible_bias=np.zeros(2), hidden_bias=np.zeros(1))
+    assert params.kind is RbmKind.BERNOULLI_BERNOULLI
+    npt.assert_array_equal(visible_given_hidden(params, [1.0]), [0.5, 0.5])
+
+
+@pytest.mark.parametrize("kind", [None, "poisson", 3, "BERNOULLI_BERNOULLI"])
+def test_rbm_params_rejects_unknown_kind(kind):
+    with pytest.raises(InputError, match="unknown RBM kind"):
+        RbmParams(kind=kind, weights=np.zeros((2, 1)),
+                  visible_bias=np.zeros(2), hidden_bias=np.zeros(1))
 
 
 def test_train_rbm_zero_epochs():
