@@ -7,123 +7,42 @@ window's code from recent history; windows whose prediction residual
 exceeds a calibrated mean + k*sigma threshold are flagged as attacks.
 """
 
-from .config import RunConfig, load_config
-from .dbn import DbnModel, new_dbn, pretrain, transform
-from .detector import (
-    DetectionReport,
-    DetectorModel,
-    FitSummary,
-    Metrics,
-    WindowScore,
-    calibrate_threshold,
-    detect,
-    evaluate,
-    fit,
-    fit_detailed,
-    score,
-)
-from .errors import InputError, NumericError
-from .lstm import (
-    LstmModel,
-    LstmState,
-    TrainConfig,
-    cell_forward,
-    grad_check,
-    init_lstm,
-    loss_mse,
-    sequence_forward,
-    train_lstm,
-)
-from .model_io import SCHEMA_VERSION, load_model, save_model
-from .rbm import (
-    CdConfig,
-    RbmKind,
-    RbmParams,
-    cd1_step,
-    energy_bernoulli,
-    energy_gaussian,
-    hidden_given_visible,
-    init_rbm,
-    sample_binary,
-    train_rbm,
-    visible_given_hidden,
-)
-from .traffic import (
-    FEATURE_NAMES,
-    AttackInterval,
-    AttackKind,
-    Normalizer,
-    PacketRecord,
-    Packets,
-    Protocol,
-    Scenario,
-    fit_normalizer,
-    generate_traffic,
-    normalize,
-    parse_packets,
-    preprocess,
-    preset_scenario,
-    standardize,
-    windowize,
-)
+import importlib
 
-__all__ = [
-    "AttackInterval",
-    "AttackKind",
-    "CdConfig",
-    "DbnModel",
-    "DetectionReport",
-    "DetectorModel",
-    "FEATURE_NAMES",
-    "FitSummary",
-    "InputError",
-    "LstmModel",
-    "LstmState",
-    "Metrics",
-    "Normalizer",
-    "NumericError",
-    "PacketRecord",
-    "Packets",
-    "Protocol",
-    "RbmKind",
-    "RbmParams",
-    "RunConfig",
-    "SCHEMA_VERSION",
-    "Scenario",
-    "TrainConfig",
-    "WindowScore",
-    "calibrate_threshold",
-    "cd1_step",
-    "cell_forward",
-    "detect",
-    "energy_bernoulli",
-    "energy_gaussian",
-    "evaluate",
-    "fit",
-    "fit_detailed",
-    "fit_normalizer",
-    "generate_traffic",
-    "grad_check",
-    "hidden_given_visible",
-    "init_lstm",
-    "init_rbm",
-    "load_config",
-    "load_model",
-    "loss_mse",
-    "new_dbn",
-    "normalize",
-    "parse_packets",
-    "preprocess",
-    "preset_scenario",
-    "pretrain",
-    "sample_binary",
-    "save_model",
-    "score",
-    "sequence_forward",
-    "standardize",
-    "train_lstm",
-    "train_rbm",
-    "transform",
-    "visible_given_hidden",
-    "windowize",
-]
+# Each public name and the module that defines it. A name is imported on
+# first use (PEP 562), so ``import floodwatch`` loads no numpy until a
+# numeric name is asked for.
+_MODULES = {
+    "config": ("RunConfig", "load_config"),
+    "dbn": ("DbnModel", "new_dbn", "pretrain", "transform"),
+    "detector": ("DetectorModel", "FitSummary", "calibrate_threshold", "detect", "fit",
+                 "fit_detailed", "score"),
+    "errors": ("InputError", "NumericError"),
+    "lstm": ("LstmModel", "LstmState", "TrainConfig", "cell_forward", "grad_check",
+             "init_lstm", "loss_mse", "sequence_forward", "train_lstm"),
+    "model_io": ("SCHEMA_VERSION", "load_model", "save_model"),
+    "rbm": ("CdConfig", "RbmKind", "RbmParams", "cd1_step", "energy_bernoulli",
+            "energy_gaussian", "hidden_given_visible", "init_rbm", "sample_binary",
+            "train_rbm", "visible_given_hidden"),
+    "report": ("DetectionReport", "Metrics", "WindowScore", "evaluate"),
+    "traffic": ("FEATURE_NAMES", "AttackInterval", "AttackKind", "Normalizer",
+                "PacketRecord", "Packets", "Protocol", "Scenario", "fit_normalizer",
+                "generate_traffic", "normalize", "parse_packets", "preprocess",
+                "preset_scenario", "standardize", "windowize"),
+}
+_MODULE_OF = {name: module for module, names in _MODULES.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -15,12 +15,10 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from . import detector, model_io, traffic
-from .config import RunConfig, load_config, open_text
+# The numeric modules load numpy, so each command imports the ones it uses:
+# ``eval`` and ``--help`` then start without numpy.
+from .config import PRESET_NAMES, RunConfig, load_config, utf8_errors
 from .errors import InputError, NumericError
-from .lstm import backward_bptt, grad_check, gradcheck_instance, sequence_forward
 
 GRADCHECK_TOLERANCE = 1e-5
 
@@ -44,17 +42,20 @@ def _seed(text: str) -> int:
     return value
 
 
-def _print_json(doc: dict):
+def _json_text(doc: dict) -> str:
     """Strict JSON: a NaN or infinity is a numeric error, not output."""
     try:
-        text = json.dumps(doc, indent=2, allow_nan=False)
+        return json.dumps(doc, indent=2, allow_nan=False)
     except ValueError as exc:
         raise NumericError(f"non-finite value in the output: {exc}") from None
-    print(text)
 
 
 def _read_packets(path):
-    with open_text(path) as handle:
+    """The packets of the CSV file ``path``, read as bytes (see
+    traffic.parse_packets); errors name the file."""
+    from . import traffic
+
+    with open(path, "rb") as handle, utf8_errors(path):
         try:
             return traffic.parse_packets(handle)
         except InputError as exc:
@@ -62,6 +63,10 @@ def _read_packets(path):
 
 
 def cmd_gen(args) -> int:
+    import numpy as np
+
+    from . import traffic
+
     if args.preset is not None:
         scenario = traffic.preset_scenario(args.preset)
     else:
@@ -71,20 +76,26 @@ def cmd_gen(args) -> int:
                                                window_len=args.window_len)
     traffic.write_packets_csv(args.out, packets)
     traffic.write_labels_csv(args.labels, labels)
-    _print_json({"packets": len(packets), "windows": len(labels),
-                 "attack_windows": sum(labels)})
+    print(_json_text({"packets": len(packets), "windows": len(labels),
+                      "attack_windows": sum(labels)}))
     return 0
 
 
 def cmd_featurize(args) -> int:
+    from . import traffic
+
     packets = _read_packets(args.traffic)
     matrix = traffic.feature_matrix(traffic.windowize(packets, args.window_len))
     traffic.write_features_csv(args.out, matrix)
-    _print_json({"windows": len(matrix)})
+    print(_json_text({"windows": len(matrix)}))
     return 0
 
 
 def cmd_train(args) -> int:
+    """The summary is checked before the model is written, so a run that
+    ends in an error leaves any model file at ``--out`` as it was."""
+    from . import detector, model_io, traffic
+
     config = load_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
         config = RunConfig.from_dict({**config.to_dict(), "seed": args.seed})
@@ -92,32 +103,39 @@ def cmd_train(args) -> int:
     train_packets, valid_packets = traffic.split_packets(
         packets, config.split, config.window_len)
     model, summary = detector.fit_detailed(train_packets, valid_packets, config)
+    text = _json_text(summary.to_dict())
     model_io.save_model(args.out, model, config)
-    _print_json(summary.to_dict())
+    print(text)
     return 0
 
 
 def cmd_detect(args) -> int:
+    """As in cmd_train, the summary is checked before the report is written."""
+    from . import detector, model_io
+
     model, _config = model_io.load_model(args.model)
     packets = _read_packets(args.traffic)
     report = detector.detect(model, packets)
+    text = _json_text({"alarms": report.alarm_count,
+                       "scored_windows": len(report.scores),
+                       "threshold": model.threshold})
     detector.write_report_csv(args.out, report)
-    _print_json({"alarms": report.alarm_count,
-                 "scored_windows": len(report.scores),
-                 "threshold": model.threshold})
+    print(text)
     return 0
 
 
 def cmd_eval(args) -> int:
-    scores = detector.read_report_csv(args.report)
-    labels = traffic.read_labels_csv(args.labels)
-    metrics = detector.evaluate(scores, labels)
-    _print_json(metrics.to_dict())
+    from .report import evaluate, read_labels_csv, read_report_csv
+
+    metrics = evaluate(read_report_csv(args.report), read_labels_csv(args.labels))
+    print(_json_text(metrics.to_dict()))
     return 0
 
 
 def cmd_gradcheck(args) -> int:
     """Backprop self-test on a seeded random instance (D=2, N=3, T=5)."""
+    from .lstm import backward_bptt, grad_check, gradcheck_instance, sequence_forward
+
     model, xs, targets = gradcheck_instance(args.seed)
     analytic = None
     if args.sabotage:
@@ -136,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = commands.add_parser("gen", help="generate labeled synthetic traffic")
     source = gen.add_mutually_exclusive_group(required=True)
-    source.add_argument("--preset", choices=traffic.PRESET_NAMES,
+    source.add_argument("--preset", choices=PRESET_NAMES,
                         help="built-in scenario")
     source.add_argument("--scenario", help="scenario JSON file")
     gen.add_argument("--seed", type=_seed, default=42)

@@ -10,6 +10,10 @@ from dataclasses import asdict, dataclass, field, fields
 
 from .errors import InputError
 
+# The built-in scenarios of traffic.preset_scenario, named here so that the
+# command line can list them without importing numpy.
+PRESET_NAMES = ("quiet", "syn10", "mixed")
+
 
 def require_int(name: str, value) -> int:
     """``value`` as an int; bools and non-integral numbers are rejected."""
@@ -94,16 +98,23 @@ class RunConfig:
 
 
 @contextlib.contextmanager
+def utf8_errors(path):
+    """Bytes read from ``path`` that are not UTF-8 (a UnicodeDecodeError
+    within) raise InputError naming the file."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc.reason} "
+                         f"(byte 0x{exc.object[exc.start]:02x})") from None
+
+
+@contextlib.contextmanager
 def open_text(path):
     """``path`` open for reading as UTF-8 text with line ends kept as
     they are (as the csv module needs); bytes that are not UTF-8 raise
     InputError naming the file."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        try:
-            yield handle
-        except UnicodeDecodeError as exc:
-            raise InputError(f"{path}: not UTF-8 text: {exc.reason} "
-                             f"(byte 0x{exc.object[exc.start]:02x})") from None
+    with open(path, "r", encoding="utf-8", newline="") as handle, utf8_errors(path):
+        yield handle
 
 
 def load_json(path):

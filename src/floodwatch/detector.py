@@ -15,30 +15,37 @@ windows have no full history and are left unscored.
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .config import RunConfig, open_text, require_int, require_real
+from .config import RunConfig, require_int, require_real
 from .dbn import DbnModel, new_dbn, pretrain, transform
 from .errors import InputError, NumericError
 from .lstm import LstmModel, TrainConfig, init_lstm, predict_sequence_batch, train_lstm
 from .rbm import CdConfig
+# the report types and their CSV files live in the numpy-free report
+# module; they are re-exported here, where the pipeline makes them
+from .report import (  # noqa: F401
+    REPORT_CSV_HEADER,
+    DetectionReport,
+    Metrics,
+    WindowScore,
+    evaluate,
+    read_report_csv,
+    write_report_csv,
+)
 from .traffic import (
     NUM_FEATURES,
     Normalizer,
     Packets,
     Windows,
-    csv_errors,
     feature_matrix,
     fit_normalizer,
     preprocess,
     windowize,
 )
 
-REPORT_CSV_HEADER = ["window_index", "residual", "alarm"]
 SIGMA_FLOOR = 1e-9
 
 
@@ -75,48 +82,6 @@ class DetectorModel:
                 f"code dimension {self.dbn.code_dim} does not match "
                 f"LSTM input dimension {self.lstm.input_dim}"
             )
-
-
-@dataclass
-class WindowScore:
-    index: int
-    residual: float
-    alarm: bool
-
-
-@dataclass
-class DetectionReport:
-    """Scored windows (index >= lookback only) plus the threshold used."""
-
-    scores: list[WindowScore]
-    threshold: float
-    lookback: int
-    window_len: float
-
-    @property
-    def alarm_count(self) -> int:
-        return sum(s.alarm for s in self.scores)
-
-
-@dataclass
-class Metrics:
-    """Alarm/label confusion counts and the usual derived rates.
-
-    Ratios with an empty denominator (no alarms, no positive labels, no
-    negative labels) are reported as 0 so every field is always present.
-    """
-
-    true_positives: int
-    false_positives: int
-    false_negatives: int
-    true_negatives: int
-    precision: float
-    recall: float
-    f1: float
-    false_positive_rate: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -276,70 +241,3 @@ def detect(model: DetectorModel, packets: Packets) -> DetectionReport:
               for index, residual in score(model, packets)]
     return DetectionReport(scores=scores, threshold=model.threshold,
                            lookback=model.lookback, window_len=model.window_len)
-
-
-def evaluate(report, labels) -> Metrics:
-    """Confusion counts of alarms against per-window truth labels.
-
-    ``report`` may be a DetectionReport or any iterable of WindowScore.
-    ``labels`` must cover every scored window index.
-    """
-    scores = report.scores if isinstance(report, DetectionReport) else list(report)
-    labels = [bool(x) for x in labels]
-    tp = fp = fn = tn = 0
-    for entry in scores:
-        if not 0 <= entry.index < len(labels):
-            raise InputError(
-                f"scored window {entry.index} has no label; labels cover "
-                f"0..{len(labels) - 1}"
-            )
-        truth = labels[entry.index]
-        if entry.alarm and truth:
-            tp += 1
-        elif entry.alarm:
-            fp += 1
-        elif truth:
-            fn += 1
-        else:
-            tn += 1
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    fpr = fp / (fp + tn) if fp + tn else 0.0
-    return Metrics(true_positives=tp, false_positives=fp, false_negatives=fn,
-                   true_negatives=tn, precision=precision, recall=recall,
-                   f1=f1, false_positive_rate=fpr)
-
-
-def write_report_csv(path, report: DetectionReport):
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(REPORT_CSV_HEADER)
-        for entry in report.scores:
-            writer.writerow([entry.index, repr(entry.residual), int(entry.alarm)])
-
-
-def read_report_csv(path) -> list[WindowScore]:
-    with open_text(path) as handle:
-        reader = csv.reader(handle)
-        with csv_errors(reader, path):
-            header = next(reader, None)
-            if header != REPORT_CSV_HEADER:
-                raise InputError(f"{path}: bad report header {header!r}")
-            scores = []
-            for number, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                try:
-                    if len(row) != 3 or row[2] not in ("0", "1") or not row[0].isdecimal():
-                        raise ValueError("expected index,residual,0/1")
-                    index, residual = int(row[0]), float(row[1])
-                    if scores and index <= scores[-1].index:
-                        raise ValueError(f"window index {index} does not follow "
-                                         f"{scores[-1].index}; indices must increase")
-                    if not math.isfinite(residual):
-                        raise ValueError(f"residual {row[1]!r} is not finite")
-                    scores.append(WindowScore(index, residual, row[2] == "1"))
-                except ValueError as exc:
-                    raise InputError(f"{path}: line {number}: {exc}") from None
-    return scores

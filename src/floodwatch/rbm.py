@@ -13,6 +13,7 @@ parameter objects, so trained layers are safe to share read-only.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,8 +202,9 @@ def cd1_step(params: RbmParams, batch, learning_rate: float,
     reconstruction. Per-entry updates are the phase difference divided
     by the batch size, scaled by the learning rate.
 
-    The batch is checked once on entry and the update once at the end;
-    in between are the formulas of the conditionals and ``sample_binary``.
+    The batch is checked once on entry, and the update and the error once
+    at the end; in between are the formulas of the conditionals and
+    ``sample_binary``.
 
     Returns the updated parameters and the mean squared reconstruction
     error of the batch.
@@ -234,6 +236,8 @@ def cd1_step(params: RbmParams, batch, learning_rate: float,
     for name, arr in update.items():
         if not np.all(np.isfinite(arr)):
             raise NumericError(f"CD-1 update produced non-finite {name.replace('_', ' ')}")
+    if not math.isfinite(error):
+        raise NumericError("CD-1 reconstruction error is not finite")
     return RbmParams(kind=params.kind, **update), error
 
 

@@ -16,7 +16,7 @@ packet shape from a pool of spoofed sources.
 
 from __future__ import annotations
 
-import contextlib
+import codecs
 import csv
 import enum
 import io
@@ -26,8 +26,12 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .config import load_json, open_text, require_int, require_real
+from .config import PRESET_NAMES, load_json, require_int, require_real  # noqa: F401
 from .errors import InputError
+# The preset names (in config), the labels file and csv_errors (in the
+# report module) live where the command line reaches them without numpy;
+# they are re-exported here.
+from .report import LABELS_CSV_HEADER, csv_errors, read_labels_csv, write_labels_csv  # noqa: F401
 
 # Address plan for generated traffic (arbitrary but fixed, so seeds
 # reproduce byte-identical streams).
@@ -50,21 +54,22 @@ MAX_EXPECTED_PACKETS = 1e8
 # is rejected before any per-window allocation.
 MAX_WINDOWS = 10**6
 
-# Characters that parse_packets takes from a file as one block, at the
-# least (see _text_blocks). A plain block (see _plain_packets) costs a
-# fixed number of numpy calls plus a share per row, and needs scratch
-# arrays of about nine times its size.
-# On the one-hour capture (504k rows, 2 CPUs, 12 interleaved runs, one
-# process each) the parse took 0.68 s with 64 KiB blocks, 0.55 s with
-# 128 KiB, 0.50 s with 256 KiB and 0.52 s with 1 MiB; parsing the 60k-row
-# syn10 capture peaked at 2.3, 3.0, 4.5 and 13.6 MiB of allocations
-# (2.3 MiB with 64 KiB blocks when every block goes through csv.reader).
+# Bytes (or characters, of a text file) that parse_packets takes from a
+# file as one block, at the least (see _byte_blocks and _text_blocks). A
+# plain block (see _plain_block) costs a fixed number of numpy calls plus a
+# share per row, and its kernel arrays (see _Scratch), allocated once per
+# parse, take about twenty times its size.
+# On the one-hour capture (504k rows, 2 CPUs, one process per parse, three
+# each) a parse from bytes took 0.59-0.66 s with 64 KiB blocks, 0.36-0.52 s
+# with 128 KiB, 0.29-0.44 s with 256 KiB, 0.35-0.45 s with 512 KiB and
+# 0.34-0.46 s with 1 MiB, for 3.8k, 4.7k, 5.8k, 7.2k and 11.5k minor page
+# faults and a peak RSS of 43.8, 45.2, 48.4, 53.5 and 66.8 MB.
 PARSE_BLOCK_CHARS = 1 << 18
 
-# Characters that parse_packets asks a file for at once, as many as a
-# text file decodes at a time, so that a block ends near PARSE_BLOCK_CHARS
-# and bytes that are not UTF-8 cost at most one read of the text before
-# them (see _text_blocks).
+# Bytes (or characters) that parse_packets reads as one piece: as many as
+# a text file decodes at a time, so that a block ends near
+# PARSE_BLOCK_CHARS, and bytes that are not UTF-8 raise before the lines of
+# their own piece only (see _byte_blocks).
 _READ_CHARS = 8192
 
 # Rows per chunk that write_packets_csv formats and writes at once, so
@@ -84,7 +89,6 @@ UDP_FLOOD_BYTES = 512
 ICMP_FLOOD_BYTES = 64
 
 PACKET_CSV_HEADER = ["timestamp", "src_ip", "dst_ip", "protocol", "length", "syn"]
-LABELS_CSV_HEADER = ["window_index", "label"]
 
 FEATURE_NAMES = (
     "packet_count",
@@ -327,9 +331,6 @@ def preset_scenario(name: str) -> Scenario:
     raise InputError(f"unknown preset {name!r}; choose quiet, syn10 or mixed")
 
 
-PRESET_NAMES = ("quiet", "syn10", "mixed")
-
-
 def format_ip(address: int) -> str:
     return (f"{(address >> 24) & 255}.{(address >> 16) & 255}."
             f"{(address >> 8) & 255}.{address & 255}")
@@ -386,19 +387,6 @@ def _check_row(row, number, addresses: _Memo) -> tuple:
     return timestamp, src, dst, _PROTOCOL_CODES[row[3]], length, row[5] == "1"
 
 
-@contextlib.contextmanager
-def csv_errors(reader, path=None, lines_before=0):
-    """Report a record that ``reader`` (a ``csv.reader``) rejects, such as a
-    field over the csv module's size limit, as InputError naming its line
-    (and ``path``, when given); ``reader`` starts after ``lines_before``
-    lines of its file."""
-    try:
-        yield
-    except csv.Error as exc:
-        where = f"{path}: " if path is not None else ""
-        raise InputError(f"{where}line {lines_before + reader.line_num}: {exc}") from None
-
-
 def _parse_rows(reader, first: int, addresses: _Memo, lines_before=0) -> Packets:
     """The packets of the rows of ``reader``, which starts after
     ``lines_before`` lines of the file with row ``first``. Each row is
@@ -418,6 +406,83 @@ def _parse_rows(reader, first: int, addresses: _Memo, lines_before=0) -> Packets
 # keeps a word's first k bytes.
 _TS_WIDTH = 32
 _MASKS = np.array([(1 << (8 * k)) - 1 for k in range(9)], dtype=np.uint64)
+_PROTOCOL_WORDS = np.array([int.from_bytes(name.encode(), "little") for name in _PROTOCOL_NAMES],
+                           np.uint64)[:, None]
+_ADDRESS_SHIFTS = np.uint32([24, 16, 8, 0] * 2)[:, None]
+_ROWS = np.arange(_TS_WIDTH)[:, None]
+_BETWEEN_KINDS = np.frombuffer(b",...,...,", np.uint8)[:, None]
+_HEADER_BYTES = ",".join(PACKET_CSV_HEADER).encode()
+
+
+class _Scratch:
+    """The memory that one parse_packets call reuses from block to block.
+
+    ``data`` holds a block's bytes from _TS_WIDTH on, with _TS_WIDTH bytes
+    before them that the plain kernel may read before a field and as many
+    after its ``capacity`` that it may read past one; ``padded`` views it
+    as uint8. ``self(name, shape, dtype)`` is the array kept under
+    ``name``, replaced (with a quarter to spare) only when a block needs
+    more, so that after the first blocks the kernel fills the same arrays
+    (through ``out=``, np.take and np.copyto) and the heap neither grows
+    nor shrinks around each block.
+    """
+
+    def __init__(self):
+        self.arrays = {}
+        self.capacity = -1
+        self.reserve(PARSE_BLOCK_CHARS + _READ_CHARS)
+
+    def reserve(self, size: int):
+        """Room for ``size`` bytes of block; the bytes held are kept."""
+        if size <= self.capacity:
+            return
+        data = bytearray(_TS_WIDTH + max(size, 2 * self.capacity) + _TS_WIDTH)
+        if self.capacity >= 0:
+            data[:len(self.data)] = self.data
+        self.data, self.capacity = data, len(data) - 2 * _TS_WIDTH
+        self.padded = np.frombuffer(data, np.uint8)
+
+    def text(self, start: int, end: int) -> str:
+        """Bytes [start, end) of the block as text. _byte_blocks yields only
+        bytes that are UTF-8 and _encoded encodes text with surrogatepass,
+        so decoding with surrogatepass gives each back as it was."""
+        return self.data[_TS_WIDTH + start:_TS_WIDTH + end].decode("utf-8", "surrogatepass")
+
+    def __call__(self, name: str, shape, dtype=np.intp) -> np.ndarray:
+        size = math.prod(shape) if isinstance(shape, tuple) else shape
+        array = self.arrays.get(name)
+        if array is None or array.size < size:
+            array = self.arrays[name] = np.empty(size + size // 4, dtype)
+        return array[:size].reshape(shape)
+
+
+class _Columns:
+    """The six columns of the packets parsed so far, ``size`` rows of
+    them. They grow by doubling through ndarray.resize, in place where the
+    allocator can; no view of them outlives the call that made it."""
+
+    def __init__(self):
+        self.arrays = [np.empty(1 << 14, dtype) for dtype in _COLUMN_DTYPES]
+        self.size = 0
+
+    def tail(self, n: int) -> list:
+        """Views of the ``n`` rows after the filled ones, which count once
+        ``size`` is raised by ``n``."""
+        end = self.size + n
+        if end > self.arrays[0].size:
+            for array in self.arrays:
+                array.resize(max(end, 2 * array.size), refcheck=False)
+        return [array[self.size:end] for array in self.arrays]
+
+    def append(self, packets: Packets):
+        for view, column in zip(self.tail(len(packets)), packets.columns()):
+            np.copyto(view, column)
+        self.size += len(packets)
+
+    def packets(self) -> Packets:
+        for array in self.arrays:
+            array.resize(self.size, refcheck=False)
+        return Packets(*self.arrays)
 
 
 def _field_words(words, start, end, width: int) -> np.ndarray:
@@ -430,20 +495,30 @@ def _field_words(words, start, end, width: int) -> np.ndarray:
     return out
 
 
-def _decimals(buf, end, width, most: int) -> np.ndarray | None:
+def _decimals(s: _Scratch, name: str, buf, end, width, most: int) -> np.ndarray | None:
     """The values of the fields of ``buf`` that end before ``end`` and are
     ``width`` bytes wide, or None unless each is 1 to ``most`` ASCII
-    digits; ``most`` is at most 19, so no value overflows its uint64."""
-    if not (np.all(width >= 1) and np.all(width <= most)):
+    digits; ``most`` is at most 19, so no value overflows its uint64. The
+    values are kept in ``s`` under ``name``."""
+    if not (width.min() >= 1 and width.max() <= most):
         return None
-    value = np.zeros(end.shape, np.min_scalar_type(10**most - 1))
-    bad = np.zeros(end.shape, bool)
-    width = width.astype(np.uint8)
+    value = s(name, end.shape, np.min_scalar_type(10**most - 1))
+    term = s(name + " term", end.shape, value.dtype)
+    value.fill(0)
+    index, digit = s("digit index", end.shape), s("digit", end.shape, np.uint8)
+    have, bad = s("digit have", end.shape, bool), s("digit bad", end.shape, bool)
+    bad.fill(False)
+    narrow = s("digit width", end.shape, np.uint8)      # compared in a byte, not a word
+    np.copyto(narrow, width, casting="unsafe")
+    np.subtract(end, 1, out=index)
     for k in range(int(width.max())):
-        digit = buf[end - (k + 1)] - np.uint8(ord("0"))     # bytes below "0" wrap past 9
-        digit *= width > k
-        bad |= digit > 9
-        value += value.dtype.type(10**k) * digit
+        if k:
+            index -= 1
+        np.take(buf, index, out=digit, mode="clip")
+        digit -= np.uint8(ord("0"))                     # bytes below "0" wrap past 9
+        digit *= np.greater(narrow, k, out=have)
+        bad |= np.greater(digit, 9, out=have)
+        value += np.multiply(digit, value.dtype.type(10**k), out=term)
     return None if bad.any() else value
 
 
@@ -453,15 +528,15 @@ def _decimals(buf, end, width, most: int) -> np.ndarray | None:
 # each division correctly. A plain double (52) is too narrow, and IBM
 # double-double (105) does not round division correctly.
 _EXACT_QUOTIENTS = np.finfo(np.longdouble).nmant in (63, 112)
-_POW10 = np.array([10**k for k in range(19)], np.uint64)
 _POW10_LD = np.multiply.accumulate(np.array([1] + [10] * 27, np.longdouble))  # exact products
 
 
-def _timestamps(padded, words, starts, dots, ends) -> np.ndarray:
-    """The timestamp fields [starts, ends) of a block's bytes as ``float``
-    reads them, ``dots`` being each field's dot or its end; ValueError
-    where ``float`` raises. The bytes are those of ``padded`` after its
-    first _TS_WIDTH, and ``words`` views them as in _field_words.
+def _timestamps(s: _Scratch, padded, words, starts, dots, ends, ts) -> bool:
+    """Write into ``ts`` the timestamp fields [starts, ends) of a block's
+    bytes as ``float`` reads them, ``dots`` being each field's dot or its
+    end; False where ``float`` raises ValueError. The bytes are those of
+    ``padded`` after its first _TS_WIDTH, and ``words`` views them as in
+    _field_words.
 
     A field of digits with at most one dot, whose digits form an integer D
     below 10**19 with k <= 27 of them after the dot, is D / 10**k divided
@@ -471,36 +546,67 @@ def _timestamps(padded, words, starts, dots, ends) -> np.ndarray:
     gives ``float``'s value unless the quotient lies on one. Such
     quotients and all other fields go through ``float`` one by one, as
     does every field where long double does not qualify."""
-    slow = np.ones(starts.size, bool)
-    ts = np.empty(starts.size)
+    n = starts.size
+    slow = s("ts slow", n, bool)
+    slow.fill(True)
     if _EXACT_QUOTIENTS:
-        has_dot = dots < ends
-        k = ends - dots - has_dot                       # digits after the dot
-        width = ends - starts - has_dot                 # digits in all
-        size = int(np.max(ends - starts, initial=1))
-        # row i: byte i from the right of each field; then digit i, past
-        # the dot; the bytes before a field are zeroed
-        tails = np.ndarray((padded.size - size + 1, size), np.uint8, padded, strides=(1, 1))
-        digit = np.ascontiguousarray(tails[ends + (_TS_WIDTH - size)].T[::-1])
+        flag = s("ts flag", n, bool)
+        has_dot = np.less(dots, ends, out=s("ts has dot", n, bool))
+        k = np.subtract(ends, dots, out=s("ts k", n))
+        k -= has_dot                                    # digits after the dot
+        width = np.subtract(ends, starts, out=s("ts width", n))
+        size = max(int(width.max()), 1)
+        width -= has_dot                                # digits in all
+        # row i holds digit i from the right of each field: its byte i from
+        # the right, or byte i + 1 from the dot on; bytes before a field
+        # are zeroed
+        cut = s("ts cut", n)
+        cut.fill(size)
+        np.copyto(cut, k, where=has_dot)
+        mask = s("ts mask", (size, n), bool)
+        index = np.add(ends, _TS_WIDTH - 1, out=s("ts index", (size, n)))
+        index -= _ROWS[:size]
+        index[:-1] -= np.greater_equal(_ROWS[:size - 1], cut, out=mask[:-1])
+        digit = np.take(padded, index, out=s("ts digits", (size, n), np.uint8), mode="clip")
         digit -= np.uint8(ord("0"))                     # bytes below "0" wrap past 9
-        i = np.arange(size)[:, None]
-        digit[:-1] = np.where(i[:-1] < np.where(has_dot, k, size), digit[:-1], digit[1:])
-        digit *= i < width
-        slow = (digit.max(axis=0) > 9) | digit[19:].any(axis=0) | (width < 1) | (k > 27)
-        quotient = ((_POW10[:size] @ digit[:19]).astype(np.longdouble)
-                    / _POW10_LD[np.minimum(k, 27)])
-        ts = quotient.astype(np.float64)
+        digit *= np.less(_ROWS[:size], width, out=mask)
+        np.greater(np.max(digit, axis=0, out=s("ts max", n, np.uint8)), 9, out=slow)
+        if size > 19:
+            slow |= np.any(digit[19:], axis=0, out=flag)
+        slow |= np.less(width, 1, out=flag)
+        slow |= np.greater(k, 27, out=flag)
+        value = s("ts value", n, np.uint64)
+        value.fill(0)
+        for row in digit[min(size, 19) - 1::-1]:       # Horner's rule from the top digit
+            value *= np.uint64(10)
+            value += row
+        quotient = s("ts quotient", n, np.longdouble)
+        np.copyto(quotient, value)
+        np.minimum(k, 27, out=k)
+        quotient /= np.take(_POW10_LD, k, out=s("ts divisor", n, np.longdouble), mode="clip")
+        np.copyto(ts, quotient, casting="same_kind")
         # exact in x87 format (11 bits); in binary128 its rounding can only
         # send more quotients to float
-        off = (quotient - ts).astype(np.float64)
-        slow |= 2 * np.abs(off) == np.abs(np.nextafter(ts, np.copysign(np.inf, off)) - ts)
+        off = s("ts off", n, np.float64)
+        np.copyto(off, np.subtract(quotient, ts, out=quotient), casting="same_kind")
+        step = np.copysign(np.inf, off, out=s("ts step", n, np.float64))
+        np.nextafter(ts, step, out=step)
+        step -= ts
+        np.abs(step, out=step)
+        np.abs(off, out=off)
+        off *= 2
+        slow |= np.equal(off, step, out=flag)
     if slow.any():
-        text = _field_words(words, starts[slow], ends[slow], _TS_WIDTH).view(f"S{_TS_WIDTH}")
-        ts[slow] = np.fromiter(map(float, text.ravel().tolist()), np.float64)
-    return ts
+        rows = np.flatnonzero(slow)
+        text = _field_words(words, starts[rows], ends[rows], _TS_WIDTH).view(f"S{_TS_WIDTH}")
+        try:
+            ts[rows] = np.fromiter(map(float, text.ravel().tolist()), np.float64)
+        except ValueError:
+            return False
+    return True
 
 
-def _line_fields(buf, size: int) -> tuple | None:
+def _line_fields(s: _Scratch, buf, size: int) -> tuple | None:
     """Where the fields of the lines of ``buf[:size]`` lie, or None unless
     each line holds five commas and, from its first comma to its third,
     three dots between its first two commas and three between the next
@@ -512,33 +618,54 @@ def _line_fields(buf, size: int) -> tuple | None:
     timestamp holds one byte below "0" and that is a dot, the dot, else
     the first comma."""
     # the bytes below "0": line ends, commas, dots and any other punctuation
-    marks = np.flatnonzero(buf[:size] < ord("0"))
-    kind = buf[marks]
-    lf = np.flatnonzero(kind == ord("\n"))               # the line ends' places among the marks
-    at = np.flatnonzero(kind == ord(","))               # the commas' places among the marks
-    ends = marks[lf]
-    n = ends.size
+    marks = np.flatnonzero(np.less(buf[:size], ord("0"), out=s("below", size, bool)))
+    kind = np.take(buf, marks, out=s("kind", marks.size, np.uint8), mode="clip")
+    test = s("kind test", marks.size, bool)
+    lf = np.flatnonzero(np.equal(kind, ord("\n"), out=test))  # the line ends' places among the marks
+    at = np.flatnonzero(np.equal(kind, ord(","), out=test))   # the commas' places among the marks
+    n = lf.size
     if at.size != 5 * n:
         return None
-    at = at.reshape(n, 5).T
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    if not (np.all(marks[at[0]] >= starts) and np.all(marks[at[4]] < ends)):
+    at, by_line = s("at", (5, n)), at.reshape(n, 5)
+    np.copyto(at, by_line.T)
+    commas = np.take(marks, at, out=s("commas", (5, n)), mode="clip")
+    ends = np.take(marks, lf, out=s("ends", n), mode="clip")
+    starts = s("starts", n)
+    starts[0] = 0
+    np.add(ends[:-1], 1, out=starts[1:])
+    flag, places = s("line flag", n, bool), s("line places", n)
+    if not (np.greater_equal(commas[0], starts, out=flag).all()
+            and np.less(commas[4], ends, out=flag).all()):
         return None
-    crlf = buf[ends - 1] == ord("\r")
-    if np.count_nonzero(crlf) != np.count_nonzero(kind == ord("\r")):
+    np.subtract(ends, 1, out=places)
+    crlf = np.equal(np.take(buf, places, out=s("line bytes", n, np.uint8), mode="clip"),
+                    ord("\r"), out=s("crlf", n, bool))
+    if np.count_nonzero(crlf) != np.count_nonzero(np.equal(kind, ord("\r"), out=test)):
         return None
-    between = at[0] + np.arange(9)[:, None]                 # (9, n)
-    if not (np.all(at[2] - at[0] == 8)
-            and np.all(kind[between] == np.frombuffer(b",...,...,", np.uint8)[:, None])):
+    between = np.add(at[0], _ROWS[:9], out=s("between", (9, n)))    # (9, n)
+    if not (np.equal(np.subtract(at[2], at[0], out=places), 8, out=flag).all()
+            and np.equal(np.take(kind, between, out=s("between kinds", (9, n), np.uint8),
+                                 mode="clip"),
+                         _BETWEEN_KINDS, out=s("between test", (9, n), bool)).all()):
         return None
-    first = np.concatenate(([0], lf[:-1] + 1))          # each line's first mark
-    one_dot = (at[0] - first == 1) & (kind[first] == ord("."))
-    dots = marks[np.where(one_dot, first, at[0])]
-    return starts, ends - crlf, marks[between], marks[at[3]], marks[at[4]], dots
+    first = s("first", n)                               # each line's first mark
+    first[0] = 0
+    np.add(lf[:-1], 1, out=first[1:])
+    one_dot = np.equal(np.subtract(at[0], first, out=places), 1, out=s("one dot", n, bool))
+    one_dot &= np.equal(np.take(kind, first, out=s("line bytes", n, np.uint8), mode="clip"),
+                        ord("."), out=flag)
+    np.copyto(places, at[0])
+    np.copyto(places, first, where=one_dot)
+    dots = np.take(marks, places, out=s("dots", n), mode="clip")
+    ends -= crlf
+    bounds = np.take(marks, between, out=s("bounds", (9, n)), mode="clip")
+    return starts, ends, bounds, commas[3], commas[4], dots
 
 
-def _plain_packets(text: str) -> Packets | None:
-    """The packets of a block of whole lines if it is plain, else None.
+def _plain_block(s: _Scratch, start: int, size: int, columns: _Columns) -> int | None:
+    """Write the packets of the block of whole lines at [start, start +
+    size) of ``s`` after the rows of ``columns`` and return their count if
+    the block is plain, else None.
 
     Plain: ASCII with no double quote and no NUL, CR only right before
     LF, five commas on every line (so no blank line), a csv field size
@@ -551,45 +678,142 @@ def _plain_packets(text: str) -> Packets | None:
     fields are the same texts, and each value is the one the row path
     converts: numpy computes every value from the bytes, a timestamp by
     long double division where _timestamps can, and ``float`` reads the
-    few other timestamps. Nothing is kept from one block to the next."""
-    if not text.isascii() or '"' in text or "\0" in text:
+    few other timestamps. A last line without a line end is read as if it
+    had an LF."""
+    lo, hi = _TS_WIDTH + start, _TS_WIDTH + start + size
+    padded = s.padded[start:]
+    buf = padded[_TS_WIDTH:]
+    if (s.padded[lo:hi].max() >= 0x80 or s.data.find(b'"', lo, hi) >= 0
+            or s.data.find(b"\0", lo, hi) >= 0):
         return None
-    if not text.endswith("\n"):
-        text += "\n"
-    padded = np.zeros(_TS_WIDTH + len(text) + _TS_WIDTH, np.uint8)
-    buf = padded[_TS_WIDTH:]                    # zero-filled before and past the text
-    buf[:len(text)] = np.frombuffer(text.encode("ascii"), np.uint8)
-    fields = _line_fields(buf, len(text))
+    if buf[size - 1] != ord("\n"):
+        kept, buf[size] = buf[size], ord("\n")
+        try:
+            return _plain_block(s, start, size + 1, columns)
+        finally:
+            buf[size] = kept
+    fields = _line_fields(s, buf, size)
     if fields is None:
         return None
     starts, ends, bounds, c3, c4, dots = fields
     n, c0, c2 = starts.size, bounds[0], bounds[8]
+    places, flag = s("line places", n), s("line flag", n, bool)
     # no field is wider than _TS_WIDTH: the checks below hold the others to 19 bytes
-    if np.max(c0 - starts) > _TS_WIDTH or _TS_WIDTH > csv.field_size_limit():
+    if np.subtract(c0, starts, out=places).max() > _TS_WIDTH or _TS_WIDTH > csv.field_size_limit():
         return None
-    width = np.diff(bounds, axis=0)
-    width -= 1                                  # in place: one array fewer at the peak
-    octets = _decimals(buf, bounds[1:], width, 3)                     # (8, n)
+    width = np.subtract(bounds[1:], bounds[:-1], out=s("octet width", (8, n)))
+    width -= 1
+    octets = _decimals(s, "octets", buf, bounds[1:], width, 3)                 # (8, n)
+    if octets is None or octets.max() > 255:
+        return None
+    # the word after each line's third comma; np.take would first copy the
+    # whole strided view, so this one small array is gathered by indexing
     words = np.ndarray((buf.size - 7,), np.dtype("<u8"), buf, strides=(1,))
-    names = np.array([int.from_bytes(name.encode(), "little") for name in _PROTOCOL_NAMES],
-                     np.uint64)
-    proto = (words[c2 + 1] & _MASKS[np.minimum(c3 - c2 - 1, 8)]) == names[:, None]  # (3, n)
-    length = _decimals(buf, c4, c4 - c3 - 1, 19)
-    syn = buf[c4 + 1] - np.uint8(ord("0"))
-    if (octets is None or np.any(octets > 255) or not np.all(proto.any(axis=0))
-            or length is None or np.any(length < 1) or np.any(length > _INT64_MAX)
-            or np.any(ends - c4 != 2) or np.any(syn > 1)):
+    word = words[np.add(c2, 1, out=s("proto places", n))]
+    np.subtract(c3, c2, out=places)
+    places -= 1
+    np.minimum(places, 8, out=places)
+    word &= np.take(_MASKS, places, out=s("proto mask", n, np.uint64), mode="clip")
+    proto = np.equal(word, _PROTOCOL_WORDS, out=s("proto", (3, n), bool))             # (3, n)
+    if not np.any(proto, axis=0, out=flag).all():
         return None
-    try:
-        ts = _timestamps(padded, words, starts, dots, c0)
-    except ValueError:
+    np.subtract(c4, c3, out=places)
+    places -= 1
+    length = _decimals(s, "length", buf, c4, places, 19)
+    if length is None or length.min() < 1 or length.max() > _INT64_MAX:
         return None
-    if not np.all(np.isfinite(ts) & (ts >= 0)):
+    np.add(c4, 1, out=places)
+    syn = np.take(buf, places, out=s("syn", n, np.uint8), mode="clip")
+    syn -= np.uint8(ord("0"))
+    if not np.equal(np.subtract(ends, c4, out=places), 2, out=flag).all() or syn.max() > 1:
         return None
-    src, dst = (octets.astype(np.uint32) << np.uint32([24, 16, 8, 0] * 2)[:, None]).reshape(
-        2, 4, n).sum(axis=1, dtype=np.uint32)
-    return Packets(ts=ts, src=src, dst=dst, proto=proto.argmax(axis=0), length=length,
-                   syn=syn == 1)
+    ts, src, dst, proto_out, length_out, syn_out = columns.tail(n)
+    if not _timestamps(s, padded, words, starts, dots, c0, ts):
+        return None
+    if not (np.isfinite(ts, out=flag).all() and np.greater_equal(ts, 0, out=flag).all()):
+        return None
+    bits = np.left_shift(octets, _ADDRESS_SHIFTS, out=s("address bits", (8, n), np.uint32))
+    np.add.reduce(bits[:4], axis=0, out=src)
+    np.add.reduce(bits[4:], axis=0, out=dst)
+    proto_out.fill(0)
+    for code in range(1, len(PROTOCOLS)):
+        proto_out[proto[code]] = code
+    np.copyto(length_out, length, casting="unsafe")
+    np.equal(syn, 1, out=syn_out)
+    return n
+
+
+def _line_end(data, lo: int, hi: int) -> int:
+    """Where the last line of data[lo:hi] ends, counted from ``lo``: after
+    its last LF or after a CR that is not its last byte (that one may yet
+    start a CRLF); 0 if no line ends there."""
+    return max(data.rfind(b"\n", lo, hi), data.rfind(b"\r", lo, hi - 1), lo - 1) + 1 - lo
+
+
+def _read_into(handle, view) -> int:
+    """Bytes of ``handle`` read into ``view``, which they fill unless the
+    file ends first."""
+    got = 0
+    while got < len(view):
+        count = handle.readinto(view[got:])
+        if not count:
+            break
+        got += count
+    return got
+
+
+def _byte_blocks(handle, s: _Scratch):
+    """The bytes of the binary file ``handle`` in blocks of whole lines,
+    each yielded as its size once it lies at the start of the block of
+    ``s``. The file is read in whole pieces of _READ_CHARS bytes, as many
+    at once as bring at least PARSE_BLOCK_CHARS bytes in hand; a block
+    runs to the last line end read, an LF or a CR that no LF follows, and
+    the bytes after it start the next block. The last block holds what
+    follows the last line end.
+
+    Bytes are checked to be UTF-8 only where a piece holds one above
+    0x7f. A piece that is not UTF-8 (or a sequence the file's end cuts
+    short) raises UnicodeDecodeError once the lines that end before it
+    are yielded, as _text_blocks raises for a read of text, so that a bad
+    row among them is reported first."""
+    held = 0                                    # bytes in the block, not yet yielded
+    clean = 0                                   # bytes before these end no line
+    decoder = None                              # from the first byte above 0x7f on
+    while True:
+        want = -(-max(PARSE_BLOCK_CHARS - held, 1) // _READ_CHARS) * _READ_CHARS
+        s.reserve(held + want)
+        got = _read_into(handle, memoryview(s.data)[_TS_WIDTH + held:_TS_WIDTH + held + want])
+        start, held = held, held + got          # the bytes just read
+        checked = start                         # the end of the pieces found to be UTF-8
+        try:
+            if decoder is None and got and s.padded[_TS_WIDTH + start:_TS_WIDTH + held].max() >= 0x80:
+                decoder = codecs.getincrementaldecoder("utf-8")()
+            if decoder is not None:
+                for checked in range(start, held, _READ_CHARS):
+                    decoder.decode(s.data[_TS_WIDTH + checked:
+                                          _TS_WIDTH + min(checked + _READ_CHARS, held)])
+                checked = held
+                if got < want:
+                    decoder.decode(b"", final=True)
+        except UnicodeDecodeError:
+            cut = _line_end(s.data, _TS_WIDTH, _TS_WIDTH + checked)
+            if cut:
+                yield cut
+            raise
+        if got < want:
+            if held:
+                yield held
+            return
+        if held < PARSE_BLOCK_CHARS:
+            continue
+        # only bytes not searched before, so a long line is searched once
+        cut = _line_end(s.data, _TS_WIDTH + clean, _TS_WIDTH + held)
+        if cut:
+            cut += clean
+            yield cut
+            s.data[_TS_WIDTH:_TS_WIDTH + held - cut] = s.data[_TS_WIDTH + cut:_TS_WIDTH + held]
+            held -= cut
+        clean = max(held - 1, 0)                # a CR that ends them may yet start a CRLF
 
 
 def _text_blocks(handle):
@@ -624,6 +848,17 @@ def _text_blocks(handle):
         yield tail
 
 
+def _encoded(blocks, s: _Scratch):
+    """The text blocks of ``blocks`` yielded as _byte_blocks yields its
+    blocks, each encoded as UTF-8 (surrogatepass) at the start of the
+    block of ``s``."""
+    for text in blocks:
+        data = text.encode("utf-8", "surrogatepass")
+        s.reserve(len(data))
+        s.data[_TS_WIDTH:_TS_WIDTH + len(data)] = data
+        yield len(data)
+
+
 def _lines(blocks):
     """The lines of text blocks, split at CR, LF and CRLF as a file opened
     with newline="" (as csv.reader asks) splits them."""
@@ -645,49 +880,61 @@ def _parse_csv(lines, addresses: _Memo) -> Packets:
 
 
 def parse_packets(lines) -> Packets:
-    """Read packets from CSV text (an open file or iterable of lines).
+    """Read packets from CSV: a binary file, a text file or an iterable of
+    lines.
 
     The header must match PACKET_CSV_HEADER exactly; any malformed row
     raises InputError naming its line number. Packets are returned in
     input order, unsorted.
 
-    A file is read in blocks (see _text_blocks). A plain block (see
-    _plain_packets) is split into fields and converted by numpy,
-    timestamps included; ``float`` reads only the few timestamps that
-    _timestamps cannot convert exactly, such as ``5e-05``. Any other
-    block, a block with a row that breaks a rule, and an iterable of
-    lines go through csv.reader, and _check_row checks and converts each
-    of its rows before the next is read, so the error names the first bad
-    row. After a block with a double quote, whose quoted fields may hold
-    line ends, csv.reader reads the rest. The blocks' columns are joined
-    one column at a time (see _joined).
+    A binary file is read as bytes into one buffer (see _byte_blocks), a
+    text file as text that is encoded into it (see _text_blocks), one
+    block at a time. A plain block (see _plain_block) is split into
+    fields and converted by numpy, timestamps included, into arrays that
+    the parse reuses from block to block (see _Scratch), and its values
+    are written straight into the packet columns; ``float`` reads only
+    the few timestamps that _timestamps cannot convert exactly, such as
+    ``5e-05``. Any other block, a block with a row that breaks a rule, and
+    an iterable of lines are decoded and go through csv.reader, and
+    _check_row checks and converts each of its rows before the next is
+    read, so the error names the first bad row. After a block with a
+    double quote, whose quoted fields may hold line ends, csv.reader reads
+    the rest. A binary file's bytes that are not UTF-8 raise
+    UnicodeDecodeError as a text file's do (see _byte_blocks).
     """
     addresses = _Memo(parse_ip)
     if not hasattr(lines, "read"):
         return _parse_csv(lines, addresses)
-    blocks = _text_blocks(lines)
-    first = next(blocks, "")
-    header, newline, body = first.partition("\n")
-    if not newline or header.removesuffix("\r") != ",".join(PACKET_CSV_HEADER):
-        return _parse_csv(_lines(itertools.chain([first], blocks)), addresses)
-    chunks = []
+    s = _Scratch()
+    if hasattr(lines, "readinto"):
+        blocks = _byte_blocks(lines, s)
+    else:
+        blocks = _encoded(_text_blocks(lines), s)
+    texts = (s.text(0, size) for size in blocks)
+    size = next(blocks, 0)
+    lf = s.data.find(b"\n", _TS_WIDTH, _TS_WIDTH + size)
+    if lf < 0 or s.data[_TS_WIDTH:lf].removesuffix(b"\r") != _HEADER_BYTES:
+        return _parse_csv(_lines(itertools.chain([s.text(0, size)], texts)), addresses)
+    columns = _Columns()
     number = 2                                  # the row number of the block's first line
-    for text in itertools.chain([body], blocks):
-        if not text:
+    for start, end in itertools.chain([(lf + 1 - _TS_WIDTH, size)],
+                                      ((0, size) for size in blocks)):
+        if start == end:
             continue
-        packets = _plain_packets(text)
-        if packets is not None:
-            chunks.append(list(packets.columns()))
-            number += len(packets)
-        elif '"' in text:
-            reader = csv.reader(_lines(itertools.chain([text], blocks)))
-            chunks.append(list(_parse_rows(reader, number, addresses, number - 1).columns()))
+        count = _plain_block(s, start, end - start, columns)
+        if count is not None:
+            columns.size += count
+            number += count
+            continue
+        text = s.text(start, end)
+        if '"' in text:
+            reader = csv.reader(_lines(itertools.chain([text], texts)))
+            columns.append(_parse_rows(reader, number, addresses, number - 1))
             break
-        else:
-            reader = csv.reader(_lines([text]))   # one record per line
-            chunks.append(list(_parse_rows(reader, number, addresses, number - 1).columns()))
-            number += reader.line_num
-    return _joined(chunks)
+        reader = csv.reader(_lines([text]))   # one record per line
+        columns.append(_parse_rows(reader, number, addresses, number - 1))
+        number += reader.line_num
+    return columns.packets()
 
 
 def _rows_text(packets: Packets, names: _Memo) -> str:
@@ -730,34 +977,6 @@ def write_packets_csv(path, packets: Packets):
         handle.write(",".join(PACKET_CSV_HEADER) + "\r\n")
         for start in range(0, len(packets), WRITE_CHUNK_ROWS):
             handle.write(_rows_text(packets[start:start + WRITE_CHUNK_ROWS], names))
-
-
-def write_labels_csv(path, labels):
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(LABELS_CSV_HEADER)
-        for index, label in enumerate(labels):
-            writer.writerow([index, int(label)])
-
-
-def read_labels_csv(path) -> list[bool]:
-    with open_text(path) as handle:
-        reader = csv.reader(handle)
-        with csv_errors(reader, path):
-            header = next(reader, None)
-            if header != LABELS_CSV_HEADER:
-                raise InputError(f"{path}: bad labels header {header!r}")
-            labels = []
-            for number, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 2 or row[1] not in ("0", "1") or not row[0].isdecimal():
-                    raise InputError(f"{path}: line {number}: expected index,0/1")
-                if int(row[0]) != len(labels):
-                    raise InputError(f"{path}: line {number}: window indices must be "
-                                     "contiguous from 0")
-                labels.append(row[1] == "1")
-    return labels
 
 
 def write_features_csv(path, matrix):

@@ -3,11 +3,13 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
 import shutil
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,7 +262,7 @@ def test_non_finite_residuals_exit_3_without_a_report(workspace, tmp_path, run_c
 
 @pytest.mark.parametrize("override, stderr", [
     ({"rbm_learning_rate": 10},
-     r"numeric error: layer 0: epoch \d+, batch \d+: CD-1 update produced non-finite weights\n"),
+     r"numeric error: layer 0: epoch \d+, batch \d+: CD-1 reconstruction error is not finite\n"),
     ({"lstm_learning_rate": 1e300}, r"numeric error: epoch 1: non-finite loss\n"),
 ], ids=["rbm", "lstm"])
 def test_divergent_training_exits_3_with_one_line(workspace, tmp_path, run_cli,
@@ -274,6 +276,60 @@ def test_divergent_training_exits_3_with_one_line(workspace, tmp_path, run_cli,
     assert proc.returncode == 3
     assert re.fullmatch(stderr, proc.stderr), proc.stderr
     assert not (tmp_path / "model.json").exists()
+
+
+def test_overflowing_rbm_error_exits_3_and_keeps_the_model_file(workspace, tmp_path, capsys):
+    # the reconstruction error overflows while the weights stay finite;
+    # train exits 3 before writing, so no model appears at --out and a
+    # model already there keeps its bytes
+    root, _ = workspace
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dbn_sizes": [8, 8], "rbm_learning_rate": 10,
+                                  "rbm_epochs": 8}))
+    model = tmp_path / "model.json"
+    argv = ["train", str(root / "train.csv"), "--config", str(config), "--out", str(model)]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err.endswith("CD-1 reconstruction error is not finite\n")
+    assert not model.exists()
+    shutil.copy(root / "model.json", model)
+    before = model.read_bytes()
+    assert cli.main(argv) == 3
+    assert model.read_bytes() == before
+
+
+_IMPORT_BUDGET = """
+import contextlib, io, sys
+from floodwatch import cli
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main(sys.argv[1:])
+assert code == 0, code
+assert "numpy" not in sys.modules, "eval loaded numpy"
+with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    cli.main(["--help"])
+assert "numpy" not in sys.modules, "--help loaded numpy"
+import floodwatch
+assert set(floodwatch.__all__) <= set(dir(floodwatch))
+assert "numpy" not in sys.modules, "dir(floodwatch) loaded numpy"
+missing = [name for name in floodwatch.__all__ if getattr(floodwatch, name, None) is None]
+assert not missing, missing
+print(out.getvalue())
+"""
+
+
+def test_eval_and_help_load_no_numpy(workspace):
+    # in a fresh interpreter: eval and --help run without numpy, and every
+    # public name resolves (the numeric ones load it) and is listed by dir
+    root, outputs = workspace
+    import floodwatch
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(floodwatch.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_BUDGET, "eval", str(root / "report.csv"),
+                           str(root / "test_labels.csv")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == outputs["eval"]
 
 
 def test_epoch_timestamps_exit_2_before_allocating_windows(workspace, tmp_path, capsys):

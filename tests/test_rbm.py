@@ -285,16 +285,17 @@ def test_train_rbm_names_the_batch_with_non_finite_data():
 
 
 def test_diverging_train_rbm_names_epoch_and_batch():
-    # a learning rate this large overflows the weights within a few
-    # steps; no RuntimeWarning may escape on the way (pyproject turns
-    # them into errors)
+    # a learning rate this large overflows the reconstruction error or
+    # the weights within a few steps; no RuntimeWarning may escape on the
+    # way (pyproject turns them into errors)
     params = random_params(RbmKind.GAUSSIAN_BERNOULLI, 6, 4, seed=1)
     data = random_batch(RbmKind.GAUSSIAN_BERNOULLI, 12, seed=2)
     config = CdConfig(learning_rate=1e100, epochs=50, batch_size=3)
     with pytest.raises(NumericError) as info:
         train_rbm(params, data, config, np.random.default_rng(0))
-    assert re.fullmatch(r"epoch \d+, batch \d: CD-1 update produced non-finite "
-                        r"(weights|visible bias|hidden bias)", str(info.value))
+    assert re.fullmatch(r"epoch \d+, batch \d: CD-1 (update produced non-finite "
+                        r"(weights|visible bias|hidden bias)|reconstruction error is not finite)",
+                        str(info.value))
 
 
 def test_rbm_params_coerces_kind():

@@ -1,7 +1,9 @@
 import csv
 import io
 import itertools
+import os
 import re
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -136,14 +138,34 @@ def _as_text(lines, ends, final=True):
     return text if final else text[:-len(ends[(len(lines) - 1) % len(ends)])]
 
 
+# one directory for the files that _byte_outcome writes, removed at exit
+_FILES = tempfile.TemporaryDirectory()
+
+
+def _byte_outcome(data: bytes):
+    """_outcome of parse_packets on a real file of ``data`` opened as bytes."""
+    path = os.path.join(_FILES.name, "packets.csv")
+    with open(path, "wb") as handle:
+        handle.write(data)
+    with open(path, "rb") as handle:
+        return _outcome(parse_packets, handle)
+
+
 def _text_outcome_matches_oracle(text, block):
     # a file is split into lines at CR, LF and CRLF, as open_text opens it;
-    # reads a third of a block long make the reads that fill one
+    # reads a third of a block long make the reads that fill one. The text
+    # goes through both paths: from a StringIO, and as the bytes of a file.
     read = min(traffic._READ_CHARS, max(1, block // 3))
+    expected = _outcome(naive_parse_packets, io.StringIO(text, newline=""))
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError:                  # a lone surrogate: no file holds it
+        data = None
     with (mock.patch.object(traffic, "PARSE_BLOCK_CHARS", block),
           mock.patch.object(traffic, "_READ_CHARS", read)):
-        ours = _outcome(parse_packets, io.StringIO(text, newline=""))
-    return ours == _outcome(naive_parse_packets, io.StringIO(text, newline=""))
+        from_text = _outcome(parse_packets, io.StringIO(text, newline=""))
+        from_bytes = expected if data is None else _byte_outcome(data)
+    return from_text == expected == from_bytes
 
 
 @settings(max_examples=300, deadline=None)
@@ -249,9 +271,116 @@ def test_parse_packets_keeps_a_lowered_csv_field_limit():
         csv.field_size_limit(limit)
 
 
+class _Trickle(io.RawIOBase):
+    """A binary file of ``data`` whose readinto hands out at most ``step``
+    bytes a call, as a pipe may."""
+
+    def __init__(self, data: bytes, step: int):
+        super().__init__()
+        self.data, self.step, self.pos = data, step, 0
+
+    def readable(self):
+        return True
+
+    def readinto(self, view):
+        chunk = self.data[self.pos:self.pos + min(self.step, len(view))]
+        view[:len(chunk)] = chunk
+        self.pos += len(chunk)
+        return len(chunk)
+
+
+def test_crlf_split_across_reads():
+    # reads of 4 bytes end between the CR and the LF of the header (43
+    # bytes) and of some rows, and a trickling file splits them further; a
+    # CRLF taken for two line ends would shift the line named for the bad
+    # last row
+    good = [HEADER, *[_GOOD_ROW, _OTHER_ROW] * 3]
+    for rows in (good, [*good, _GOOD_ROW.replace("TCP", "GRE")]):
+        text = _as_text(rows, ("\r\n",))
+        data = text.encode()
+        assert data[43:45] == b"\r\n"
+        expected = _outcome(naive_parse_packets, io.StringIO(text, newline=""))
+        for block, step in itertools.product((4, 8, 40), (1, 3, 4, 1000)):
+            with (mock.patch.object(traffic, "PARSE_BLOCK_CHARS", block),
+                  mock.patch.object(traffic, "_READ_CHARS", 4)):
+                assert _outcome(parse_packets, _Trickle(data, step)) == expected
+
+
+def test_long_line_is_searched_once():
+    # a line much longer than a block is read a piece at a time; each
+    # search for a line end covers only the bytes not searched before
+    data = (HEADER + "\n" + _GOOD_ROW + "\n").encode() + b"x" * (1 << 20) + b",1,2,3,4,5\n"
+    searched = []
+
+    def line_end(buffer, lo, hi):
+        searched.append(hi - lo)
+        return traffic_line_end(buffer, lo, hi)
+
+    traffic_line_end = traffic._line_end
+    with (mock.patch.object(traffic, "PARSE_BLOCK_CHARS", 4096),
+          mock.patch.object(traffic, "_READ_CHARS", 1024),
+          mock.patch.object(traffic, "_line_end", line_end)):
+        assert _outcome(parse_packets, io.BytesIO(data)) == 3
+    assert sum(searched) < 2 * len(data)
+
+
+@pytest.mark.parametrize("good_rows, named", [(10, None), (3000, 2), (20000, 2)])
+def test_bad_row_before_non_utf8_bytes(tmp_path, good_rows, named):
+    # bytes that are not UTF-8 raise once the lines of the reads before
+    # theirs are parsed, on both paths: right after a bad row the bytes
+    # are reported, and a bad row 3000 rows (about 100 KB, one block) or
+    # 20000 rows (several blocks) before them is named
+    rows = [HEADER, _GOOD_ROW.replace("TCP", "GRE"), *[_OTHER_ROW] * good_rows]
+    path = tmp_path / "bad.csv"
+    path.write_bytes(_as_text(rows, ("\r\n",)).encode() + b"ok \xff\r\n")
+    for opened in (_OPEN_MODES["bytes"], {**_OPEN_MODES["text"], "encoding": "utf-8"}):
+        with open(path, **opened) as handle:
+            if named is None:
+                with pytest.raises(UnicodeDecodeError, match="invalid start byte"):
+                    parse_packets(handle)
+            else:
+                with pytest.raises(InputError, match=f"^line {named}: unknown protocol"):
+                    parse_packets(handle)
+
+
+def test_non_utf8_bytes_after_good_rows_raise(tmp_path):
+    # good rows in several blocks, then a sequence that the file's end cuts short
+    packets, _ = generate_traffic(preset_scenario("syn10"), np.random.default_rng(4))
+    path = tmp_path / "cut.csv"
+    write_packets_csv(path, packets)
+    path.write_bytes(path.read_bytes() + "\u0663".encode()[:1])
+    with open(path, "rb") as handle, pytest.raises(UnicodeDecodeError, match="end of data"):
+        parse_packets(handle)
+
+
+@pytest.mark.parametrize("data, expected", [
+    (b"", "empty input: missing CSV header"),
+    (HEADER.encode(), 0),
+    (HEADER.encode() + b"\r\n", 0),
+    ((HEADER + "\n" + _GOOD_ROW).encode(), 1),
+    ((HEADER + "\r\n" + _GOOD_ROW + "\r\n" + _OTHER_ROW).encode(), 2),
+    ((HEADER + "\r" + _GOOD_ROW + "\r" + _OTHER_ROW).encode(), 2),
+], ids=["empty file", "header only", "header and CRLF", "no final line end",
+        "no final CRLF", "lone CR line ends"])
+def test_short_files_on_both_paths(data, expected):
+    text = data.decode()
+    for source in (io.BytesIO(data), io.StringIO(text, newline="")):
+        if isinstance(expected, str):
+            with pytest.raises(InputError, match=expected):
+                parse_packets(source)
+        else:
+            assert len(parse_packets(source)) == expected
+            assert _byte_outcome(data) == _outcome(naive_parse_packets,
+                                                   io.StringIO(text, newline=""))
+
+
 # floods from a pool of 2**24 spoofed sources: almost every address is new
 _SPOOFED = Scenario(duration=60.0, baseline_rate=30.0,
                     attacks=[AttackInterval(0.0, 60.0, AttackKind.UDP_FLOOD, 4.0, 2**24)])
+
+
+# the open() arguments of a capture read as text, and as bytes
+_OPEN_MODES = {"text": {"mode": "r", "newline": ""}, "bytes": {"mode": "rb"}}
 
 
 def test_plain_capture_bypasses_csv_reader(tmp_path):
@@ -259,10 +388,11 @@ def test_plain_capture_bypasses_csv_reader(tmp_path):
     for scenario in (preset_scenario("mixed"), _SPOOFED):
         packets, _ = generate_traffic(scenario, np.random.default_rng(5))
         write_packets_csv(path, packets)
-        for block in (1 << 12, traffic.PARSE_BLOCK_CHARS):
+        for block, opened in itertools.product((1 << 12, traffic.PARSE_BLOCK_CHARS),
+                                               _OPEN_MODES.values()):
             with (mock.patch.object(traffic, "PARSE_BLOCK_CHARS", block),
                   mock.patch.object(traffic, "_check_row", side_effect=AssertionError),
-                  open(path, newline="") as handle):
+                  open(path, **opened) as handle):
                 assert parse_packets(handle) == packets
 
 
@@ -276,17 +406,20 @@ def test_capture_without_plain_blocks_parses_as_plain(tmp_path):
         header, *rows = handle.read().splitlines(keepends=True)
     lines = [header, *(row + "\r\n" * (k % 100 == 99) for k, row in enumerate(rows))]
     path.write_text("".join(lines), newline="")
-    with (mock.patch.object(traffic, "_check_row", wraps=traffic._check_row) as check,
-          open(path, newline="") as handle):
-        assert parse_packets(handle) == packets
-    assert check.call_count == len(packets)
+    for opened in _OPEN_MODES.values():
+        with (mock.patch.object(traffic, "_check_row", wraps=traffic._check_row) as check,
+              open(path, **opened) as handle):
+            assert parse_packets(handle) == packets
+        assert check.call_count == len(packets)
     assert parse_packets(lines) == packets
 
 
-def _parsed_stamps(stamps):
-    """The ts column of a file whose rows carry ``stamps``."""
-    rows = "".join(f"{stamp},10.0.0.1,192.168.0.1,TCP,64,0\n" for stamp in stamps)
-    return parse_packets(io.StringIO(HEADER + "\n" + rows, newline="")).ts
+def _parsed_stamps(stamps, source=io.StringIO):
+    """The ts column of a file whose rows carry ``stamps``, read from a
+    StringIO or, with ``source`` io.BytesIO, from its bytes."""
+    text = HEADER + "\n" + "".join(f"{stamp},10.0.0.1,192.168.0.1,TCP,64,0\n" for stamp in stamps)
+    return parse_packets(io.BytesIO(text.encode()) if source is io.BytesIO
+                         else io.StringIO(text, newline="")).ts
 
 
 def _digit_string(digits, dot):
@@ -330,14 +463,16 @@ def test_parsed_timestamps_are_float_bit_for_bit(stamps):
     # the first four lie halfway between two doubles as long double
     # quotients (the first two only once rounded), so they must reach float
     expected = np.array([float(stamp) for stamp in stamps])
-    npt.assert_array_equal(_parsed_stamps(stamps).view(np.uint64), expected.view(np.uint64))
+    for source in (io.StringIO, io.BytesIO):
+        npt.assert_array_equal(_parsed_stamps(stamps, source).view(np.uint64),
+                               expected.view(np.uint64))
 
 
-def _float_calls(path):
-    """The Packets of the file at ``path`` and how many values ``float``
-    converted on the way."""
+def _float_calls(path, opened):
+    """The Packets of the file at ``path``, opened as ``opened`` says, and
+    how many values ``float`` converted on the way."""
     with (mock.patch.object(traffic, "float", wraps=float, create=True) as convert,
-          open(path, newline="") as handle):
+          open(path, **opened) as handle):
         return parse_packets(handle), convert.call_count
 
 
@@ -345,19 +480,21 @@ def test_timestamps_rarely_reach_float(tmp_path):
     packets, _ = generate_traffic(preset_scenario("mixed"), np.random.default_rng(1))
     path = tmp_path / "packets.csv"
     write_packets_csv(path, packets)
-    parsed, calls = _float_calls(path)
-    assert parsed == packets
-    assert calls < len(packets) / 1000
+    for opened in _OPEN_MODES.values():
+        parsed, calls = _float_calls(path, opened)
+        assert parsed == packets
+        assert calls < len(packets) / 1000
 
 
 def test_narrow_long_double_reads_every_timestamp_with_float(tmp_path):
     packets, _ = generate_traffic(preset_scenario("syn10"), np.random.default_rng(2))
     path = tmp_path / "packets.csv"
     write_packets_csv(path, packets)
-    with mock.patch.object(traffic, "_EXACT_QUOTIENTS", False):
-        parsed, calls = _float_calls(path)
-    assert parsed == packets
-    assert calls == len(packets)
+    for opened in _OPEN_MODES.values():
+        with mock.patch.object(traffic, "_EXACT_QUOTIENTS", False):
+            parsed, calls = _float_calls(path, opened)
+        assert parsed == packets
+        assert calls == len(packets)
 
 
 def test_packets_row_adapter_round_trip():
