@@ -25,10 +25,9 @@ _MODULES = {
             "energy_gaussian", "hidden_given_visible", "init_rbm", "sample_binary",
             "train_rbm", "visible_given_hidden"),
     "report": ("DetectionReport", "Metrics", "WindowScore", "evaluate"),
-    "traffic": ("FEATURE_NAMES", "AttackInterval", "AttackKind", "Normalizer",
-                "PacketRecord", "Packets", "Protocol", "Scenario", "fit_normalizer",
-                "generate_traffic", "normalize", "parse_packets", "preprocess",
-                "preset_scenario", "standardize", "windowize"),
+    "traffic": ("FEATURE_NAMES", "AttackInterval", "AttackKind", "Normalizer", "Packets",
+                "Scenario", "fit_normalizer", "generate_traffic", "normalize",
+                "parse_packets", "preprocess", "preset_scenario", "standardize", "windowize"),
 }
 _MODULE_OF = {name: module for module, names in _MODULES.items() for name in names}
 

@@ -27,9 +27,7 @@ from .rbm import CdConfig
 # the report types and their CSV files live in the numpy-free report
 # module; they are re-exported here, where the pipeline makes them
 from .report import (  # noqa: F401
-    REPORT_CSV_HEADER,
     DetectionReport,
-    Metrics,
     WindowScore,
     evaluate,
     read_report_csv,

@@ -26,12 +26,11 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .config import PRESET_NAMES, load_json, require_int, require_real  # noqa: F401
+from .config import load_json, require_int, require_real
 from .errors import InputError
-# The preset names (in config), the labels file and csv_errors (in the
-# report module) live where the command line reaches them without numpy;
-# they are re-exported here.
-from .report import LABELS_CSV_HEADER, csv_errors, read_labels_csv, write_labels_csv  # noqa: F401
+# The labels file (in the report module) lives where the command line
+# reaches it without numpy; its reader and writer are re-exported here.
+from .report import csv_errors, read_labels_csv, write_labels_csv  # noqa: F401
 
 # Address plan for generated traffic (arbitrary but fixed, so seeds
 # reproduce byte-identical streams).
@@ -54,11 +53,10 @@ MAX_EXPECTED_PACKETS = 1e8
 # is rejected before any per-window allocation.
 MAX_WINDOWS = 10**6
 
-# Bytes (or characters, of a text file) that parse_packets takes from a
-# file as one block, at the least (see _byte_blocks and _text_blocks). A
-# plain block (see _plain_block) costs a fixed number of numpy calls plus a
-# share per row, and its kernel arrays (see _Scratch), allocated once per
-# parse, take about twenty times its size.
+# Bytes that parse_packets takes from a file as one block, at the least
+# (see _byte_blocks). A plain block (see _plain_block) costs a fixed
+# number of numpy calls plus a share per row, and its kernel arrays (see
+# _Scratch), allocated once per parse, take about twenty times its size.
 # On the one-hour capture (504k rows, 2 CPUs, one process per parse, three
 # each) a parse from bytes took 0.59-0.66 s with 64 KiB blocks, 0.36-0.52 s
 # with 128 KiB, 0.29-0.44 s with 256 KiB, 0.35-0.45 s with 512 KiB and
@@ -66,8 +64,7 @@ MAX_WINDOWS = 10**6
 # faults and a peak RSS of 43.8, 45.2, 48.4, 53.5 and 66.8 MB.
 PARSE_BLOCK_CHARS = 1 << 18
 
-# Bytes (or characters) that parse_packets reads as one piece: as many as
-# a text file decodes at a time, so that a block ends near
+# Bytes that parse_packets reads as one piece, so that a block ends near
 # PARSE_BLOCK_CHARS, and bytes that are not UTF-8 raise before the lines of
 # their own piece only (see _byte_blocks).
 _READ_CHARS = 8192
@@ -103,17 +100,10 @@ FEATURE_NAMES = (
 NUM_FEATURES = len(FEATURE_NAMES)
 
 
-class Protocol(enum.Enum):
-    TCP = "TCP"
-    UDP = "UDP"
-    ICMP = "ICMP"
-
-
 # Packets.proto holds codes into PROTOCOLS.
-PROTOCOLS = (Protocol.TCP, Protocol.UDP, Protocol.ICMP)
+PROTOCOLS = ("TCP", "UDP", "ICMP")
 TCP, UDP, ICMP = range(len(PROTOCOLS))
-_PROTOCOL_CODES = {protocol.value: code for code, protocol in enumerate(PROTOCOLS)}
-_PROTOCOL_NAMES = tuple(protocol.value for protocol in PROTOCOLS)
+_PROTOCOL_CODES = {name: code for code, name in enumerate(PROTOCOLS)}
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -121,18 +111,6 @@ class AttackKind(enum.Enum):
     SYN_FLOOD = "syn_flood"
     UDP_FLOOD = "udp_flood"
     ICMP_FLOOD = "icmp_flood"
-
-
-@dataclass
-class PacketRecord:
-    """One packet as a row of Python values; addresses are 32-bit integers."""
-
-    timestamp: float
-    src_ip: int
-    dst_ip: int
-    protocol: Protocol
-    length: int
-    syn_flag: bool = False
 
 
 _COLUMN_DTYPES = (np.float64, np.uint32, np.uint32, np.uint8, np.int64, np.bool_)
@@ -144,9 +122,8 @@ class Packets:
 
     ``ts`` seconds (float64), ``src``/``dst`` addresses (uint32),
     ``proto`` codes into PROTOCOLS (uint8), ``length`` bytes (int64) and
-    ``syn`` flags (bool). An integer index, and iteration, yield
-    PacketRecord rows; any other index (a slice, a mask, an index array)
-    selects a Packets.
+    ``syn`` flags (bool). An index (a slice, a mask, an index array)
+    selects a Packets; a Packets is not iterable.
     """
 
     ts: np.ndarray
@@ -162,14 +139,6 @@ class Packets:
         if self.ts.ndim != 1 or len({c.shape for c in self.columns()}) != 1:
             raise ValueError("packet columns must be 1-d and of equal length")
 
-    @classmethod
-    def from_records(cls, records) -> "Packets":
-        records = list(records)
-        return cls(ts=[r.timestamp for r in records], src=[r.src_ip for r in records],
-                   dst=[r.dst_ip for r in records],
-                   proto=[_PROTOCOL_CODES[r.protocol.value] for r in records],
-                   length=[r.length for r in records], syn=[r.syn_flag for r in records])
-
     def columns(self) -> tuple:
         return self.ts, self.src, self.dst, self.proto, self.length, self.syn
 
@@ -177,15 +146,9 @@ class Packets:
         return self.ts.size
 
     def __getitem__(self, key):
-        if isinstance(key, (int, np.integer)):
-            return PacketRecord(float(self.ts[key]), int(self.src[key]), int(self.dst[key]),
-                                PROTOCOLS[self.proto[key]], int(self.length[key]),
-                                bool(self.syn[key]))
         return Packets(*(column[key] for column in self.columns()))
 
-    def __iter__(self):
-        for ts, src, dst, proto, length, syn in zip(*(c.tolist() for c in self.columns())):
-            yield PacketRecord(ts, src, dst, PROTOCOLS[proto], length, syn)
+    __iter__ = None     # iter() would index 0, 1, ... and __getitem__ takes no integer
 
     def __eq__(self, other):
         if not isinstance(other, Packets):
@@ -406,7 +369,7 @@ def _parse_rows(reader, first: int, addresses: _Memo, lines_before=0) -> Packets
 # keeps a word's first k bytes.
 _TS_WIDTH = 32
 _MASKS = np.array([(1 << (8 * k)) - 1 for k in range(9)], dtype=np.uint64)
-_PROTOCOL_WORDS = np.array([int.from_bytes(name.encode(), "little") for name in _PROTOCOL_NAMES],
+_PROTOCOL_WORDS = np.array([int.from_bytes(name.encode(), "little") for name in PROTOCOLS],
                            np.uint64)[:, None]
 _ADDRESS_SHIFTS = np.uint32([24, 16, 8, 0] * 2)[:, None]
 _ROWS = np.arange(_TS_WIDTH)[:, None]
@@ -443,10 +406,9 @@ class _Scratch:
         self.padded = np.frombuffer(data, np.uint8)
 
     def text(self, start: int, end: int) -> str:
-        """Bytes [start, end) of the block as text. _byte_blocks yields only
-        bytes that are UTF-8 and _encoded encodes text with surrogatepass,
-        so decoding with surrogatepass gives each back as it was."""
-        return self.data[_TS_WIDTH + start:_TS_WIDTH + end].decode("utf-8", "surrogatepass")
+        """Bytes [start, end) of the block, which _byte_blocks has found to
+        be UTF-8, as text."""
+        return self.data[_TS_WIDTH + start:_TS_WIDTH + end].decode()
 
     def __call__(self, name: str, shape, dtype=np.intp) -> np.ndarray:
         size = math.prod(shape) if isinstance(shape, tuple) else shape
@@ -774,8 +736,7 @@ def _byte_blocks(handle, s: _Scratch):
     Bytes are checked to be UTF-8 only where a piece holds one above
     0x7f. A piece that is not UTF-8 (or a sequence the file's end cuts
     short) raises UnicodeDecodeError once the lines that end before it
-    are yielded, as _text_blocks raises for a read of text, so that a bad
-    row among them is reported first."""
+    are yielded, so that a bad row among them is reported first."""
     held = 0                                    # bytes in the block, not yet yielded
     clean = 0                                   # bytes before these end no line
     decoder = None                              # from the first byte above 0x7f on
@@ -816,49 +777,6 @@ def _byte_blocks(handle, s: _Scratch):
         clean = max(held - 1, 0)                # a CR that ends them may yet start a CRLF
 
 
-def _text_blocks(handle):
-    """The text of ``handle`` in blocks of whole lines. It is read
-    _READ_CHARS at a time, and a read that ends in CR takes one more
-    character, to tell a lone CR from a CRLF. Once PARSE_BLOCK_CHARS are
-    in hand, a block runs to the last line end of a read, an LF or a CR
-    that no LF follows, and the rest of the read starts the next block.
-    The last block holds what follows the last line end. A read that
-    meets bytes that are not UTF-8 raises after the lines read before it
-    are yielded, so that a bad row among them is reported first."""
-    pieces, size = [], 0
-    try:
-        while piece := handle.read(_READ_CHARS):
-            if piece.endswith("\r"):
-                piece += handle.read(1)
-            size += len(piece)
-            # a CR that still ends the read may yet start a CRLF
-            cut = max(piece.rfind("\n"), piece.rfind("\r", 0, len(piece) - 1)) + 1
-            if size < PARSE_BLOCK_CHARS or not cut:
-                pieces.append(piece)
-                continue
-            pieces.append(piece[:cut])
-            yield "".join(pieces)
-            pieces, size = [piece[cut:]], len(piece) - cut
-    except UnicodeDecodeError:
-        text = "".join(pieces)
-        yield text[:max(text.rfind("\n"), text.rfind("\r", 0, len(text) - 1)) + 1]
-        raise
-    tail = "".join(pieces)
-    if tail:
-        yield tail
-
-
-def _encoded(blocks, s: _Scratch):
-    """The text blocks of ``blocks`` yielded as _byte_blocks yields its
-    blocks, each encoded as UTF-8 (surrogatepass) at the start of the
-    block of ``s``."""
-    for text in blocks:
-        data = text.encode("utf-8", "surrogatepass")
-        s.reserve(len(data))
-        s.data[_TS_WIDTH:_TS_WIDTH + len(data)] = data
-        yield len(data)
-
-
 def _lines(blocks):
     """The lines of text blocks, split at CR, LF and CRLF as a file opened
     with newline="" (as csv.reader asks) splits them."""
@@ -879,37 +797,29 @@ def _parse_csv(lines, addresses: _Memo) -> Packets:
     return _parse_rows(reader, 2, addresses)
 
 
-def parse_packets(lines) -> Packets:
-    """Read packets from CSV: a binary file, a text file or an iterable of
-    lines.
+def parse_packets(handle) -> Packets:
+    """Read packets from the CSV bytes of the binary file ``handle``.
 
     The header must match PACKET_CSV_HEADER exactly; any malformed row
     raises InputError naming its line number. Packets are returned in
     input order, unsorted.
 
-    A binary file is read as bytes into one buffer (see _byte_blocks), a
-    text file as text that is encoded into it (see _text_blocks), one
-    block at a time. A plain block (see _plain_block) is split into
-    fields and converted by numpy, timestamps included, into arrays that
-    the parse reuses from block to block (see _Scratch), and its values
-    are written straight into the packet columns; ``float`` reads only
-    the few timestamps that _timestamps cannot convert exactly, such as
-    ``5e-05``. Any other block, a block with a row that breaks a rule, and
-    an iterable of lines are decoded and go through csv.reader, and
-    _check_row checks and converts each of its rows before the next is
-    read, so the error names the first bad row. After a block with a
-    double quote, whose quoted fields may hold line ends, csv.reader reads
-    the rest. A binary file's bytes that are not UTF-8 raise
-    UnicodeDecodeError as a text file's do (see _byte_blocks).
+    The file is read into one buffer, one block at a time (see
+    _byte_blocks). A plain block (see _plain_block) is split into fields
+    and converted by numpy, timestamps included, into arrays that the
+    parse reuses from block to block (see _Scratch), and its values are
+    written straight into the packet columns; ``float`` reads only the
+    few timestamps that _timestamps cannot convert exactly, such as
+    ``5e-05``. Any other block, and a block with a row that breaks a
+    rule, is decoded and goes through csv.reader, and _check_row checks
+    and converts each of its rows before the next is read, so the error
+    names the first bad row. After a block with a double quote, whose
+    quoted fields may hold line ends, csv.reader reads the rest. Bytes
+    that are not UTF-8 raise UnicodeDecodeError (see _byte_blocks).
     """
     addresses = _Memo(parse_ip)
-    if not hasattr(lines, "read"):
-        return _parse_csv(lines, addresses)
     s = _Scratch()
-    if hasattr(lines, "readinto"):
-        blocks = _byte_blocks(lines, s)
-    else:
-        blocks = _encoded(_text_blocks(lines), s)
+    blocks = _byte_blocks(handle, s)
     texts = (s.text(0, size) for size in blocks)
     size = next(blocks, 0)
     lf = s.data.find(b"\n", _TS_WIDTH, _TS_WIDTH + size)
@@ -953,7 +863,7 @@ def _rows_text(packets: Packets, names: _Memo) -> str:
     lengths = lengths.tolist()
     pair_text = np.array([f",{names[pair >> 32]},{names[pair & 0xFFFFFFFF]},"
                           for pair in pairs.tolist()], dtype=object)
-    suffix_text = np.array([f"{_PROTOCOL_NAMES[(key >> 1) & 255]},{lengths[key >> 9]},"
+    suffix_text = np.array([f"{PROTOCOLS[(key >> 1) & 255]},{lengths[key >> 9]},"
                             f"{key & 1}\r\n" for key in suffixes.tolist()], dtype=object)
     parts = [""] * (3 * len(packets))
     parts[0::3] = map(repr, packets.ts.tolist())

@@ -1,8 +1,9 @@
 """Independent reference implementations used as test oracles.
 
-Everything here but ``naive_cd1_step`` is written with plain Python
-loops and the math module, deliberately avoiding the vectorized code
-paths under test. Slow is fine; these run on tiny instances.
+Everything here but ``naive_cd1_step`` and ``packets_of`` is written
+with plain Python loops and the math module, deliberately avoiding the
+vectorized code paths under test. Slow is fine; these run on tiny
+instances.
 """
 
 import csv
@@ -13,6 +14,7 @@ import numpy as np
 
 from floodwatch.errors import InputError
 from floodwatch.rbm import hidden_given_visible, sample_binary, visible_given_hidden
+from floodwatch.traffic import PROTOCOLS, Packets
 
 
 def naive_energy_bernoulli(w, b, a, v, h):
@@ -217,6 +219,14 @@ def _naive_rows(reader):
     return rows
 
 
+def packets_of(rows):
+    """The Packets of (timestamp, src, dst, protocol name, length, syn)
+    rows, the rows that naive_parse_packets returns and
+    naive_window_features takes."""
+    ts, src, dst, names, length, syn = list(zip(*rows)) or [()] * 6
+    return Packets(ts, src, dst, [PROTOCOLS.index(name) for name in names], length, syn)
+
+
 def _naive_format_ip(address):
     return ".".join(str((address >> shift) & 255) for shift in (24, 16, 8, 0))
 
@@ -233,23 +243,24 @@ def naive_write_packets_csv(path, packets):
                              names[proto], length, int(syn)])
 
 
-def naive_window_features(records):
-    """The 8 window features of PacketRecord-like rows, by Counter loops:
-    count, bytes, mean size, src and dst entropy, SYN (TCP only), UDP
-    and ICMP fractions; all zeros for no rows."""
-    count = len(records)
+def naive_window_features(rows):
+    """The 8 window features of (timestamp, src, dst, protocol name,
+    length, syn) rows, by Counter loops: count, bytes, mean size, src and
+    dst entropy, SYN (TCP only), UDP and ICMP fractions; all zeros for no
+    rows."""
+    count = len(rows)
     if count == 0:
         return [0.0] * 8
     byte_count = syn = udp = icmp = 0
     src_counts = Counter()
     dst_counts = Counter()
-    for record in records:
-        byte_count += record.length
-        src_counts[record.src_ip] += 1
-        dst_counts[record.dst_ip] += 1
-        if record.protocol.value == "TCP":
-            syn += bool(record.syn_flag)
-        elif record.protocol.value == "UDP":
+    for _, src, dst, protocol, length, syn_flag in rows:
+        byte_count += length
+        src_counts[src] += 1
+        dst_counts[dst] += 1
+        if protocol == "TCP":
+            syn += bool(syn_flag)
+        elif protocol == "UDP":
             udp += 1
         else:
             icmp += 1

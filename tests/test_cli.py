@@ -21,9 +21,6 @@ from floodwatch import cli
 from floodwatch.detector import evaluate, read_report_csv
 from floodwatch.model_io import load_model
 from floodwatch.traffic import (
-    PacketRecord,
-    Packets,
-    Protocol,
     Scenario,
     feature_matrix,
     generate_traffic,
@@ -32,7 +29,7 @@ from floodwatch.traffic import (
     windowize,
     write_packets_csv,
 )
-from oracles import naive_parse_packets
+from oracles import naive_parse_packets, packets_of
 
 # Shallow compressor configuration recommended for detection runs (see
 # README); full training epochs so detection-quality assertions hold.
@@ -570,10 +567,7 @@ def _oracle_features(path):
     """Features of the rows that the row-by-row oracle reads from ``path``."""
     with open(path, encoding="utf-8", newline="") as handle:
         rows = naive_parse_packets(handle)
-    packets = Packets.from_records(
-        PacketRecord(ts, src, dst, Protocol(proto), length, syn)
-        for ts, src, dst, proto, length, syn in rows)
-    return feature_matrix(windowize(packets, 1.0))
+    return feature_matrix(windowize(packets_of(rows), 1.0))
 
 
 @settings(max_examples=150, deadline=None)
@@ -699,7 +693,7 @@ def test_fuzzed_scenario_through_gen(tmp_path_factory, doc):
     argv = ["gen", "--scenario", str(_write_json(directory, "scenario.json", doc)),
             "--out", str(out), "--labels", str(labels)]
     if _main(argv) == 0:
-        with open(out, newline="") as handle:
+        with open(out, "rb") as handle:
             parse_packets(handle)
         read_labels_csv(labels)
 

@@ -23,9 +23,6 @@ from floodwatch.traffic import (
     AttackInterval,
     AttackKind,
     Normalizer,
-    PacketRecord,
-    Packets,
-    Protocol,
     Scenario,
     feature_matrix,
     generate_traffic,
@@ -34,12 +31,12 @@ from floodwatch.traffic import (
     split_packets,
     windowize,
 )
-from oracles import naive_mean_std
+from oracles import naive_mean_std, packets_of
 
 
-def packet(ts):
-    return PacketRecord(timestamp=ts, src_ip=1, dst_ip=2,
-                        protocol=Protocol.TCP, length=100)
+def one_per_window(count):
+    """``count`` windows of one 100-byte TCP packet each."""
+    return packets_of((t + 0.5, 1, 2, "TCP", 100, False) for t in range(count))
 
 
 def constant_code_model(prediction_bias, lookback=10):
@@ -97,7 +94,7 @@ def test_calibrate_threshold_rejects_empty():
 
 def test_score_zero_residual_when_prediction_matches():
     model = constant_code_model(0.5)
-    packets = Packets.from_records([packet(t + 0.5) for t in range(15)])
+    packets = one_per_window(15)
     scores = score(model, packets)
     assert [idx for idx, _ in scores] == list(range(10, 15))
     for _, residual in scores:
@@ -107,7 +104,7 @@ def test_score_zero_residual_when_prediction_matches():
 def test_score_uniform_offset_gives_offset_residual():
     # prediction off by 0.1 in every code entry: RMS residual 0.1
     model = constant_code_model(0.6)
-    packets = Packets.from_records([packet(t + 0.5) for t in range(15)])
+    packets = one_per_window(15)
     for _, residual in score(model, packets):
         assert residual == pytest.approx(0.1, abs=1e-12)
 
@@ -115,14 +112,14 @@ def test_score_uniform_offset_gives_offset_residual():
 def test_score_requires_enough_windows():
     model = constant_code_model(0.5)
     # needs lookback+1 = 11 windows
-    packets = Packets.from_records([packet(t + 0.5) for t in range(10)])
+    packets = one_per_window(10)
     with pytest.raises(InputError, match="11"):
         score(model, packets)
 
 
 def test_detect_alarm_consistency():
     model = constant_code_model(0.6)  # residual 0.1 everywhere
-    packets = Packets.from_records([packet(t + 0.5) for t in range(15)])
+    packets = one_per_window(15)
     report = detect(model, packets)
     assert report.alarm_count == len(report.scores)  # 0.1 > threshold 0.05
     for entry in report.scores:
@@ -254,7 +251,7 @@ def test_window_far_outside_training_range_scores_finite():
 
 def test_report_round_trip(tmp_path):
     model = constant_code_model(0.6)
-    packets = Packets.from_records([packet(t + 0.5) for t in range(15)])
+    packets = one_per_window(15)
     report = detect(model, packets)
     path = tmp_path / "report.csv"
     write_report_csv(path, report)
@@ -265,7 +262,7 @@ def test_report_round_trip(tmp_path):
 
 def test_report_row_count_equals_scored_windows():
     model = constant_code_model(0.5)
-    packets = Packets.from_records([packet(t + 0.5) for t in range(25)])
+    packets = one_per_window(25)
     report = detect(model, packets)
     assert len(report.scores) == 25 - model.lookback
 

@@ -18,9 +18,8 @@ from floodwatch.traffic import (
     FEATURE_NAMES,
     AttackInterval,
     AttackKind,
-    PacketRecord,
+    PROTOCOLS,
     Packets,
-    Protocol,
     Scenario,
     feature_matrix,
     fit_normalizer,
@@ -42,37 +41,31 @@ from oracles import (
     naive_parse_packets,
     naive_window_features,
     naive_write_packets_csv,
+    packets_of,
 )
 
 HEADER = "timestamp,src_ip,dst_ip,protocol,length,syn"
 
 
-def packet(ts, src=1, dst=2, proto=Protocol.TCP, length=100, syn=False):
-    return PacketRecord(timestamp=ts, src_ip=src, dst_ip=dst,
-                        protocol=proto, length=length, syn_flag=syn)
-
-
-def window_features(records):
-    """Features of window 0 of ``records`` (all stamped in [0, 1)), by name."""
-    row = feature_matrix(windowize(Packets.from_records(records), 1.0))[0]
+def window_features(rows):
+    """Features of window 0 of packet ``rows`` (all stamped in [0, 1)), by name."""
+    row = feature_matrix(windowize(packets_of(rows), 1.0))[0]
     return dict(zip(FEATURE_NAMES, row))
 
 
+def _parse_lines(lines):
+    """parse_packets on the bytes of ``lines``, each ended by LF."""
+    return parse_packets(io.BytesIO(_as_text(lines, ("\n",)).encode()))
+
+
 def test_parse_packets_header_only():
-    assert len(parse_packets([HEADER])) == 0
+    assert len(_parse_lines([HEADER])) == 0
 
 
 def test_parse_packets_single_tcp_syn_row():
-    rows = [HEADER, "0.25,10.0.0.1,192.168.0.1,TCP,64,1"]
-    records = parse_packets(rows)
-    assert len(records) == 1
-    rec = records[0]
-    assert rec.timestamp == 0.25
-    assert rec.src_ip == parse_ip("10.0.0.1")
-    assert rec.dst_ip == parse_ip("192.168.0.1")
-    assert rec.protocol is Protocol.TCP
-    assert rec.length == 64
-    assert rec.syn_flag is True
+    packets = _parse_lines([HEADER, "0.25,10.0.0.1,192.168.0.1,TCP,64,1"])
+    assert packets == packets_of([(0.25, parse_ip("10.0.0.1"), parse_ip("192.168.0.1"),
+                                   "TCP", 64, True)])
 
 
 def test_parse_packets_unknown_protocol_names_line():
@@ -80,22 +73,22 @@ def test_parse_packets_unknown_protocol_names_line():
             "0.1,10.0.0.1,192.168.0.1,TCP,64,0",
             "0.2,10.0.0.1,192.168.0.1,GRE,64,0"]
     with pytest.raises(InputError, match="line 3"):
-        parse_packets(rows)
+        _parse_lines(rows)
 
 
 def test_parse_packets_rejects_bad_header():
     with pytest.raises(InputError):
-        parse_packets(["time,src,dst,proto,len,syn"])
+        _parse_lines(["time,src,dst,proto,len,syn"])
 
 
-def _outcome(parse, lines):
-    """Rows as tuples, or the line number an InputError names."""
+def _outcome(parse, source):
+    """The Packets that ``parse`` reads from ``source`` (the oracle's rows
+    are turned into one), or the line number an InputError names."""
     try:
-        return [(r.timestamp, r.src_ip, r.dst_ip,
-                 getattr(r.protocol, "value", r.protocol), r.length, r.syn_flag)
-                if isinstance(r, PacketRecord) else r for r in parse(lines)]
+        parsed = parse(source)
     except InputError as exc:
         return int(re.match(r"line (\d+):", str(exc)).group(1))
+    return parsed if isinstance(parsed, Packets) else packets_of(parsed)
 
 
 _GOOD_FIELDS = (st.sampled_from(["0", "0.25", "1e3", "17.5", "-0.0"]),
@@ -122,7 +115,8 @@ _ROW_TEXT = st.one_of(
     st.tuples(*_ANY_FIELDS).map(",".join),
     st.just(""),
     st.lists(_GOOD_FIELDS[0], max_size=8).map(",".join),
-    st.text(st.characters(blacklist_characters="\r\n\x00"), max_size=20),
+    st.text(st.characters(blacklist_characters="\r\n\x00", blacklist_categories=("Cs",)),
+            max_size=20),
 )
 
 
@@ -151,21 +145,16 @@ def _byte_outcome(data: bytes):
         return _outcome(parse_packets, handle)
 
 
-def _text_outcome_matches_oracle(text, block):
-    # a file is split into lines at CR, LF and CRLF, as open_text opens it;
-    # reads a third of a block long make the reads that fill one. The text
-    # goes through both paths: from a StringIO, and as the bytes of a file.
+def _bytes_match_oracle(text, block):
+    # the oracle reads the text split into lines at CR, LF and CRLF, as
+    # open_text opens a file; parse_packets reads its UTF-8 bytes from a
+    # file in reads a third of a block long, which make the reads that
+    # fill one
     read = min(traffic._READ_CHARS, max(1, block // 3))
     expected = _outcome(naive_parse_packets, io.StringIO(text, newline=""))
-    try:
-        data = text.encode("utf-8")
-    except UnicodeEncodeError:                  # a lone surrogate: no file holds it
-        data = None
     with (mock.patch.object(traffic, "PARSE_BLOCK_CHARS", block),
           mock.patch.object(traffic, "_READ_CHARS", read)):
-        from_text = _outcome(parse_packets, io.StringIO(text, newline=""))
-        from_bytes = expected if data is None else _byte_outcome(data)
-    return from_text == expected == from_bytes
+        return _byte_outcome(text.encode()) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -182,11 +171,8 @@ def _text_outcome_matches_oracle(text, block):
 @example(rows=["", "", "0,10.0.0.1,192.168.0.1,TCP,64,0", "0,10.0.0.1,192.168.0.256,TCP,64,0"],
          ends=("\n", "\r\n"), final=True, block=40)
 def test_parse_packets_matches_row_oracle(rows, ends, final, block):
-    # same rows, or an InputError naming the same line, for a list of
-    # lines and at every block size for the text of a file
-    lines = [HEADER, *rows]
-    assert _outcome(parse_packets, lines) == _outcome(naive_parse_packets, lines)
-    assert _text_outcome_matches_oracle(_as_text(lines, ends, final), block)
+    # same rows, or an InputError naming the same line, at every block size
+    assert _bytes_match_oracle(_as_text([HEADER, *rows], ends, final), block)
 
 
 _GOOD_ROW = "0.5,10.0.0.1,192.168.0.1,TCP,64,1"
@@ -240,25 +226,52 @@ _EDGE_ROWS = {
 @pytest.mark.parametrize("rows", _EDGE_ROWS.values(), ids=_EDGE_ROWS.keys())
 def test_parse_packets_edge_rows_match_row_oracle(rows):
     lines = [HEADER, *rows]
-    assert _outcome(parse_packets, lines) == _outcome(naive_parse_packets, lines)
     for ends, final, block in itertools.product((*_LINE_ENDS[:3], ("\r",)), [True, False],
                                                 _BLOCKS):
-        assert _text_outcome_matches_oracle(_as_text(lines, ends, final), block)
+        assert _bytes_match_oracle(_as_text(lines, ends, final), block)
+
+
+@pytest.mark.parametrize("header, parses", [
+    ('"timestamp",src_ip,dst_ip,protocol,length,syn', True),
+    ("\ufeff" + HEADER, False),
+    (HEADER + ",", False),
+    (HEADER.replace("syn", '"syn\r\n"'), False),
+], ids=["quoted name", "byte order mark", "trailing comma", "quoted line end"])
+def test_header_fallback_matches_row_oracle(header, parses):
+    # a header whose bytes are not PACKET_CSV_HEADER's is read by csv.reader
+    text = _as_text([header, _GOOD_ROW, _OTHER_ROW], ("\r\n",))
+    with mock.patch.object(traffic, "_parse_csv", wraps=traffic._parse_csv) as fallback:
+        if parses:
+            assert _byte_outcome(text.encode()) == _outcome(naive_parse_packets,
+                                                            io.StringIO(text, newline=""))
+        else:
+            with pytest.raises(InputError, match="^bad header"):
+                naive_parse_packets(io.StringIO(text, newline=""))
+            with pytest.raises(InputError, match="^bad header"):
+                parse_packets(io.BytesIO(text.encode()))
+    assert fallback.call_count == 1
 
 
 def test_lone_cr_line_ends_cut_blocks():
-    # lines ended by a lone CR cut the text into blocks as LF does, so a
-    # block holds at most a block's worth of text, the rest of the line
-    # where it filled and one read, with the character after a CR that
-    # ends it
+    # lines ended by a lone CR cut the bytes into blocks as LF does. Reads
+    # come in whole pieces of _READ_CHARS bytes until PARSE_BLOCK_CHARS
+    # are in hand, and a block ends at the last line end read, so it holds
+    # at most PARSE_BLOCK_CHARS + _READ_CHARS - 1 bytes. The bytes after
+    # that line end start the next block; where they alone reach
+    # PARSE_BLOCK_CHARS they are one line, at most all of it but the last
+    # byte of its line end, and the block grows a read at a time.
+    block, read = 7, 3
     lines = [HEADER, *[_GOOD_ROW, _OTHER_ROW] * 20]
-    text = _as_text(lines, ("\r",))
-    with (mock.patch.object(traffic, "PARSE_BLOCK_CHARS", 7),
-          mock.patch.object(traffic, "_READ_CHARS", 3)):
-        blocks = list(traffic._text_blocks(io.StringIO(text, newline="")))
-    assert "".join(blocks) == text
-    assert max(map(len, blocks)) <= 7 + max(map(len, lines)) + 1 + 3 + 1
-    assert _text_outcome_matches_oracle(text, 7)
+    data = _as_text(lines, ("\r",)).encode()
+    s = traffic._Scratch()
+    with (mock.patch.object(traffic, "PARSE_BLOCK_CHARS", block),
+          mock.patch.object(traffic, "_READ_CHARS", read)):
+        blocks = [bytes(s.data[traffic._TS_WIDTH:traffic._TS_WIDTH + size])
+                  for size in traffic._byte_blocks(io.BytesIO(data), s)]
+    assert b"".join(blocks) == data
+    longest = max(map(len, lines)) + 1
+    assert max(map(len, blocks)) <= max(block + read - 1, longest - 1 + read)
+    assert _bytes_match_oracle(data.decode(), block)
 
 
 def test_parse_packets_keeps_a_lowered_csv_field_limit():
@@ -266,7 +279,7 @@ def test_parse_packets_keeps_a_lowered_csv_field_limit():
     limit = csv.field_size_limit(10)
     try:
         for block in _BLOCKS:
-            assert _text_outcome_matches_oracle(_as_text(lines, ("\n",)), block)
+            assert _bytes_match_oracle(_as_text(lines, ("\n",)), block)
     finally:
         csv.field_size_limit(limit)
 
@@ -327,20 +340,19 @@ def test_long_line_is_searched_once():
 @pytest.mark.parametrize("good_rows, named", [(10, None), (3000, 2), (20000, 2)])
 def test_bad_row_before_non_utf8_bytes(tmp_path, good_rows, named):
     # bytes that are not UTF-8 raise once the lines of the reads before
-    # theirs are parsed, on both paths: right after a bad row the bytes
-    # are reported, and a bad row 3000 rows (about 100 KB, one block) or
-    # 20000 rows (several blocks) before them is named
+    # theirs are parsed: right after a bad row the bytes are reported, and
+    # a bad row 3000 rows (about 100 KB, one block) or 20000 rows (several
+    # blocks) before them is named
     rows = [HEADER, _GOOD_ROW.replace("TCP", "GRE"), *[_OTHER_ROW] * good_rows]
     path = tmp_path / "bad.csv"
     path.write_bytes(_as_text(rows, ("\r\n",)).encode() + b"ok \xff\r\n")
-    for opened in (_OPEN_MODES["bytes"], {**_OPEN_MODES["text"], "encoding": "utf-8"}):
-        with open(path, **opened) as handle:
-            if named is None:
-                with pytest.raises(UnicodeDecodeError, match="invalid start byte"):
-                    parse_packets(handle)
-            else:
-                with pytest.raises(InputError, match=f"^line {named}: unknown protocol"):
-                    parse_packets(handle)
+    with open(path, "rb") as handle:
+        if named is None:
+            with pytest.raises(UnicodeDecodeError, match="invalid start byte"):
+                parse_packets(handle)
+        else:
+            with pytest.raises(InputError, match=f"^line {named}: unknown protocol"):
+                parse_packets(handle)
 
 
 def test_non_utf8_bytes_after_good_rows_raise(tmp_path):
@@ -363,15 +375,14 @@ def test_non_utf8_bytes_after_good_rows_raise(tmp_path):
 ], ids=["empty file", "header only", "header and CRLF", "no final line end",
         "no final CRLF", "lone CR line ends"])
 def test_short_files_on_both_paths(data, expected):
-    text = data.decode()
-    for source in (io.BytesIO(data), io.StringIO(text, newline="")):
-        if isinstance(expected, str):
-            with pytest.raises(InputError, match=expected):
-                parse_packets(source)
-        else:
-            assert len(parse_packets(source)) == expected
-            assert _byte_outcome(data) == _outcome(naive_parse_packets,
-                                                   io.StringIO(text, newline=""))
+    # from memory, and from a file that the oracle reads too
+    if isinstance(expected, str):
+        with pytest.raises(InputError, match=expected):
+            parse_packets(io.BytesIO(data))
+    else:
+        assert len(parse_packets(io.BytesIO(data))) == expected
+        assert _byte_outcome(data) == _outcome(naive_parse_packets,
+                                               io.StringIO(data.decode(), newline=""))
 
 
 # floods from a pool of 2**24 spoofed sources: almost every address is new
@@ -379,20 +390,15 @@ _SPOOFED = Scenario(duration=60.0, baseline_rate=30.0,
                     attacks=[AttackInterval(0.0, 60.0, AttackKind.UDP_FLOOD, 4.0, 2**24)])
 
 
-# the open() arguments of a capture read as text, and as bytes
-_OPEN_MODES = {"text": {"mode": "r", "newline": ""}, "bytes": {"mode": "rb"}}
-
-
 def test_plain_capture_bypasses_csv_reader(tmp_path):
     path = tmp_path / "packets.csv"
     for scenario in (preset_scenario("mixed"), _SPOOFED):
         packets, _ = generate_traffic(scenario, np.random.default_rng(5))
         write_packets_csv(path, packets)
-        for block, opened in itertools.product((1 << 12, traffic.PARSE_BLOCK_CHARS),
-                                               _OPEN_MODES.values()):
+        for block in (1 << 12, traffic.PARSE_BLOCK_CHARS):
             with (mock.patch.object(traffic, "PARSE_BLOCK_CHARS", block),
                   mock.patch.object(traffic, "_check_row", side_effect=AssertionError),
-                  open(path, **opened) as handle):
+                  open(path, "rb") as handle):
                 assert parse_packets(handle) == packets
 
 
@@ -406,20 +412,16 @@ def test_capture_without_plain_blocks_parses_as_plain(tmp_path):
         header, *rows = handle.read().splitlines(keepends=True)
     lines = [header, *(row + "\r\n" * (k % 100 == 99) for k, row in enumerate(rows))]
     path.write_text("".join(lines), newline="")
-    for opened in _OPEN_MODES.values():
-        with (mock.patch.object(traffic, "_check_row", wraps=traffic._check_row) as check,
-              open(path, **opened) as handle):
-            assert parse_packets(handle) == packets
-        assert check.call_count == len(packets)
-    assert parse_packets(lines) == packets
+    with (mock.patch.object(traffic, "_check_row", wraps=traffic._check_row) as check,
+          open(path, "rb") as handle):
+        assert parse_packets(handle) == packets
+    assert check.call_count == len(packets)
 
 
-def _parsed_stamps(stamps, source=io.StringIO):
-    """The ts column of a file whose rows carry ``stamps``, read from a
-    StringIO or, with ``source`` io.BytesIO, from its bytes."""
-    text = HEADER + "\n" + "".join(f"{stamp},10.0.0.1,192.168.0.1,TCP,64,0\n" for stamp in stamps)
-    return parse_packets(io.BytesIO(text.encode()) if source is io.BytesIO
-                         else io.StringIO(text, newline="")).ts
+def _parsed_stamps(stamps):
+    """The ts column of a file whose rows carry ``stamps``."""
+    rows = (f"{stamp},10.0.0.1,192.168.0.1,TCP,64,0" for stamp in stamps)
+    return _parse_lines([HEADER, *rows]).ts
 
 
 def _digit_string(digits, dot):
@@ -463,16 +465,14 @@ def test_parsed_timestamps_are_float_bit_for_bit(stamps):
     # the first four lie halfway between two doubles as long double
     # quotients (the first two only once rounded), so they must reach float
     expected = np.array([float(stamp) for stamp in stamps])
-    for source in (io.StringIO, io.BytesIO):
-        npt.assert_array_equal(_parsed_stamps(stamps, source).view(np.uint64),
-                               expected.view(np.uint64))
+    npt.assert_array_equal(_parsed_stamps(stamps).view(np.uint64), expected.view(np.uint64))
 
 
-def _float_calls(path, opened):
-    """The Packets of the file at ``path``, opened as ``opened`` says, and
-    how many values ``float`` converted on the way."""
+def _float_calls(path):
+    """The Packets of the file at ``path`` and how many values ``float``
+    converted on the way."""
     with (mock.patch.object(traffic, "float", wraps=float, create=True) as convert,
-          open(path, **opened) as handle):
+          open(path, "rb") as handle):
         return parse_packets(handle), convert.call_count
 
 
@@ -480,29 +480,19 @@ def test_timestamps_rarely_reach_float(tmp_path):
     packets, _ = generate_traffic(preset_scenario("mixed"), np.random.default_rng(1))
     path = tmp_path / "packets.csv"
     write_packets_csv(path, packets)
-    for opened in _OPEN_MODES.values():
-        parsed, calls = _float_calls(path, opened)
-        assert parsed == packets
-        assert calls < len(packets) / 1000
+    parsed, calls = _float_calls(path)
+    assert parsed == packets
+    assert calls < len(packets) / 1000
 
 
 def test_narrow_long_double_reads_every_timestamp_with_float(tmp_path):
     packets, _ = generate_traffic(preset_scenario("syn10"), np.random.default_rng(2))
     path = tmp_path / "packets.csv"
     write_packets_csv(path, packets)
-    for opened in _OPEN_MODES.values():
-        with mock.patch.object(traffic, "_EXACT_QUOTIENTS", False):
-            parsed, calls = _float_calls(path, opened)
-        assert parsed == packets
-        assert calls == len(packets)
-
-
-def test_packets_row_adapter_round_trip():
-    packets, _ = generate_traffic(preset_scenario("syn10"), np.random.default_rng(3))
-    rows = list(packets)
-    assert Packets.from_records(rows) == packets
-    assert packets[len(rows) - 1] == rows[-1]
-    assert list(packets[5:8]) == rows[5:8]
+    with mock.patch.object(traffic, "_EXACT_QUOTIENTS", False):
+        parsed, calls = _float_calls(path)
+    assert parsed == packets
+    assert calls == len(packets)
 
 
 def test_ip_round_trip():
@@ -510,60 +500,59 @@ def test_ip_round_trip():
         assert format_ip(parse_ip(text)) == text
 
 
+def _tcp_at(*stamps):
+    """One 100-byte TCP packet from address 1 to 2 at each of ``stamps``."""
+    return packets_of((ts, 1, 2, "TCP", 100, False) for ts in stamps)
+
+
 def test_windowize_empty():
-    assert len(windowize(Packets.from_records([]), 1.0)) == 0
+    assert len(windowize(packets_of([]), 1.0)) == 0
 
 
 def test_windowize_two_windows():
-    out = windowize(Packets.from_records([packet(0.5), packet(1.5)]), 1.0)
-    assert [(idx, len(recs)) for idx, recs in out] == [(0, 1), (1, 1)]
+    out = windowize(_tcp_at(0.5, 1.5), 1.0)
+    assert [(idx, len(bucket)) for idx, bucket in out] == [(0, 1), (1, 1)]
 
 
 def test_windowize_keeps_empty_middle_window():
-    out = windowize(Packets.from_records([packet(0.1), packet(2.9)]), 1.0)
-    assert [(idx, len(recs)) for idx, recs in out] == [(0, 1), (1, 0), (2, 1)]
+    out = windowize(_tcp_at(0.1, 2.9), 1.0)
+    assert [(idx, len(bucket)) for idx, bucket in out] == [(0, 1), (1, 0), (2, 1)]
 
 
 def test_windowize_partitions_and_sorts():
     rng = np.random.default_rng(0)
-    records = [packet(float(t)) for t in rng.uniform(0, 10, 200)]
-    out = windowize(Packets.from_records(records), 1.0)
-    flattened = [rec for _, recs in out for rec in recs]
-    assert len(flattened) == len(records)
-    stamps = [rec.timestamp for rec in flattened]
-    assert stamps == sorted(stamps)
-    for idx, recs in out:
-        for rec in recs:
-            assert int(rec.timestamp // 1.0) == idx
+    stamps = rng.uniform(0, 10, 200)
+    out = windowize(_tcp_at(*stamps), 1.0)
+    flattened = np.concatenate([bucket.ts for _, bucket in out])
+    npt.assert_array_equal(flattened, np.sort(stamps))
+    for idx, bucket in out:
+        assert (bucket.ts // 1.0 == idx).all()
 
 
 def test_extract_features_empty_window():
     # window 1 of packets at 0.1 and 2.9 holds no packet
-    packets = Packets.from_records([packet(0.1), packet(2.9)])
-    npt.assert_array_equal(feature_matrix(windowize(packets, 1.0))[1], np.zeros(8))
+    npt.assert_array_equal(feature_matrix(windowize(_tcp_at(0.1, 2.9), 1.0))[1], np.zeros(8))
 
 
 def test_extract_features_single_source_entropy_zero():
-    records = [packet(0.1, src=7) for _ in range(4)]
-    assert window_features(records)["src_ip_entropy"] == 0.0
+    rows = [(0.1, 7, 2, "TCP", 100, False)] * 4
+    assert window_features(rows)["src_ip_entropy"] == 0.0
 
 
 def test_extract_features_hand_computed_entropy():
     # src counts {2,1,1}: raw entropy 1.5 bits, normalized 1.5/log2(3)
-    records = [packet(0.1, src=1), packet(0.2, src=1),
-               packet(0.3, src=2), packet(0.4, src=3)]
-    feats = window_features(records)
+    rows = [(0.1, 1, 2, "TCP", 100, False), (0.2, 1, 2, "TCP", 100, False),
+            (0.3, 2, 2, "TCP", 100, False), (0.4, 3, 2, "TCP", 100, False)]
+    feats = window_features(rows)
     assert feats["src_ip_entropy"] == pytest.approx(1.5 / np.log2(3), abs=1e-12)
     assert feats["src_ip_entropy"] == pytest.approx(
         naive_entropy_normalized([2, 1, 1]), abs=1e-12)
 
 
 def test_extract_features_counts_and_fractions():
-    records = [packet(0.1, proto=Protocol.TCP, length=100, syn=True),
-               packet(0.2, proto=Protocol.TCP, length=200),
-               packet(0.3, proto=Protocol.UDP, length=300),
-               packet(0.4, proto=Protocol.ICMP, length=400)]
-    feats = window_features(records)
+    rows = [(0.1, 1, 2, "TCP", 100, True), (0.2, 1, 2, "TCP", 200, False),
+            (0.3, 1, 2, "UDP", 300, False), (0.4, 1, 2, "ICMP", 400, False)]
+    feats = window_features(rows)
     assert feats["packet_count"] == 4
     assert feats["byte_count"] == 1000
     assert feats["mean_packet_size"] == 250
@@ -574,19 +563,19 @@ def test_extract_features_counts_and_fractions():
 
 def test_extract_features_permutation_invariant():
     rng = np.random.default_rng(5)
-    records = [packet(float(t), src=int(rng.integers(1, 5)),
-                      proto=Protocol.UDP, length=int(rng.integers(64, 1500)))
-               for t in rng.uniform(0, 1, 30)]
-    shuffled = list(records)
+    rows = [(float(t), int(rng.integers(1, 5)), 2, "UDP", int(rng.integers(64, 1500)), False)
+            for t in rng.uniform(0, 1, 30)]
+    shuffled = list(rows)
     rng.shuffle(shuffled)
-    npt.assert_array_equal(list(window_features(records).values()),
+    npt.assert_array_equal(list(window_features(rows).values()),
                            list(window_features(shuffled).values()))
 
 
 def _oracle_matrix(packets, window_len=1.0):
     buckets = {}
-    for record in packets:
-        buckets.setdefault(int(record.timestamp // window_len), []).append(record)
+    for ts, src, dst, proto, length, syn in zip(*(c.tolist() for c in packets.columns())):
+        buckets.setdefault(int(ts // window_len), []).append(
+            (ts, src, dst, PROTOCOLS[proto], length, syn))
     return np.array([naive_window_features(buckets.get(k, []))
                      for k in range(max(buckets) + 1)])
 
@@ -613,10 +602,10 @@ def test_feature_matrix_sums_lengths_past_int64():
     # byte sums of 2**63 - 1 byte packets are float sums, not wrapped int64
     # ones; windows 1, 2 and 4 are empty
     top = 2**63 - 1
-    packets = Packets.from_records([
-        packet(0.1, src=1, length=top), packet(0.2, src=2, length=top),
-        packet(3.1, src=1, length=top), packet(3.2, src=1, length=5, proto=Protocol.UDP),
-        packet(5.5, src=3, length=top, proto=Protocol.ICMP)])
+    packets = packets_of([
+        (0.1, 1, 2, "TCP", top, False), (0.2, 2, 2, "TCP", top, False),
+        (3.1, 1, 2, "TCP", top, False), (3.2, 1, 2, "UDP", 5, False),
+        (5.5, 3, 2, "ICMP", top, False)])
     matrix = feature_matrix(windowize(packets, 1.0))
     expected = _oracle_matrix(packets)
     assert matrix.shape == (6, 8)
@@ -683,11 +672,10 @@ def test_generate_traffic_rejects_too_many_windows():
 
 def test_generate_traffic_sorted_and_in_range():
     scenario = preset_scenario("mixed")
-    records, _ = generate_traffic(scenario, np.random.default_rng(4))
-    stamps = [rec.timestamp for rec in records]
-    assert stamps == sorted(stamps)
-    assert 0.0 <= stamps[0] and stamps[-1] < scenario.duration
-    assert all(64 <= rec.length <= 1500 for rec in records)
+    packets, _ = generate_traffic(scenario, np.random.default_rng(4))
+    assert (np.diff(packets.ts) >= 0).all()
+    assert 0.0 <= packets.ts[0] and packets.ts[-1] < scenario.duration
+    assert ((64 <= packets.length) & (packets.length <= 1500)).all()
 
 
 def test_generate_traffic_rate_accuracy():
@@ -695,8 +683,8 @@ def test_generate_traffic_rate_accuracy():
     scenario = Scenario(duration=300.0, baseline_rate=80.0)
     hits = 0
     for seed in range(5):
-        records, _ = generate_traffic(scenario, np.random.default_rng(seed))
-        rate = len(records) / scenario.duration
+        packets, _ = generate_traffic(scenario, np.random.default_rng(seed))
+        rate = len(packets) / scenario.duration
         hits += abs(rate - scenario.baseline_rate) <= 0.1 * scenario.baseline_rate
     assert hits >= 3
 
@@ -705,11 +693,11 @@ def test_generate_traffic_flood_rate_dominates():
     # SynFlood at multiplier 10: attack-window rate >= 5x normal rate
     hits = 0
     for seed in range(5):
-        records, labels = generate_traffic(preset_scenario("syn10"),
+        packets, labels = generate_traffic(preset_scenario("syn10"),
                                            np.random.default_rng(seed))
         counts = np.zeros(len(labels))
-        for idx, recs in windowize(records, 1.0):
-            counts[idx] = len(recs)
+        for idx, bucket in windowize(packets, 1.0):
+            counts[idx] = len(bucket)
         labels = np.array(labels)
         hits += counts[labels].mean() >= 5.0 * counts[~labels].mean()
     assert hits == 5
@@ -725,21 +713,21 @@ def test_generate_traffic_attack_label_matches_interval():
 
 
 def test_feature_fractions_bounded_on_generated_traffic():
-    records, _ = generate_traffic(preset_scenario("mixed"), np.random.default_rng(1))
-    matrix = feature_matrix(windowize(records, 1.0))
+    packets, _ = generate_traffic(preset_scenario("mixed"), np.random.default_rng(1))
+    matrix = feature_matrix(windowize(packets, 1.0))
     assert matrix.shape[1] == len(FEATURE_NAMES)
     frac = matrix[:, 3:]  # entropies and protocol fractions
     assert np.all(frac >= 0.0) and np.all(frac <= 1.0)
 
 
 def test_packet_csv_round_trip(tmp_path):
-    records, _ = generate_traffic(Scenario(duration=5.0, baseline_rate=40.0),
+    packets, _ = generate_traffic(Scenario(duration=5.0, baseline_rate=40.0),
                                   np.random.default_rng(11))
     path = tmp_path / "packets.csv"
-    write_packets_csv(path, records)
-    with open(path) as handle:
+    write_packets_csv(path, packets)
+    with open(path, "rb") as handle:
         again = parse_packets(handle)
-    assert again == records
+    assert again == packets
 
 
 def _edge_packets():
@@ -759,7 +747,7 @@ def _same_bytes_as_oracle(directory, packets, chunk):
 
 
 @pytest.mark.parametrize("chunk", [1, 3, traffic.WRITE_CHUNK_ROWS])
-@pytest.mark.parametrize("packets", [Packets.from_records([]), _edge_packets()],
+@pytest.mark.parametrize("packets", [packets_of([]), _edge_packets()],
                          ids=["empty", "edges"])
 def test_write_packets_csv_matches_writer_oracle(tmp_path, packets, chunk):
     assert _same_bytes_as_oracle(tmp_path, packets, chunk)
@@ -773,7 +761,7 @@ def test_write_packets_csv_matches_writer_oracle(tmp_path, packets, chunk):
        chunk=st.sampled_from([1, 3, traffic.WRITE_CHUNK_ROWS]))
 def test_write_packets_csv_matches_writer_oracle_on_random_columns(tmp_path_factory,
                                                                    rows, chunk):
-    packets = Packets(*zip(*rows)) if rows else Packets.from_records([])
+    packets = Packets(*zip(*rows)) if rows else packets_of([])
     assert _same_bytes_as_oracle(tmp_path_factory.mktemp("write"), packets, chunk)
 
 
@@ -807,11 +795,10 @@ def test_preset_scenario_unknown_name():
 
 
 def test_split_packets_window_aligned():
-    records, _ = generate_traffic(Scenario(duration=20.0, baseline_rate=30.0),
+    packets, _ = generate_traffic(Scenario(duration=20.0, baseline_rate=30.0),
                                   np.random.default_rng(6))
-    train, valid = split_packets(records, 0.8, 1.0)
-    assert len(train) + len(valid) == len(records)
-    boundary = max(rec.timestamp for rec in train)
-    assert boundary < 16.0
+    train, valid = split_packets(packets, 0.8, 1.0)
+    assert len(train) + len(valid) == len(packets)
+    assert train.ts.max() < 16.0
     # validation is re-based so its own windows start at zero
-    assert min(rec.timestamp for rec in valid) < 1.0
+    assert valid.ts.min() < 1.0
