@@ -17,7 +17,7 @@ import sys
 
 # The numeric modules load numpy, so each command imports the ones it uses:
 # ``eval`` and ``--help`` then start without numpy.
-from .config import PRESET_NAMES, RunConfig, load_config, utf8_errors
+from .config import PRESET_NAMES, RunConfig, load_config, replacing, utf8_errors
 from .errors import InputError, NumericError
 
 GRADCHECK_TOLERANCE = 1e-5
@@ -74,10 +74,13 @@ def cmd_gen(args) -> int:
     rng = np.random.default_rng(args.seed)
     packets, labels = traffic.generate_traffic(scenario, rng,
                                                window_len=args.window_len)
-    traffic.write_packets_csv(args.out, packets)
-    traffic.write_labels_csv(args.labels, labels)
-    print(_json_text({"packets": len(packets), "windows": len(labels),
-                      "attack_windows": sum(labels)}))
+    text = _json_text({"packets": len(packets), "windows": len(labels),
+                       "attack_windows": sum(labels)})
+    # both files are renamed into place once both are whole
+    with replacing(args.out, args.labels) as (out, labels_out):
+        traffic.write_packets_csv(out, packets)
+        traffic.write_labels_csv(labels_out, labels)
+    print(text)
     return 0
 
 

@@ -6,6 +6,8 @@ import contextlib
 import json
 import math
 import numbers
+import os
+import stat
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import InputError
@@ -115,6 +117,57 @@ def open_text(path):
     InputError naming the file."""
     with open(path, "r", encoding="utf-8", newline="") as handle, utf8_errors(path):
         yield handle
+
+
+def _temporary(path) -> str | None:
+    """A new empty file to be renamed onto ``path``, in its directory, with
+    the mode that open(path, "w") would leave: that of the file there, or
+    0o666 under the umask. None if ``path`` names something other than a
+    regular file, such as /dev/null, which is then written in place."""
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        return None
+    directory, name = os.path.split(path)
+    while True:
+        temp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+        try:
+            os.close(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+            break
+        except FileExistsError:
+            continue
+        except OSError as exc:                  # named by the path asked for
+            raise type(exc)(exc.errno, exc.strerror, path) from None
+    if mode is not None:
+        os.chmod(temp, stat.S_IMODE(mode))
+    return temp
+
+
+@contextlib.contextmanager
+def replacing(*paths):
+    """The paths to write ``paths`` through, yielded as a list: a new
+    temporary file beside each (see _temporary). When the block ends
+    without an error, each is renamed onto its path with os.replace, so a
+    reader finds the old file or the whole new one and the paths change
+    together; on an error they are removed, and the paths keep their
+    bytes. A symbolic link is followed, as open follows it."""
+    targets = [os.path.realpath(path) for path in paths]
+    temps = []
+    try:
+        for target in targets:
+            temps.append(_temporary(target))
+        yield [temp or target for temp, target in zip(temps, targets)]
+        for index, (temp, target) in enumerate(zip(temps, targets)):
+            if temp is not None:
+                os.replace(temp, target)
+                temps[index] = None
+    finally:
+        for temp in temps:
+            if temp is not None:
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(temp)
 
 
 def load_json(path):

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .config import RunConfig, load_json, require_int
+from .config import RunConfig, load_json, replacing, require_int
 from .dbn import DbnModel
 from .detector import DetectorModel
 from .errors import InputError, NumericError
@@ -64,7 +64,7 @@ def save_model(path, model: DetectorModel, config: RunConfig):
         text = json.dumps(doc, indent=2, allow_nan=False)
     except ValueError as exc:
         raise NumericError(f"{path}: model holds a non-finite value: {exc}") from None
-    with open(path, "w", encoding="utf-8") as handle:
+    with replacing(path) as (temp,), open(temp, "w", encoding="utf-8") as handle:
         handle.write(text + "\n")
 
 

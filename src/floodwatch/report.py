@@ -13,7 +13,7 @@ import csv
 import math
 from dataclasses import asdict, dataclass
 
-from .config import open_text
+from .config import open_text, replacing
 from .errors import InputError
 
 REPORT_CSV_HEADER = ["window_index", "residual", "alarm"]
@@ -109,7 +109,7 @@ def csv_errors(reader, path=None, lines_before=0):
 
 
 def write_report_csv(path, report: DetectionReport):
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with replacing(path) as (temp,), open(temp, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(REPORT_CSV_HEADER)
         for entry in report.scores:
@@ -143,7 +143,7 @@ def read_report_csv(path) -> list[WindowScore]:
 
 
 def write_labels_csv(path, labels):
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with replacing(path) as (temp,), open(temp, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(LABELS_CSV_HEADER)
         for index, label in enumerate(labels):

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import floodwatch as fw
-from floodwatch import cli
+from floodwatch import cli, model_io, packet_text, traffic
 from floodwatch.detector import evaluate, read_report_csv
 from floodwatch.model_io import load_model
 from floodwatch.traffic import (
@@ -359,16 +360,123 @@ def test_non_finite_window_len_exits_2(workspace, tmp_path, capsys, command, win
     assert not out.exists()
 
 
+# One packet a second for 20,000 s, plus floods of a million and a thousand
+# times that in [0, 0.001) and [0.001, 1): seed 0 stamps packets at every
+# decimal exponent from -8 to 4, so its timestamps take every layout of the
+# writer, and the 1e-4 edge of repr's positional range.
+WIDE_SCENARIO = {"duration": 20000, "baseline_rate": 1, "attacks": [
+    {"start": 0, "end": 0.001, "kind": "udp_flood", "multiplier": 1000000, "source_pool": 1000},
+    {"start": 0.001, "end": 1, "kind": "icmp_flood", "multiplier": 1000, "source_pool": 1000}]}
+
+
 @pytest.mark.parametrize("preset, seed, digest", [
     ("syn10", 0, "8ef7cdfb13b015d2d075dc6f5d76c169329c257c9c0b45418833ce68c2d45383"),
     ("mixed", 1, "a74118c962402e6f5fc202ca73952bf7226d3775a4b8bff63b592c5c96b79a65"),
+    ("quiet", 0, "1ac1d8c956842976a10703ac396b92bb20f511b633f712068ad91bb6eec1a31e"),
+    ("wide", 0, "6091c044d67d02cd41f1bff174ef6545b6ab2117fae8f9df9be3c5b05fad63bc"),
 ])
 def test_gen_bytes_are_pinned(tmp_path, capsys, preset, seed, digest):
+    # the digests were taken from the writer that called repr on every timestamp
     out = tmp_path / "traffic.csv"
-    assert cli.main(["gen", "--preset", preset, "--seed", str(seed), "--out", str(out),
+    if preset == "wide":
+        (tmp_path / "wide.json").write_text(json.dumps(WIDE_SCENARIO))
+        source = ["--scenario", str(tmp_path / "wide.json")]
+    else:
+        source = ["--preset", preset]
+    assert cli.main(["gen", *source, "--seed", str(seed), "--out", str(out),
                      "--labels", str(tmp_path / "labels.csv")]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     capsys.readouterr()
+
+
+def test_wide_scenario_covers_every_exponent():
+    packets, _ = generate_traffic(Scenario.from_dict(WIDE_SCENARIO), np.random.default_rng(0))
+    stamps = packets.ts[packets.ts > 0]
+    assert set(range(-4, 5)) <= set(np.floor(np.log10(stamps)).astype(int).tolist())
+
+
+def _old_outputs(directory, names):
+    """Files ``names`` in ``directory``, each holding its own name; their bytes."""
+    for name in names:
+        (directory / name).write_text(f"old {name}\n")
+    return {name: (directory / name).read_bytes() for name in names}
+
+
+@pytest.mark.parametrize("failing", ["second chunk", "labels"])
+def test_gen_that_fails_leaves_old_outputs(tmp_path, capsys, monkeypatch, failing):
+    # a full disk in the second chunk of the packets, or while the labels
+    # are written after the whole packet file: neither output changes
+    old = _old_outputs(tmp_path, ["traffic.csv", "labels.csv"])
+    disk_full = OSError(errno.ENOSPC, "No space left on device")
+    if failing == "second chunk":
+        real = packet_text.chunk_bytes
+        calls = []
+
+        def chunk_bytes(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise disk_full
+            return real(*args)
+        monkeypatch.setattr(packet_text, "chunk_bytes", chunk_bytes)
+    else:
+        def labels(path, values):
+            raise disk_full
+        monkeypatch.setattr(traffic, "write_labels_csv", labels)
+    assert cli.main(["gen", "--preset", "quiet", "--seed", "0",
+                     "--out", str(tmp_path / "traffic.csv"),
+                     "--labels", str(tmp_path / "labels.csv")]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(old)
+    assert {name: (tmp_path / name).read_bytes() for name in old} == old
+
+
+def test_save_model_that_fails_mid_write_leaves_old_model(workspace, tmp_path, monkeypatch):
+    root, _ = workspace
+    model, config = load_model(root / "model.json")
+    old = _old_outputs(tmp_path, ["model.json"])
+    real_open = open
+
+    class HalfWritten:
+        """A file that takes half of what is written, then runs out of space."""
+
+        def __init__(self, *args, **kwargs):
+            self.handle = real_open(*args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def write(self, text):
+            self.handle.write(text[:len(text) // 2])
+            self.handle.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(model_io, "open", HalfWritten, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        model_io.save_model(tmp_path / "model.json", model, config)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+    assert (tmp_path / "model.json").read_bytes() == old["model.json"]
+
+
+def test_outputs_take_the_mode_open_would_give(workspace, tmp_path, capsys):
+    root, _ = workspace
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old\n")
+    kept.chmod(0o640)
+    mask = os.umask(0o027)
+    try:
+        for out in ("new.csv", "kept.csv"):
+            assert cli.main(["featurize", str(root / "test.csv"),
+                             "--out", str(tmp_path / out)]) == 0
+    finally:
+        os.umask(mask)
+    capsys.readouterr()
+    assert (tmp_path / "new.csv").stat().st_mode & 0o777 == 0o640    # 0o666 under 0o027
+    assert kept.stat().st_mode & 0o777 == 0o640
+    assert kept.read_bytes() == (tmp_path / "new.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv", "new.csv"]
 
 
 @pytest.mark.parametrize("reader", ["featurize", "labels", "report"])

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from floodwatch import traffic
+from floodwatch import packet_text, traffic
 from floodwatch.errors import InputError
 from floodwatch.traffic import (
     FEATURE_NAMES,
@@ -23,7 +23,6 @@ from floodwatch.traffic import (
     Scenario,
     feature_matrix,
     fit_normalizer,
-    format_ip,
     generate_traffic,
     normalize,
     parse_ip,
@@ -495,9 +494,20 @@ def test_narrow_long_double_reads_every_timestamp_with_float(tmp_path):
     assert calls == len(packets)
 
 
+def _written_rows(packets) -> list:
+    """The fields of the rows that the writer writes for ``packets``."""
+    text = packet_text.chunk_bytes(traffic._Scratch(0), packets)
+    return [line.split(b",") for line in text.split(b"\r\n")[:-1]]
+
+
 def test_ip_round_trip():
-    for text in ("0.0.0.0", "10.0.0.1", "192.168.0.1", "255.255.255.255"):
-        assert format_ip(parse_ip(text)) == text
+    texts = ["0.0.0.0", "10.0.0.1", "192.168.0.1", "255.255.255.255"]
+    addresses = [parse_ip(text) for text in texts]
+    assert addresses == [0, 0x0A000001, 0xC0A80001, 0xFFFFFFFF]
+    rows = _written_rows(Packets(np.ones(4), addresses, addresses[::-1], np.zeros(4, np.uint8),
+                                 np.ones(4, np.int64), np.zeros(4, bool)))
+    assert [row[1:3] for row in rows] == [[a.encode(), b.encode()]
+                                          for a, b in zip(texts, texts[::-1])]
 
 
 def _tcp_at(*stamps):
@@ -763,6 +773,64 @@ def test_write_packets_csv_matches_writer_oracle_on_random_columns(tmp_path_fact
                                                                    rows, chunk):
     packets = Packets(*zip(*rows)) if rows else packets_of([])
     assert _same_bytes_as_oracle(tmp_path_factory.mktemp("write"), packets, chunk)
+
+
+def _stepped(value, steps: int) -> float:
+    """``value`` moved by ``steps`` doubles, toward +inf when positive."""
+    for _ in range(abs(steps)):
+        value = float(np.nextafter(value, np.inf if steps > 0 else -np.inf))
+    return value
+
+
+# finite doubles, leaning on the values where the digit search turns:
+# powers of two and of ten, the ends of repr's positional range [1e-4,
+# 1e16), whole numbers and short decimals, each with its near neighbours
+_SPECIAL_STAMPS = st.one_of(
+    st.integers(-1074, 1023).map(lambda k: float(np.ldexp(1.0, k))),
+    st.integers(-8, 20).map(lambda k: float(f"1e{k}")),
+    st.sampled_from([1e-4, 1e16]),
+    st.integers(0, 2 ** 54).map(float),
+    st.tuples(st.floats(0, 1e6), st.integers(0, 12)).map(lambda pair: round(*pair)),
+)
+_STAMPS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.tuples(_SPECIAL_STAMPS, st.integers(-3, 3), st.booleans()).map(
+        lambda drawn: _stepped(-drawn[0] if drawn[2] else drawn[0], drawn[1])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_STAMPS, min_size=1, max_size=40))
+def test_written_timestamps_are_repr(values):
+    n = len(values)
+    rows = _written_rows(Packets(values, np.ones(n), np.ones(n), np.zeros(n), np.ones(n),
+                                 np.zeros(n)))
+    assert [row[0] for row in rows] == [repr(float(value)).encode() for value in values]
+
+
+def test_narrow_long_double_writes_every_timestamp_with_repr(tmp_path):
+    packets, _ = generate_traffic(preset_scenario("syn10"), np.random.default_rng(2))
+    exact, narrow = tmp_path / "exact.csv", tmp_path / "narrow.csv"
+    write_packets_csv(exact, packets)
+    with (mock.patch.object(traffic, "_EXACT_QUOTIENTS", False),
+          mock.patch.object(packet_text, "repr", wraps=repr, create=True) as spelled):
+        write_packets_csv(narrow, packets)
+    assert spelled.call_count == len(packets)
+    assert narrow.read_bytes() == exact.read_bytes()
+
+
+def test_hour_timestamps_rarely_reach_repr(tmp_path):
+    # the one-hour benchmark capture: a slide back to repr shows here
+    packets, _ = generate_traffic(Scenario.from_dict({
+        "duration": 3600.0, "baseline_rate": 100.0, "diurnal_amplitude": 0.1,
+        "attacks": [{"start": 300.0 + 600.0 * k, "end": 330.0 + 600.0 * k, "kind": kind,
+                     "multiplier": 8.0, "source_pool": 400}
+                    for k, kind in enumerate(["syn_flood", "udp_flood", "icmp_flood"] * 2)]}),
+        np.random.default_rng(1001))
+    assert len(packets) == 504721
+    with mock.patch.object(packet_text, "repr", wraps=repr, create=True) as spelled:
+        write_packets_csv(tmp_path / "hour.csv", packets)
+    assert spelled.call_count <= 0.02 * len(packets)
 
 
 def test_labels_csv_round_trip(tmp_path):
