@@ -84,7 +84,8 @@ def _object(value, what: str) -> dict:
 
 def load_model(path) -> tuple[DetectorModel, RunConfig]:
     """Read a model file; a schema_version other than 1 is rejected before
-    any parameter is parsed."""
+    any parameter is parsed, and so is a file whose top-level lookback or
+    window_len disagrees with its config."""
     doc = load_json(path)
     if not isinstance(doc, dict):
         raise InputError(f"{path}: model document must be a JSON object")
@@ -133,6 +134,10 @@ def load_model(path) -> tuple[DetectorModel, RunConfig]:
             residual_mean=stats["mean"],
             residual_std=stats["std"],
         )
+        for name in ("lookback", "window_len"):         # stored twice: both must agree
+            if getattr(model, name) != getattr(config, name):
+                raise InputError(f"{name} {getattr(model, name)!r} disagrees with "
+                                 f"config.{name} {getattr(config, name)!r}")
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:

@@ -76,6 +76,12 @@ _READ_CHARS = 8192
 # to 16,384 rows and 54.7 MB at 65,536.
 WRITE_CHUNK_ROWS = 16384
 
+# Decimal places of a generated timestamp: whole microseconds, as classic
+# libpcap stores them. The writer spells such a time with exactly these
+# places, and the parser reads it back with one float64 division.
+TIMESTAMP_PLACES = 6
+_TICKS = 10.0 ** TIMESTAMP_PLACES          # grid steps a second
+
 TCP_SHARE = 0.70                   # remaining traffic: 25% UDP, 5% ICMP
 UDP_SHARE = 0.25
 SYN_RATE = 0.05                    # fraction of normal TCP packets with SYN set
@@ -479,36 +485,8 @@ def _decimals(s: _Scratch, name: str, buf, end, width, most: int) -> np.ndarray 
     return None if bad.any() else value
 
 
-# D / 10**k, for D < 10**19 and k <= 27, is exact or rounds once where long
-# double is the x87 80-bit format (63 fraction bits) or IEEE binary128
-# (112): D and 10**k fit its significand (5**27 < 2**63), and it rounds
-# each division correctly. A plain double (52) is too narrow, and IBM
-# double-double (105) does not round division correctly.
-_EXACT_QUOTIENTS = np.finfo(np.longdouble).nmant in (63, 112)
-_POW10_LD = np.multiply.accumulate(np.array([1] + [10] * 27, np.longdouble))  # exact products
-
-
-def _quotients(s: _Scratch, quotient, k, ts, flag) -> np.ndarray:
-    """Write into ``ts`` each integer of ``quotient`` (long doubles, which
-    it overwrites) divided by 10**k in long double and rounded to float64,
-    the value of a field of its digits with k of them after the dot, and
-    return ``flag``: True where that quotient lies halfway between two
-    doubles, so that ``float`` may round the field otherwise. Elsewhere the
-    value is the one ``float`` reads (see _EXACT_QUOTIENTS)."""
-    n = ts.size
-    quotient /= np.take(_POW10_LD, k, out=s("ts divisor", n, np.longdouble), mode="clip")
-    np.copyto(ts, quotient, casting="same_kind")
-    # exact in x87 format (11 bits); in binary128 its rounding can only
-    # flag more quotients
-    off = s("ts off", n, np.float64)
-    np.copyto(off, np.subtract(quotient, ts, out=quotient), casting="same_kind")
-    step = np.copysign(np.inf, off, out=s("ts step", n, np.float64))
-    np.nextafter(ts, step, out=step)
-    step -= ts
-    np.abs(step, out=step)
-    np.abs(off, out=off)
-    off *= 2
-    return np.equal(off, step, out=flag)
+# 10**k for k <= 22, exact doubles since 5**22 < 2**53.
+_POW10 = 10.0 ** np.arange(23)
 
 
 def _timestamps(s: _Scratch, padded, words, starts, dots, ends, ts) -> bool:
@@ -519,51 +497,46 @@ def _timestamps(s: _Scratch, padded, words, starts, dots, ends, ts) -> bool:
     _field_words.
 
     A field of digits with at most one dot, whose digits form an integer D
-    below 10**19 with k <= 27 of them after the dot, is D / 10**k divided
-    in long double and rounded to float64 (see _EXACT_QUOTIENTS). Every
-    point halfway between two doubles fits the long double significand,
-    so its rounding moves no quotient across one, and the second rounding
-    gives ``float``'s value unless the quotient lies on one. Such
-    quotients and all other fields go through ``float`` one by one, as
-    does every field where long double does not qualify."""
+    below 2**53 with k <= 22 of them after the dot, is D / 10**k in
+    float64: D and 10**k are exact doubles, so the one correctly rounded
+    division gives ``float``'s value (Clinger's fast path, "How to Read
+    Floating Point Numbers Accurately", 1990). All other fields go through
+    ``float`` one by one."""
     n = starts.size
-    slow = s("ts slow", n, bool)
-    slow.fill(True)
-    if _EXACT_QUOTIENTS:
-        flag = s("ts flag", n, bool)
-        has_dot = np.less(dots, ends, out=s("ts has dot", n, bool))
-        k = np.subtract(ends, dots, out=s("ts k", n))
-        k -= has_dot                                    # digits after the dot
-        width = np.subtract(ends, starts, out=s("ts width", n))
-        size = max(int(width.max()), 1)
-        width -= has_dot                                # digits in all
-        # row i holds digit i from the right of each field: its byte i from
-        # the right, or byte i + 1 from the dot on; bytes before a field
-        # are zeroed
-        cut = s("ts cut", n)
-        cut.fill(size)
-        np.copyto(cut, k, where=has_dot)
-        mask = s("ts mask", (size, n), bool)
-        index = np.add(ends, _TS_WIDTH - 1, out=s("ts index", (size, n)))
-        index -= _ROWS[:size]
-        index[:-1] -= np.greater_equal(_ROWS[:size - 1], cut, out=mask[:-1])
-        digit = np.take(padded, index, out=s("ts digits", (size, n), np.uint8), mode="clip")
-        digit -= np.uint8(ord("0"))                     # bytes below "0" wrap past 9
-        digit *= np.less(_ROWS[:size], width, out=mask)
-        np.greater(np.max(digit, axis=0, out=s("ts max", n, np.uint8)), 9, out=slow)
-        if size > 19:
-            slow |= np.any(digit[19:], axis=0, out=flag)
-        slow |= np.less(width, 1, out=flag)
-        slow |= np.greater(k, 27, out=flag)
-        value = s("ts value", n, np.uint64)
-        value.fill(0)
-        for row in digit[min(size, 19) - 1::-1]:       # Horner's rule from the top digit
-            value *= np.uint64(10)
-            value += row
-        quotient = s("ts quotient", n, np.longdouble)
-        np.copyto(quotient, value)
-        np.minimum(k, 27, out=k)
-        slow |= _quotients(s, quotient, k, ts, flag)
+    flag = s("ts flag", n, bool)
+    has_dot = np.less(dots, ends, out=s("ts has dot", n, bool))
+    k = np.subtract(ends, dots, out=s("ts k", n))
+    k -= has_dot                                    # digits after the dot
+    width = np.subtract(ends, starts, out=s("ts width", n))
+    size = max(int(width.max()), 1)
+    width -= has_dot                                # digits in all
+    # row i holds digit i from the right of each field: its byte i from
+    # the right, or byte i + 1 from the dot on; bytes before a field are
+    # zeroed
+    cut = s("ts cut", n)
+    cut.fill(size)
+    np.copyto(cut, k, where=has_dot)
+    mask = s("ts mask", (size, n), bool)
+    index = np.add(ends, _TS_WIDTH - 1, out=s("ts index", (size, n)))
+    index -= _ROWS[:size]
+    index[:-1] -= np.greater_equal(_ROWS[:size - 1], cut, out=mask[:-1])
+    digit = np.take(padded, index, out=s("ts digits", (size, n), np.uint8), mode="clip")
+    digit -= np.uint8(ord("0"))                     # bytes below "0" wrap past 9
+    digit *= np.less(_ROWS[:size], width, out=mask)
+    slow = np.greater(np.max(digit, axis=0, out=s("ts max", n, np.uint8)), 9,
+                      out=s("ts slow", n, bool))
+    if size > 17:                                   # D < 2**53 has at most 16 digits
+        slow |= np.any(digit[17:], axis=0, out=flag)
+    slow |= np.less(width, 1, out=flag)
+    slow |= np.greater(k, 22, out=flag)
+    value = s("ts value", n, np.uint64)
+    value.fill(0)
+    for row in digit[min(size, 17) - 1::-1]:       # Horner's rule from the top digit
+        value *= np.uint64(10)
+        value += row
+    slow |= np.greater_equal(value, np.uint64(2**53), out=flag)
+    np.copyto(ts, value)
+    ts /= np.take(_POW10, k, out=s("ts divisor", n, np.float64), mode="clip")
     if slow.any():
         rows = np.flatnonzero(slow)
         text = _field_words(words, starts[rows], ends[rows], _TS_WIDTH).view(f"S{_TS_WIDTH}")
@@ -645,7 +618,7 @@ def _plain_block(s: _Scratch, start: int, size: int, columns: _Columns) -> int |
     1. csv.reader would split each such line at its five commas, so the
     fields are the same texts, and each value is the one the row path
     converts: numpy computes every value from the bytes, a timestamp by
-    long double division where _timestamps can, and ``float`` reads the
+    one float64 division where _timestamps can, and ``float`` reads the
     few other timestamps. A last line without a line end is read as if it
     had an LF."""
     lo, hi = _TS_WIDTH + start, _TS_WIDTH + start + size
@@ -856,29 +829,22 @@ def parse_packets(handle) -> Packets:
 def write_packets_csv(path, packets: Packets):
     """Write a packet CSV that parse_packets reads back as ``packets``.
 
-    The bytes are those of csv.writer: CRLF line ends and ``repr``
-    timestamps. No field needs quoting, since none can contain a comma,
-    a double quote, CR or LF: addresses are dotted quads, protocols are
-    names from PROTOCOLS and the rest are numbers. Rows are formatted and
-    written WRITE_CHUNK_ROWS at a time, one numpy layout and one write
-    each, so memory beyond the columns does not grow with the capture.
-
-    Each timestamp's digits are found by numpy with the parser's own
-    long double arithmetic (see packet_text): the shortest digit string
-    that reads back as the timestamp, and the nearest of that length,
-    which is what repr writes. The timestamps the kernel cannot prove
-    (near a tie, a power of two, zero, outside [1e-4, 1e16), or all of
-    them where long double does not divide exactly; 1.2% of the one-hour
-    benchmark capture) are written by repr itself, so the bytes are those
-    repr would write.
+    The bytes are those of csv.writer: CRLF line ends and no quoting,
+    since no field can contain a comma, a double quote, CR or LF:
+    addresses are dotted quads, protocols are names from PROTOCOLS and
+    the rest are numbers. A timestamp on the microsecond grid that the
+    generator stamps is written with TIMESTAMP_PLACES digits after the
+    dot (see packet_text), any other in the shortest text that reads
+    back as the same double. Rows are formatted and written
+    WRITE_CHUNK_ROWS at a time, one numpy layout and one write each, so
+    memory beyond the columns does not grow with the capture.
     """
     from .packet_text import chunk_bytes        # loaded only by the commands that write
 
-    s = _Scratch(0)
     with replacing(path) as (temp,), open(temp, "wb") as handle:
         handle.write(_HEADER_BYTES + b"\r\n")
         for start in range(0, len(packets), WRITE_CHUNK_ROWS):
-            handle.write(chunk_bytes(s, packets[start:start + WRITE_CHUNK_ROWS]))
+            handle.write(chunk_bytes(packets[start:start + WRITE_CHUNK_ROWS]))
 
 
 def write_features_csv(path, matrix):
@@ -996,6 +962,10 @@ def generate_traffic(scenario: Scenario, rng: np.random.Generator,
                       np.full(m, code, np.uint8), np.full(m, size, np.int64), np.full(m, syn)])
 
     packets = _in_time_order(parts)
+    # whole microseconds (see TIMESTAMP_PLACES); rounding keeps the order
+    packets.ts *= _TICKS
+    np.rint(packets.ts, out=packets.ts)
+    packets.ts /= _TICKS
 
     num_windows = _window_count(float(packets.ts[-1]), window_len) if len(packets) else 0
     lo = np.arange(num_windows) * window_len

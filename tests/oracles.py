@@ -231,16 +231,28 @@ def _naive_format_ip(address):
     return ".".join(str((address >> shift) & 255) for shift in (24, 16, 8, 0))
 
 
+def naive_format_timestamp(ts):
+    """A whole number u of microseconds below 2**53, ts = u / 10**6 as a
+    double and not -0.0, as "%d.%06d"; any other double as its repr."""
+    product = ts * 10**6
+    if math.copysign(1.0, ts) > 0 and product < 2**53:     # False for NaN
+        micros = round(product)                 # half to even, as np.rint
+        if micros < 2**53 and micros / 10**6 == ts:
+            return "%d.%06d" % divmod(micros, 10**6)
+    return repr(ts)
+
+
 def naive_write_packets_csv(path, packets):
-    """Packet CSV through csv.writer, one row per packet: repr timestamps,
-    dotted-quad addresses, protocol names, lengths and syn as 0/1."""
+    """Packet CSV through csv.writer, one row per packet: timestamps by
+    naive_format_timestamp, dotted-quad addresses, protocol names, lengths
+    and syn as 0/1."""
     names = ("TCP", "UDP", "ICMP")
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["timestamp", "src_ip", "dst_ip", "protocol", "length", "syn"])
         for ts, src, dst, proto, length, syn in zip(*(c.tolist() for c in packets.columns())):
-            writer.writerow([repr(ts), _naive_format_ip(src), _naive_format_ip(dst),
-                             names[proto], length, int(syn)])
+            writer.writerow([naive_format_timestamp(ts), _naive_format_ip(src),
+                             _naive_format_ip(dst), names[proto], length, int(syn)])
 
 
 def naive_window_features(rows):

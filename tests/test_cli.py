@@ -244,6 +244,24 @@ def test_bad_model_value_exits_2(workspace, tmp_path, capsys, key, value):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("override", [{"lookback": 5}, {"window_len": 7.0},
+                                      {"lookback": 5, "window_len": 7.0}])
+def test_model_config_disagreeing_with_top_level_exits_2(workspace, tmp_path, capsys, override):
+    # lookback and window_len are stored in config and at the top level; a
+    # file where the two disagree is rejected, not scored with either pair
+    root, _ = workspace
+    doc = json.loads((root / "model.json").read_text())
+    doc["config"].update(override)
+    tampered = tmp_path / "model.json"
+    tampered.write_text(json.dumps(doc))
+    assert cli.main(["detect", str(tampered), str(root / "test.csv"),
+                     "--out", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"disagrees with config.{next(iter(override))}" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_non_finite_residuals_exit_3_without_a_report(workspace, tmp_path, run_cli):
     # output weights of alternating sign near the float64 limit: the
     # predictions stay finite but their squared errors overflow
@@ -362,30 +380,38 @@ def test_non_finite_window_len_exits_2(workspace, tmp_path, capsys, command, win
 
 # One packet a second for 20,000 s, plus floods of a million and a thousand
 # times that in [0, 0.001) and [0.001, 1): seed 0 stamps packets at every
-# decimal exponent from -8 to 4, so its timestamps take every layout of the
-# writer, and the 1e-4 edge of repr's positional range.
+# decimal exponent from -8 to 4, so on the microsecond grid its timestamps
+# take whole parts of one to five digits, and the zero that the times
+# below half a microsecond round to.
 WIDE_SCENARIO = {"duration": 20000, "baseline_rate": 1, "attacks": [
     {"start": 0, "end": 0.001, "kind": "udp_flood", "multiplier": 1000000, "source_pool": 1000},
     {"start": 0.001, "end": 1, "kind": "icmp_flood", "multiplier": 1000, "source_pool": 1000}]}
 
 
-@pytest.mark.parametrize("preset, seed, digest", [
-    ("syn10", 0, "8ef7cdfb13b015d2d075dc6f5d76c169329c257c9c0b45418833ce68c2d45383"),
-    ("mixed", 1, "a74118c962402e6f5fc202ca73952bf7226d3775a4b8bff63b592c5c96b79a65"),
-    ("quiet", 0, "1ac1d8c956842976a10703ac396b92bb20f511b633f712068ad91bb6eec1a31e"),
-    ("wide", 0, "6091c044d67d02cd41f1bff174ef6545b6ab2117fae8f9df9be3c5b05fad63bc"),
+# The capture digests were taken when the generator moved its timestamps
+# onto the microsecond grid. The labels digests are the ones from before
+# that: rounding by at most half a microsecond moved no window's label.
+@pytest.mark.parametrize("preset, seed, digest, labels_digest", [
+    pytest.param("syn10", 0, "c1f16f4f4c1687e1d89ab561367bf975400e8118546c73c011943b370d40ca78",
+                 "3357de0c045f741a0df71b936e65059e66d22b0234d17ab6ad87e4684ed6f31a", id="syn10-0"),
+    pytest.param("mixed", 1, "fb243fb914328f44898325457dddf066d4eb84e5da18d50116bdb4c833117150",
+                 "5617a05ef60b263485348b548776a517d25d83aaa815ad03ad5586e2cc1017f0", id="mixed-1"),
+    pytest.param("quiet", 0, "cb1c5bcdff3eb08c46ba78376b2715c7ec0c416dcc34ad85fa973b1b96ee3986",
+                 "fb24d3f5d36b485fdb663571c9b462001d91ae45680fb4717fe9924c7b96025d", id="quiet-0"),
+    pytest.param("wide", 0, "ea0398d9f97c240410e11c817bf113a7b529d6e44bd56453978af3209dbf7690",
+                 "71b16b943092e089c84bbdd377e67f831d8d48856305963e165e60c30f0fe60e", id="wide-0"),
 ])
-def test_gen_bytes_are_pinned(tmp_path, capsys, preset, seed, digest):
-    # the digests were taken from the writer that called repr on every timestamp
-    out = tmp_path / "traffic.csv"
+def test_gen_bytes_are_pinned(tmp_path, capsys, preset, seed, digest, labels_digest):
+    out, labels = tmp_path / "traffic.csv", tmp_path / "labels.csv"
     if preset == "wide":
         (tmp_path / "wide.json").write_text(json.dumps(WIDE_SCENARIO))
         source = ["--scenario", str(tmp_path / "wide.json")]
     else:
         source = ["--preset", preset]
     assert cli.main(["gen", *source, "--seed", str(seed), "--out", str(out),
-                     "--labels", str(tmp_path / "labels.csv")]) == 0
+                     "--labels", str(labels)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert hashlib.sha256(labels.read_bytes()).hexdigest() == labels_digest
     capsys.readouterr()
 
 

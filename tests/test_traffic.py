@@ -37,6 +37,7 @@ from floodwatch.traffic import (
 )
 from oracles import (
     naive_entropy_normalized,
+    naive_format_timestamp,
     naive_parse_packets,
     naive_window_features,
     naive_write_packets_csv,
@@ -460,9 +461,14 @@ _STAMPS = st.one_of(
 @given(stamps=st.lists(_STAMPS, min_size=1, max_size=60))
 @example(stamps=["17.53832141", ".1618207698", "4503599627370496.25", "9007199254740993",
                  "0.00012345678901234567", "0000000000000000000000000000001.5"])
+@example(stamps=[digits[:len(digits) - k] + "." * (k > 0) + digits[len(digits) - k:]
+                 for d in (2**53 - 1, 2**53, 2**53 + 1) for k in (0, 6, 22, 23)
+                 for digits in [str(d).rjust(k + 1, "0")]]
+         + ["0.30000000000000004", "3599.9999999999995"])
 def test_parsed_timestamps_are_float_bit_for_bit(stamps):
-    # the first four lie halfway between two doubles as long double
-    # quotients (the first two only once rounded), so they must reach float
+    # the second example holds the edges of the float64 fast path, D =
+    # 2**53 - 1, 2**53 and 2**53 + 1 with k = 0, 6, 22 and 23 digits after
+    # the dot, and two 17-digit reprs
     expected = np.array([float(stamp) for stamp in stamps])
     npt.assert_array_equal(_parsed_stamps(stamps).view(np.uint64), expected.view(np.uint64))
 
@@ -475,28 +481,33 @@ def _float_calls(path):
         return parse_packets(handle), convert.call_count
 
 
-def test_timestamps_rarely_reach_float(tmp_path):
-    packets, _ = generate_traffic(preset_scenario("mixed"), np.random.default_rng(1))
+# The one-hour benchmark capture (gen seed 1001).
+_HOUR_SCENARIO = Scenario.from_dict({
+    "duration": 3600.0, "baseline_rate": 100.0, "diurnal_amplitude": 0.1,
+    "attacks": [{"start": 300.0 + 600.0 * k, "end": 330.0 + 600.0 * k, "kind": kind,
+                 "multiplier": 8.0, "source_pool": 400}
+                for k, kind in enumerate(["syn_flood", "udp_flood", "icmp_flood"] * 2)]})
+
+
+@pytest.mark.parametrize("name, seed", [("quiet", 0), ("syn10", 2), ("mixed", 1),
+                                        ("hour", 1001)])
+def test_generated_timestamps_reach_neither_repr_nor_float(tmp_path, name, seed):
+    scenario = _HOUR_SCENARIO if name == "hour" else preset_scenario(name)
+    packets, _ = generate_traffic(scenario, np.random.default_rng(seed))
+    if name == "hour":
+        assert len(packets) == 504721
     path = tmp_path / "packets.csv"
-    write_packets_csv(path, packets)
+    with mock.patch.object(packet_text, "repr", wraps=repr, create=True) as spelled:
+        write_packets_csv(path, packets)
     parsed, calls = _float_calls(path)
+    npt.assert_array_equal(parsed.ts.view(np.uint64), packets.ts.view(np.uint64))
     assert parsed == packets
-    assert calls < len(packets) / 1000
-
-
-def test_narrow_long_double_reads_every_timestamp_with_float(tmp_path):
-    packets, _ = generate_traffic(preset_scenario("syn10"), np.random.default_rng(2))
-    path = tmp_path / "packets.csv"
-    write_packets_csv(path, packets)
-    with mock.patch.object(traffic, "_EXACT_QUOTIENTS", False):
-        parsed, calls = _float_calls(path)
-    assert parsed == packets
-    assert calls == len(packets)
+    assert (spelled.call_count, calls) == (0, 0)
 
 
 def _written_rows(packets) -> list:
     """The fields of the rows that the writer writes for ``packets``."""
-    text = packet_text.chunk_bytes(traffic._Scratch(0), packets)
+    text = packet_text.chunk_bytes(packets)
     return [line.split(b",") for line in text.split(b"\r\n")[:-1]]
 
 
@@ -688,6 +699,21 @@ def test_generate_traffic_sorted_and_in_range():
     assert ((64 <= packets.length) & (packets.length <= 1500)).all()
 
 
+@settings(max_examples=60, deadline=None)
+@given(duration=st.floats(1e-3, 1e5), count=st.floats(1.0, 5000.0),
+       amplitude=st.floats(0.0, 1.0), flood=st.none() | st.floats(0.0, 0.9),
+       seed=st.integers(0, 2**32 - 1))
+def test_generated_timestamps_are_whole_microseconds_in_order(duration, count, amplitude,
+                                                              flood, seed):
+    attacks = [] if flood is None else [
+        AttackInterval(flood * duration, duration, AttackKind.UDP_FLOOD, 4.0, 100)]
+    scenario = Scenario(duration=duration, baseline_rate=count / duration,
+                        diurnal_amplitude=amplitude, attacks=attacks)
+    ts = generate_traffic(scenario, np.random.default_rng(seed))[0].ts
+    npt.assert_array_equal(ts.view(np.uint64), (np.rint(ts * 1e6) / 1e6).view(np.uint64))
+    assert np.all(ts[:-1] <= ts[1:])
+
+
 def test_generate_traffic_rate_accuracy():
     # empirical no-attack rate within 10% of baseline for most seeds
     scenario = Scenario(duration=300.0, baseline_rate=80.0)
@@ -782,13 +808,14 @@ def _stepped(value, steps: int) -> float:
     return value
 
 
-# finite doubles, leaning on the values where the digit search turns:
-# powers of two and of ten, the ends of repr's positional range [1e-4,
-# 1e16), whole numbers and short decimals, each with its near neighbours
+# finite doubles, leaning on the microsecond grid and its edges: grid
+# values u / 10**6 up to and past u = 2**53, powers of two (down to the
+# subnormals) and of ten, whole numbers and short decimals, each with its
+# near neighbours
 _SPECIAL_STAMPS = st.one_of(
+    st.integers(0, 2 ** 54).map(lambda u: u / 10 ** 6),
     st.integers(-1074, 1023).map(lambda k: float(np.ldexp(1.0, k))),
     st.integers(-8, 20).map(lambda k: float(f"1e{k}")),
-    st.sampled_from([1e-4, 1e16]),
     st.integers(0, 2 ** 54).map(float),
     st.tuples(st.floats(0, 1e6), st.integers(0, 12)).map(lambda pair: round(*pair)),
 )
@@ -801,36 +828,19 @@ _STAMPS = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_STAMPS, min_size=1, max_size=40))
-def test_written_timestamps_are_repr(values):
+@example([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-6, 5e-7, 2 ** 53 / 1e6,
+          (2 ** 53 - 1) / 1e6, 2 ** 53 / 1e6 + 0.5, -1.5, 1e300, 0.1, 3599.999999,
+          3599.9999999999995, 1e16])
+def test_written_timestamps_read_back_bit_for_bit(values):
+    # a value on the microsecond grid is spelled with six places, any other
+    # as its repr, and float reads either back as the very same double
     n = len(values)
     rows = _written_rows(Packets(values, np.ones(n), np.ones(n), np.zeros(n), np.ones(n),
                                  np.zeros(n)))
-    assert [row[0] for row in rows] == [repr(float(value)).encode() for value in values]
-
-
-def test_narrow_long_double_writes_every_timestamp_with_repr(tmp_path):
-    packets, _ = generate_traffic(preset_scenario("syn10"), np.random.default_rng(2))
-    exact, narrow = tmp_path / "exact.csv", tmp_path / "narrow.csv"
-    write_packets_csv(exact, packets)
-    with (mock.patch.object(traffic, "_EXACT_QUOTIENTS", False),
-          mock.patch.object(packet_text, "repr", wraps=repr, create=True) as spelled):
-        write_packets_csv(narrow, packets)
-    assert spelled.call_count == len(packets)
-    assert narrow.read_bytes() == exact.read_bytes()
-
-
-def test_hour_timestamps_rarely_reach_repr(tmp_path):
-    # the one-hour benchmark capture: a slide back to repr shows here
-    packets, _ = generate_traffic(Scenario.from_dict({
-        "duration": 3600.0, "baseline_rate": 100.0, "diurnal_amplitude": 0.1,
-        "attacks": [{"start": 300.0 + 600.0 * k, "end": 330.0 + 600.0 * k, "kind": kind,
-                     "multiplier": 8.0, "source_pool": 400}
-                    for k, kind in enumerate(["syn_flood", "udp_flood", "icmp_flood"] * 2)]}),
-        np.random.default_rng(1001))
-    assert len(packets) == 504721
-    with mock.patch.object(packet_text, "repr", wraps=repr, create=True) as spelled:
-        write_packets_csv(tmp_path / "hour.csv", packets)
-    assert spelled.call_count <= 0.02 * len(packets)
+    fields = [row[0] for row in rows]
+    assert fields == [naive_format_timestamp(float(value)).encode() for value in values]
+    npt.assert_array_equal(np.array([float(field) for field in fields]).view(np.uint64),
+                           np.array(values, np.float64).view(np.uint64))
 
 
 def test_labels_csv_round_trip(tmp_path):
