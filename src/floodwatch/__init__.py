@@ -9,25 +9,19 @@ exceeds a calibrated mean + k*sigma threshold are flagged as attacks.
 
 import importlib
 
-# Each public name and the module that defines it. A name is imported on
-# first use (PEP 562), so ``import floodwatch`` loads no numpy until a
-# numeric name is asked for.
+# Each public name and the module that defines it: the functions that take
+# input from outside the program, each of which checks it, and the types
+# that build their arguments. Every other name is internal and trusts its
+# callers. A name is imported on first use (PEP 562), so ``import
+# floodwatch`` loads no numpy until a numeric name is asked for.
 _MODULES = {
-    "config": ("RunConfig", "load_config"),
-    "dbn": ("DbnModel", "new_dbn", "pretrain", "transform"),
-    "detector": ("DetectorModel", "FitSummary", "calibrate_threshold", "detect", "fit",
-                 "fit_detailed", "score"),
+    "config": ("RunConfig",),
+    "detector": ("detect", "fit", "fit_detailed"),
     "errors": ("InputError", "NumericError"),
-    "lstm": ("LstmModel", "LstmState", "TrainConfig", "cell_forward", "grad_check",
-             "init_lstm", "loss_mse", "sequence_forward", "train_lstm"),
-    "model_io": ("SCHEMA_VERSION", "load_model", "save_model"),
-    "rbm": ("CdConfig", "RbmKind", "RbmParams", "cd1_step", "energy_bernoulli",
-            "energy_gaussian", "hidden_given_visible", "init_rbm", "sample_binary",
-            "train_rbm", "visible_given_hidden"),
-    "report": ("DetectionReport", "Metrics", "WindowScore", "evaluate"),
-    "traffic": ("FEATURE_NAMES", "AttackInterval", "AttackKind", "Normalizer", "Packets",
-                "Scenario", "fit_normalizer", "generate_traffic", "normalize",
-                "parse_packets", "preprocess", "preset_scenario", "standardize", "windowize"),
+    "model_io": ("load_model", "save_model"),
+    "report": ("evaluate",),
+    "traffic": ("AttackInterval", "AttackKind", "Packets", "Scenario", "generate_traffic",
+                "parse_packets", "preset_scenario", "split_packets", "windowize"),
 }
 _MODULE_OF = {name: module for module, names in _MODULES.items() for name in names}
 

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .config import RunConfig, require_int, require_real
+from .config import RunConfig
 from .dbn import DbnModel, new_dbn, pretrain, transform
 from .errors import InputError, NumericError
 from .lstm import LstmModel, TrainConfig, init_lstm, predict_sequence_batch, train_lstm
@@ -34,7 +34,6 @@ from .report import (  # noqa: F401
     write_report_csv,
 )
 from .traffic import (
-    NUM_FEATURES,
     Normalizer,
     Packets,
     Windows,
@@ -59,27 +58,6 @@ class DetectorModel:
     window_len: float
     residual_mean: float
     residual_std: float
-
-    def __post_init__(self):
-        self.lookback = require_int("lookback", self.lookback)
-        for name in ("window_len", "threshold", "residual_mean", "residual_std"):
-            setattr(self, name, require_real(name, getattr(self, name)))
-        if self.lookback < 1:
-            raise InputError("lookback must be >= 1")
-        if self.window_len <= 0:
-            raise InputError("window_len must be positive")
-        if self.threshold < 0:
-            raise InputError("threshold must be non-negative")
-        if not self.normalizer.feat_min.shape == (NUM_FEATURES,) == (self.dbn.input_dim,):
-            raise InputError(
-                f"normalizer ({self.normalizer.feat_min.size}) and DBN input "
-                f"({self.dbn.input_dim}) dimensions must equal the {NUM_FEATURES} features"
-            )
-        if self.dbn.code_dim != self.lstm.input_dim:
-            raise InputError(
-                f"code dimension {self.dbn.code_dim} does not match "
-                f"LSTM input dimension {self.lstm.input_dim}"
-            )
 
 
 @dataclass
@@ -228,8 +206,6 @@ def calibrate_threshold(residuals, k: float) -> float:
     1e-9 floor so a degenerate (constant) calibration set still yields a
     threshold strictly above its residuals."""
     residuals = np.asarray(residuals, dtype=np.float64)
-    if residuals.size == 0:
-        raise InputError("cannot calibrate a threshold from zero residuals")
     return float(np.mean(residuals) + k * max(float(np.std(residuals)), SIGMA_FLOOR))
 
 

@@ -78,14 +78,10 @@ def _layout(input_dim: int, hidden_dim: int) -> tuple[dict[str, tuple], int]:
 
 def _param(name: str) -> property:
     """A parameter name as a writable view into ``vector``; assignment
-    copies into the vector after a shape check."""
+    copies into the vector."""
 
     def put(model, value):
-        view = model.view(name)
-        value = np.asarray(value, dtype=np.float64)
-        if value.shape != view.shape:
-            raise InputError(f"{name} must have shape {view.shape}, got {value.shape}")
-        view[...] = value
+        model.view(name)[...] = value
 
     return property(lambda model: model.view(name), put)
 
@@ -105,16 +101,10 @@ class LstmModel:
     w_f, w_i, w_c, w_o, b_f, b_i, b_c, b_o, w_y, b_y = map(_param, PARAM_FIELDS)
 
     def __init__(self, input_dim: int, hidden_dim: int, **params):
-        if hidden_dim < 1 or input_dim < 1:
-            raise InputError("input_dim and hidden_dim must be at least 1")
-        if params.keys() != set(PARAM_FIELDS):
-            raise TypeError(f"LstmModel takes exactly the parameters {PARAM_FIELDS}")
         self.input_dim, self.hidden_dim = input_dim, hidden_dim
         self.vector = np.empty(_layout(input_dim, hidden_dim)[1])
         for name in PARAM_FIELDS:
             setattr(self, name, params[name])
-        if not np.isfinite(self.vector).all():
-            raise InputError("LSTM parameters contain non-finite entries")
 
     @classmethod
     def from_vector(cls, input_dim: int, hidden_dim: int, vector: np.ndarray) -> LstmModel:
@@ -156,14 +146,6 @@ class TrainConfig:
     learning_rate: float
     epochs: int
     gradient_clip: float
-
-    def __post_init__(self):
-        if self.learning_rate < 0:
-            raise InputError("learning_rate must be non-negative")
-        if self.epochs < 0:
-            raise InputError("epochs must be non-negative")
-        if not self.gradient_clip > 0:
-            raise InputError("gradient_clip must be positive")
 
 
 def zero_state(hidden_dim: int) -> LstmState:
@@ -323,19 +305,8 @@ def sequence_forward(model: LstmModel, xs,
     for backward_bptt.
     """
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != model.input_dim:
-        raise InputError(
-            f"xs must be (T, {model.input_dim}), got shape {xs.shape}"
-        )
-    if xs.shape[0] == 0:
-        raise InputError("xs must contain at least one step")
     work = Workspace(xs[:, None, :], model.hidden_dim)
     if init is not None:
-        n = model.hidden_dim
-        if init.hidden.shape != (n,) or init.cell.shape != (n,):
-            raise InputError("previous state does not match hidden_dim")
-        require_finite(init.hidden, "previous hidden state")
-        require_finite(init.cell, "previous cell state")
         work.hidden[0, 0] = init.hidden
         work.cell[0, 0] = init.cell
     preds = forward(stack(model), work)
@@ -349,8 +320,6 @@ def sequence_forward(model: LstmModel, xs,
 def cell_forward(model: LstmModel, x, prev: LstmState) -> tuple[LstmState, Gates]:
     """One step of the gated recurrence; returns the new state and the gates."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.input_dim,):
-        raise InputError(f"x must have shape ({model.input_dim},), got {x.shape}")
     work = sequence_forward(model, x[None, :], prev)[1]
     forget, input_gate, output_gate, candidate = work.gates[0, :, 0]
     return (LstmState(hidden=work.hidden[1, 0], cell=work.cell[1, 0]),
@@ -361,10 +330,6 @@ def loss_mse(pred, target) -> float:
     """Mean over all steps and dimensions of the squared prediction error."""
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise InputError(f"prediction shape {pred.shape} != target shape {target.shape}")
-    if pred.size == 0:
-        raise InputError("loss needs at least one step")
     return float(np.mean((pred - target) ** 2))
 
 
@@ -373,10 +338,6 @@ def backward_bptt(model: LstmModel, work: Workspace, targets) -> LstmModel:
     given the workspace of sequence_forward."""
     targets = np.asarray(targets, dtype=np.float64)
     preds = work.preds[:, 0]
-    if targets.shape != preds.shape:
-        raise InputError(
-            f"targets shape {targets.shape} != predictions shape {preds.shape}"
-        )
     steps, dim = targets.shape
     d_pred = 2.0 * (preds - targets) / (steps * dim)
     grads = backward(stack(model), work, d_pred[:, None, :])
@@ -393,8 +354,6 @@ def grad_check(model: LstmModel, xs, targets, eps: float = 1e-5,
     computed by backward_bptt; the numeric side only ever calls
     sequence_forward and loss_mse.
     """
-    if not eps > 0:
-        raise InputError("eps must be positive")
     if analytic is None:
         analytic = backward_bptt(model, sequence_forward(model, xs)[1], targets)
 
@@ -450,10 +409,6 @@ def predict_sequence_batch(model: LstmModel, inputs) -> np.ndarray:
     """Final-step predictions (B, D) for a (B, T, D) batch of sequences
     from zero initial state; only one step of activations is kept."""
     inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 3 or inputs.shape[2] != model.input_dim:
-        raise InputError(
-            f"inputs must be (B, T, {model.input_dim}), got shape {inputs.shape}"
-        )
     batch, steps, dim = inputs.shape
     n = model.hidden_dim
     params = stack(model)
@@ -470,27 +425,15 @@ def predict_sequence_batch(model: LstmModel, inputs) -> np.ndarray:
 
 
 def _length_groups(model: LstmModel, sequences) -> list[tuple[list[int], Workspace, np.ndarray]]:
-    """Validate (inputs, targets) pairs and batch them by length: per
-    group, the original indices, a workspace over the time-major inputs
-    and the time-major targets."""
+    """Batch (inputs, targets) pairs by length: per group, the original
+    indices, a workspace over the time-major inputs and the time-major
+    targets."""
     if not sequences:
         raise InputError("sequences must not be empty")
     by_length: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}
     for index, pair in enumerate(sequences):
         xs = np.asarray(pair[0], dtype=np.float64)
         targets = np.asarray(pair[1], dtype=np.float64)
-        if xs.ndim != 2 or xs.shape[1] != model.input_dim:
-            raise InputError(
-                f"sequence {index}: inputs must be (T, {model.input_dim}), "
-                f"got shape {xs.shape}"
-            )
-        if targets.shape != xs.shape:
-            raise InputError(
-                f"sequence {index}: targets shape {targets.shape} != inputs "
-                f"shape {xs.shape}"
-            )
-        if xs.shape[0] == 0:
-            raise InputError(f"sequence {index} is empty")
         by_length.setdefault(xs.shape[0], []).append((index, xs, targets))
     return [([index for index, _, _ in group],
              Workspace(np.stack([xs for _, xs, _ in group], axis=1), model.hidden_dim),

@@ -14,13 +14,13 @@ import math
 
 import numpy as np
 
-from .config import RunConfig, load_json, replacing, require_int
+from .config import RunConfig, load_json, replacing, require_int, require_real
 from .dbn import DbnModel
 from .detector import DetectorModel
 from .errors import InputError, NumericError
 from .lstm import PARAM_FIELDS, LstmModel, param_shapes
 from .rbm import RbmKind, RbmParams
-from .traffic import Normalizer
+from .traffic import NUM_FEATURES, Normalizer
 
 SCHEMA_VERSION = 1
 
@@ -69,10 +69,12 @@ def save_model(path, model: DetectorModel, config: RunConfig):
 
 
 def _array(doc: dict, key: str, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """Field ``key``, a flat row-major list, as an array of ``shape``."""
+    """Field ``key``, a flat row-major list of finite numbers, as an array
+    of ``shape``. Python's json reads NaN and Infinity, so both are refused
+    here."""
     values = np.array(doc.get(key, []), dtype=np.float64)
-    if values.shape != (math.prod(shape),):
-        raise InputError(f"{what}: field {key!r} must hold {math.prod(shape)} numbers")
+    if values.shape != (math.prod(shape),) or not np.isfinite(values).all():
+        raise InputError(f"{what}: field {key!r} must hold {math.prod(shape)} finite numbers")
     return values.reshape(shape)
 
 
@@ -83,7 +85,9 @@ def _object(value, what: str) -> dict:
 
 
 def load_model(path) -> tuple[DetectorModel, RunConfig]:
-    """Read a model file; a schema_version other than 1 is rejected before
+    """Read a model file and check every value in it, so the model that
+    comes back has the shapes and ranges fit gives; nothing downstream
+    checks them again. A schema_version other than 1 is rejected before
     any parameter is parsed, and so is a file whose top-level lookback or
     window_len disagrees with its config."""
     doc = load_json(path)
@@ -98,46 +102,59 @@ def load_model(path) -> tuple[DetectorModel, RunConfig]:
     try:
         config = RunConfig.from_dict(doc["config"])
         norm_doc = _object(doc["normalizer"], "normalizer")
-        dims = (len(norm_doc.get("feat_min", [])),)
-        normalizer = Normalizer(**{key: _array(norm_doc, key, dims, "normalizer")
+        normalizer = Normalizer(**{key: _array(norm_doc, key, (NUM_FEATURES,), "normalizer")
                                    for key in ("feat_min", "feat_max", "unit_mean", "unit_std")})
-        layers = []
+        if np.any(normalizer.feat_max < normalizer.feat_min):
+            raise InputError("normalizer: feat_max must be >= feat_min in every dimension")
+        if np.any(normalizer.unit_std < 0):
+            raise InputError("normalizer: unit_std must be non-negative")
+        layers, width = [], NUM_FEATURES        # each layer reads the width below it
         for index, layer_doc in enumerate(doc["dbn_layers"]):
             what = f"dbn layer {index}"
             layer_doc = _object(layer_doc, what)
-            try:
-                kind = RbmKind(layer_doc.get("kind"))
-            except ValueError:
-                raise InputError(f"{what}: unknown kind "
-                                 f"{layer_doc.get('kind')!r}") from None
+            kind = RbmKind.GAUSSIAN_BERNOULLI if index == 0 else RbmKind.BERNOULLI_BERNOULLI
+            if layer_doc.get("kind") != kind.value:
+                raise InputError(f"{what}: kind must be {kind.value!r}, "
+                                 f"got {layer_doc.get('kind')!r}")
             visible = require_int(f"{what}: num_visible", layer_doc["num_visible"])
             hidden = require_int(f"{what}: num_hidden", layer_doc["num_hidden"])
+            if visible != width or hidden < 1:
+                raise InputError(f"{what}: need num_visible {width} and num_hidden >= 1, "
+                                 f"got {visible} and {hidden}")
             layers.append(RbmParams(
                 kind=kind,
                 weights=_array(layer_doc, "weights", (visible, hidden), what),
                 visible_bias=_array(layer_doc, "visible_bias", (visible,), what),
                 hidden_bias=_array(layer_doc, "hidden_bias", (hidden,), what),
             ))
-        dbn = DbnModel(layers=layers)
+            width = hidden
+        if not layers:
+            raise InputError("dbn_layers must hold at least one layer")
         lstm_doc = _object(doc["lstm"], "lstm")
         d = require_int("lstm: input_dim", lstm_doc["input_dim"])
         n = require_int("lstm: hidden_dim", lstm_doc["hidden_dim"])
+        if d != width or n < 1:
+            raise InputError(f"lstm: need input_dim {width} (the code width) and "
+                             f"hidden_dim >= 1, got {d} and {n}")
         lstm = LstmModel(input_dim=d, hidden_dim=n,
                          **{name: _array(lstm_doc, name, shape, "lstm")
                             for name, shape in param_shapes(d, n).items()})
+        threshold = require_real("threshold", doc["threshold"])
+        if threshold < 0:
+            raise InputError("threshold must be non-negative")
         stats = _object(doc["residual_stats"], "residual_stats")
-        model = DetectorModel(
-            normalizer=normalizer, dbn=dbn, lstm=lstm,
-            threshold=doc["threshold"],
-            lookback=doc["lookback"],
-            window_len=doc["window_len"],
-            residual_mean=stats["mean"],
-            residual_std=stats["std"],
-        )
         for name in ("lookback", "window_len"):         # stored twice: both must agree
-            if getattr(model, name) != getattr(config, name):
-                raise InputError(f"{name} {getattr(model, name)!r} disagrees with "
+            if doc[name] != getattr(config, name):
+                raise InputError(f"{name} {doc[name]!r} disagrees with "
                                  f"config.{name} {getattr(config, name)!r}")
+        model = DetectorModel(
+            normalizer=normalizer, dbn=DbnModel(layers=layers), lstm=lstm,
+            threshold=threshold,
+            lookback=config.lookback,
+            window_len=config.window_len,
+            residual_mean=require_real("residual_stats: mean", stats["mean"]),
+            residual_std=require_real("residual_stats: std", stats["std"]),
+        )
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:

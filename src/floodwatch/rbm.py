@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericError
-from .numerics import require_finite, sigmoid
+from .errors import NumericError
+from .numerics import sigmoid
 
 WEIGHT_INIT_STD = 0.01
 
@@ -46,33 +46,10 @@ class RbmParams:
     hidden_bias: np.ndarray
 
     def __post_init__(self):
-        try:
-            self.kind = RbmKind(self.kind)
-        except ValueError:
-            raise InputError(f"unknown RBM kind {self.kind!r}") from None
+        self.kind = RbmKind(self.kind)
         self.weights = np.array(self.weights, dtype=np.float64)
         self.visible_bias = np.array(self.visible_bias, dtype=np.float64)
         self.hidden_bias = np.array(self.hidden_bias, dtype=np.float64)
-        if self.weights.ndim != 2:
-            raise InputError("weights must be a 2-d matrix")
-        num_v, num_h = self.weights.shape
-        if num_v < 1 or num_h < 1:
-            raise InputError("an RBM needs at least one visible and one hidden unit")
-        if self.visible_bias.shape != (num_v,):
-            raise InputError(
-                f"visible_bias must have shape ({num_v},), got {self.visible_bias.shape}"
-            )
-        if self.hidden_bias.shape != (num_h,):
-            raise InputError(
-                f"hidden_bias must have shape ({num_h},), got {self.hidden_bias.shape}"
-            )
-        for name, arr in (
-            ("weights", self.weights),
-            ("visible_bias", self.visible_bias),
-            ("hidden_bias", self.hidden_bias),
-        ):
-            if not np.all(np.isfinite(arr)):
-                raise InputError(f"{name} contains non-finite entries")
 
     @property
     def num_visible(self) -> int:
@@ -91,14 +68,6 @@ class CdConfig:
     epochs: int
     batch_size: int
 
-    def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise InputError("learning_rate must be positive")
-        if self.epochs < 0:
-            raise InputError("epochs must be non-negative")
-        if self.batch_size < 1:
-            raise InputError("batch_size must be at least 1")
-
 
 def init_rbm(kind: RbmKind, num_visible: int, num_hidden: int,
              rng: np.random.Generator) -> RbmParams:
@@ -112,30 +81,11 @@ def init_rbm(kind: RbmKind, num_visible: int, num_hidden: int,
     )
 
 
-def _as_vector(name: str, x, length: int) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.shape != (length,):
-        raise InputError(f"{name} must have shape ({length},), got {arr.shape}")
-    return arr
-
-
-def _as_states(name: str, x, width: int) -> np.ndarray:
-    """Accept a single state vector or a matrix with one state per row."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim not in (1, 2) or arr.shape[-1] != width:
-        raise InputError(f"{name} must have {width} entries per state, got shape {arr.shape}")
-    return arr
-
-
 def energy_bernoulli(params: RbmParams, v, h) -> float:
     """Joint energy of a binary configuration.
 
     E(v, h) = -sum_ij w_ij v_i h_j - sum_i vb_i v_i - sum_j hb_j h_j
     """
-    if params.kind is not RbmKind.BERNOULLI_BERNOULLI:
-        raise InputError("energy_bernoulli requires a Bernoulli-Bernoulli layer")
-    v = _as_vector("v", v, params.num_visible)
-    h = _as_vector("h", h, params.num_hidden)
     return float(-(v @ params.weights @ h)
                  - params.visible_bias @ v
                  - params.hidden_bias @ h)
@@ -146,10 +96,6 @@ def energy_gaussian(params: RbmParams, v, h) -> float:
 
     E(v, h) = -sum_ij w_ij v_i h_j + sum_i (v_i - vb_i)^2 / 2 - sum_j hb_j h_j
     """
-    if params.kind is not RbmKind.GAUSSIAN_BERNOULLI:
-        raise InputError("energy_gaussian requires a Gaussian-Bernoulli layer")
-    v = _as_vector("v", v, params.num_visible)
-    h = _as_vector("h", h, params.num_hidden)
     return float(-(v @ params.weights @ h)
                  + 0.5 * np.sum((v - params.visible_bias) ** 2)
                  - params.hidden_bias @ h)
@@ -162,8 +108,6 @@ def hidden_given_visible(params: RbmParams, v) -> np.ndarray:
     units have unit variance). Accepts one state vector or a matrix of
     states, one per row.
     """
-    v = _as_states("v", v, params.num_visible)
-    require_finite(v, "visible state")
     return sigmoid(v @ params.weights + params.hidden_bias)
 
 
@@ -175,8 +119,6 @@ def visible_given_hidden(params: RbmParams, h) -> np.ndarray:
     the unit-variance Normal. Accepts one state vector or a matrix of
     states, one per row.
     """
-    h = _as_states("h", h, params.num_hidden)
-    require_finite(h, "hidden state")
     activation = h @ params.weights.T + params.visible_bias
     if params.kind is RbmKind.BERNOULLI_BERNOULLI:
         return sigmoid(activation)
@@ -186,8 +128,6 @@ def visible_given_hidden(params: RbmParams, h) -> np.ndarray:
 def sample_binary(probs, rng: np.random.Generator) -> np.ndarray:
     """Bernoulli draw per entry: entry i is 1.0 iff the i-th uniform < probs[i]."""
     probs = np.asarray(probs, dtype=np.float64)
-    if not np.all((probs >= 0.0) & (probs <= 1.0)):
-        raise InputError("probabilities must lie in [0, 1]")
     return (rng.random(probs.shape) < probs).astype(np.float64)
 
 
@@ -202,21 +142,13 @@ def cd1_step(params: RbmParams, batch, learning_rate: float,
     reconstruction. Per-entry updates are the phase difference divided
     by the batch size, scaled by the learning rate.
 
-    The batch is checked once on entry, and the update and the error once
-    at the end; in between are the formulas of the conditionals and
-    ``sample_binary``.
+    The update and the error are checked once at the end, so a batch that
+    holds a NaN or an infinity raises NumericError there; in between are
+    the formulas of the conditionals and ``sample_binary``.
 
     Returns the updated parameters and the mean squared reconstruction
     error of the batch.
     """
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != params.num_visible:
-        raise InputError(
-            f"batch must be 2-d with {params.num_visible} columns, got shape {batch.shape}"
-        )
-    if batch.shape[0] == 0:
-        raise InputError("batch must not be empty")
-    require_finite(batch, "visible state")
     size = batch.shape[0]
     w = params.weights
     with np.errstate(over="ignore", invalid="ignore"):     # checked below
@@ -250,14 +182,6 @@ def train_rbm(params: RbmParams, data, config: CdConfig,
     (params, data, config, generator state). Returns the trained
     parameters and one mean-squared reconstruction error per epoch.
     """
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2 or data.shape[0] == 0:
-        raise InputError("training data must be a non-empty 2-d matrix")
-    if data.shape[1] != params.num_visible:
-        raise InputError(
-            f"data has {data.shape[1]} columns but the layer has "
-            f"{params.num_visible} visible units"
-        )
     count = data.shape[0]
     trace = np.zeros(config.epochs)
     current = params

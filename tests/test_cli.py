@@ -210,7 +210,8 @@ def test_tampered_model_schema_exits_2(workspace, tmp_path, capsys):
 @pytest.mark.parametrize("override", [{"k_sigma": float("nan")},
                                       {"lstm_hidden": 1.5},
                                       {"lookback": 2.5},
-                                      {"lstm_epochs": 2.5}])
+                                      {"lstm_epochs": 2.5},
+                                      {"dbn_sizes": [7, 8]}])
 def test_bad_config_value_exits_2(workspace, tmp_path, capsys, override):
     root, _ = workspace
     config = tmp_path / "config.json"
@@ -221,27 +222,49 @@ def test_bad_config_value_exits_2(workspace, tmp_path, capsys, override):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("key, value", [("threshold", float("nan")),
-                                        ("lookback", 2.5),
-                                        ("normalizer", []),
-                                        ("dbn_layers.0.num_visible", 8.5),
-                                        ("normalizer.feat_min",
-                                         [float("nan")] + [0.0] * 7),
-                                        ("normalizer", {})])
+def _bernoulli_layer(visible, hidden):
+    """A model file's layer whose arrays agree with its unit counts."""
+    return {"kind": "bernoulli", "num_visible": visible, "num_hidden": hidden,
+            "weights": [0.0] * (visible * hidden), "visible_bias": [0.0] * visible,
+            "hidden_bias": [0.0] * hidden}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("threshold", float("nan")),
+    ("lookback", 2.5),
+    ("normalizer", []),
+    ("dbn_layers.0.num_visible", 8.5),
+    ("normalizer.feat_min", [float("nan")] + [0.0] * 7),
+    ("normalizer", {}),
+    pytest.param("dbn_layers.0.kind", "bernoulli", id="layer_0_bernoulli"),
+    # a second layer, 7 units wide, above a layer with 8 hidden units
+    pytest.param("dbn_layers", lambda layers: [*layers, _bernoulli_layer(7, 8)],
+                 id="layer_1_narrower_than_layer_0"),
+    pytest.param("lstm.input_dim", 7, id="lstm_input_dim_7"),
+    pytest.param("normalizer.feat_max", [-1.0] * 8, id="feat_max_below_feat_min"),
+    pytest.param("normalizer.unit_std.0", -1.0, id="negative_unit_std"),
+    pytest.param("threshold", -1.0, id="negative_threshold"),
+    pytest.param("residual_stats.std", float("nan"), id="residual_std_nan"),
+    pytest.param("dbn_layers.0.weights.0", float("nan"), id="weight_nan"),   # JSON literal NaN
+    pytest.param("normalizer", {key: [0.0] * 7 for key in
+                                ("feat_min", "feat_max", "unit_mean", "unit_std")},
+                 id="normalizer_7_wide"),
+])
 def test_bad_model_value_exits_2(workspace, tmp_path, capsys, key, value):
     root, _ = workspace
     doc = json.loads((root / "model.json").read_text())
-    *parents, last = key.split(".")   # a dotted key names a nested field
+    # a dotted key names a nested field; a callable value maps the old one
+    *parents, last = [int(part) if part.isdigit() else part for part in key.split(".")]
     target = doc
     for part in parents:
-        target = target[int(part) if part.isdigit() else part]
-    target[last] = value
+        target = target[part]
+    target[last] = value(target[last]) if callable(value) else value
     tampered = tmp_path / "model.json"
     tampered.write_text(json.dumps(doc))
     assert cli.main(["detect", str(tampered), str(root / "train.csv"),
                      "--out", str(tmp_path / "r.csv")]) == 2
     assert not (tmp_path / "r.csv").exists()
-    capsys.readouterr()
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 @pytest.mark.parametrize("override", [{"lookback": 5}, {"window_len": 7.0},

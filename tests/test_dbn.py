@@ -1,15 +1,12 @@
 import numpy as np
 import numpy.testing as npt
-import pytest
 
 from floodwatch.dbn import DbnModel, new_dbn, pretrain, transform
-from floodwatch.errors import InputError
 from floodwatch.rbm import (
     CdConfig,
     RbmKind,
     RbmParams,
     hidden_given_visible,
-    init_rbm,
     train_rbm,
 )
 
@@ -42,11 +39,6 @@ def test_new_dbn_structure():
     assert dbn.layers[1].kind is RbmKind.BERNOULLI_BERNOULLI
     assert dbn.layers[1].num_visible == 6 and dbn.layers[1].num_hidden == 4
     assert dbn.input_dim == 8 and dbn.code_dim == 4
-
-
-def test_new_dbn_rejects_single_size():
-    with pytest.raises(InputError):
-        new_dbn([8], np.random.default_rng(0))
 
 
 def test_new_dbn_seeded():
@@ -99,13 +91,6 @@ def test_pretrain_never_mutates_earlier_layers():
                            partial.layers[0].hidden_bias)
 
 
-def test_pretrain_rejects_mismatched_data():
-    dbn = new_dbn([6, 4], np.random.default_rng(0))
-    config = CdConfig(learning_rate=0.05, epochs=1, batch_size=1)
-    with pytest.raises(InputError):
-        pretrain(dbn, np.zeros((4, 5)), config, np.random.default_rng(0))
-
-
 def test_transform_single_layer_is_hidden_conditional():
     dbn = new_dbn([6, 4], np.random.default_rng(8))
     v = PATTERNS[0]
@@ -138,20 +123,3 @@ def test_transform_deterministic():
     a = transform(dbn, PATTERNS[3])
     b = transform(dbn, PATTERNS[3])
     npt.assert_array_equal(a, b)
-
-
-def test_transform_rejects_wrong_width():
-    dbn = new_dbn([6, 4], np.random.default_rng(5))
-    with pytest.raises(InputError):
-        transform(dbn, np.zeros(7))
-
-
-def test_dbn_model_validates_stack():
-    good = init_rbm(RbmKind.GAUSSIAN_BERNOULLI, 6, 4, np.random.default_rng(0))
-    bern = init_rbm(RbmKind.BERNOULLI_BERNOULLI, 5, 3, np.random.default_rng(0))
-    with pytest.raises(InputError):
-        DbnModel(layers=[])
-    with pytest.raises(InputError):
-        DbnModel(layers=[bern])  # first layer must be Gaussian
-    with pytest.raises(InputError):
-        DbnModel(layers=[good, bern])  # 4 hidden feeding 5 visible

@@ -5,7 +5,6 @@ import numpy.testing as npt
 import pytest
 
 from floodwatch import lstm
-from floodwatch.errors import InputError
 from floodwatch.lstm import (
     PARAM_FIELDS,
     PLATEAU_EPOCHS,
@@ -132,8 +131,6 @@ def test_sequence_forward_deterministic():
 def test_loss_mse_examples():
     assert loss_mse([[1.0, 2.0]], [[1.0, 2.0]]) == 0.0
     assert loss_mse([[2.0]], [[0.0]]) == 4.0
-    with pytest.raises(InputError):
-        loss_mse([[1.0]], [[1.0, 2.0]])
 
 
 def test_loss_mse_matches_naive_oracle():
@@ -296,11 +293,6 @@ def test_init_lstm_forget_bias_and_shapes():
     npt.assert_array_equal(model.b_i, np.zeros(32))
     assert model.w_f.shape == (32, 40)
     assert model.w_y.shape == (8, 32)
-
-
-def test_train_config_validation():
-    with pytest.raises(InputError):
-        TrainConfig(learning_rate=0.01, epochs=1, gradient_clip=0.0)
 
 
 def naive_sequence(model, xs, hidden, cell):

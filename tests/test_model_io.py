@@ -6,7 +6,6 @@ import pytest
 
 import floodwatch as fw
 from floodwatch.errors import InputError, NumericError
-from floodwatch.detector import DetectorModel
 from floodwatch.lstm import PARAM_FIELDS
 from floodwatch.model_io import SCHEMA_VERSION, load_model, save_model
 from floodwatch.traffic import Scenario, generate_traffic, split_packets
@@ -108,10 +107,7 @@ def test_garbage_file_rejected(tmp_path):
 
 def test_non_finite_statistics_never_reach_a_model_file(tmp_path):
     model, _ = small_model()
-    for name in ("threshold", "residual_mean", "residual_std"):
-        with pytest.raises(InputError):
-            DetectorModel(**{**vars(model), name: float("nan")})
-    model.threshold = float("inf")   # bypasses construction-time checks
+    model.threshold = float("inf")
     path = tmp_path / "model.json"
     with pytest.raises(NumericError):
         save_model(path, model, SMALL_CONFIG)
@@ -135,6 +131,7 @@ def test_config_validation():
     for bad in ({"k_sigma": float("nan")}, {"window_len": float("inf")},
                 {"lstm_hidden": 1.5}, {"lookback": 2.5}, {"lstm_epochs": 2.5},
                 {"rbm_epochs": True}, {"dbn_sizes": [8, 8.5]}, {"seed": -1},
-                {"split": "0.5"}):
+                {"split": "0.5"}, {"gradient_clip": 0}, {"rbm_learning_rate": 0},
+                {"rbm_batch_size": 0}, {"lstm_epochs": -1}):
         with pytest.raises(InputError):
             fw.RunConfig.from_dict(bad)

@@ -654,11 +654,6 @@ def test_fit_normalizer_maps_training_rows_into_unit_box():
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
 
-def test_fit_normalizer_rejects_empty():
-    with pytest.raises(InputError):
-        fit_normalizer(np.zeros((0, 8)))
-
-
 def test_preprocess_standardizes_training_data():
     rng = np.random.default_rng(3)
     matrix = rng.uniform(0, 50, size=(40, 8))
@@ -712,6 +707,18 @@ def test_generated_timestamps_are_whole_microseconds_in_order(duration, count, a
     ts = generate_traffic(scenario, np.random.default_rng(seed))[0].ts
     npt.assert_array_equal(ts.view(np.uint64), (np.rint(ts * 1e6) / 1e6).view(np.uint64))
     assert np.all(ts[:-1] <= ts[1:])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_no_timestamp_rounds_onto_the_end(seed):
+    # a SYN flood at 1e7 packets/s over all of 0.01 s: some times lie within
+    # half a microsecond of the end, and none may round onto it and open a
+    # second window
+    flood = AttackInterval(0.0, 0.01, AttackKind.SYN_FLOOD, 1000.0, 500)
+    scenario = Scenario(duration=0.01, baseline_rate=1e4, attacks=[flood])
+    packets, labels = generate_traffic(scenario, np.random.default_rng(seed), window_len=0.01)
+    assert packets.ts.max() < scenario.duration
+    assert labels == [True]
 
 
 def test_generate_traffic_rate_accuracy():
@@ -880,3 +887,6 @@ def test_split_packets_window_aligned():
     assert train.ts.max() < 16.0
     # validation is re-based so its own windows start at zero
     assert valid.ts.min() < 1.0
+    for fraction, window_len in ((1.0, 1.0), (0.8, 0.0), (0.8, float("nan"))):
+        with pytest.raises(InputError):
+            split_packets(packets, fraction, window_len)
