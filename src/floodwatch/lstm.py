@@ -25,7 +25,7 @@ so a step is one broadcast matmul that writes a contiguous (4, B, N) block.
 The sigmoid gates use sigmoid(x) = 0.5 * tanh(x / 2) + 0.5 with the
 exact factor 0.5 folded into their stacked weights, so one tanh covers
 all four gates.
-``train_lstm`` runs the kernel once per group of equal-length sequences;
+``train_lstm`` runs the kernel on all its sequences as one batch;
 ``cell_forward``, ``sequence_forward`` and ``backward_bptt`` are its
 B = 1 case, and ``predict_sequence_batch`` runs its step function
 keeping no history.
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericError
+from .errors import NumericError
 from .numerics import require_finite
 # Not called here any more; kept importable because the benchmark's trace
 # table (perfbench/spans.py) wraps ``floodwatch.lstm.sigmoid``.
@@ -424,55 +424,20 @@ def predict_sequence_batch(model: LstmModel, inputs) -> np.ndarray:
     return hidden @ model.w_y.T + model.b_y
 
 
-def _length_groups(model: LstmModel, sequences) -> list[tuple[list[int], Workspace, np.ndarray]]:
-    """Batch (inputs, targets) pairs by length: per group, the original
-    indices, a workspace over the time-major inputs and the time-major
-    targets."""
-    if not sequences:
-        raise InputError("sequences must not be empty")
-    by_length: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}
-    for index, pair in enumerate(sequences):
-        xs = np.asarray(pair[0], dtype=np.float64)
-        targets = np.asarray(pair[1], dtype=np.float64)
-        by_length.setdefault(xs.shape[0], []).append((index, xs, targets))
-    return [([index for index, _, _ in group],
-             Workspace(np.stack([xs for _, xs, _ in group], axis=1), model.hidden_dim),
-             np.stack([targets for _, _, targets in group], axis=1))
-            for group in by_length.values()]
-
-
-def _loss(params: Stack, groups) -> tuple[float, list[np.ndarray]]:
-    """Mean per-sequence loss and, per group, dL/dy of the summed loss.
-    Leaves each group's activations in its workspace for ``_gradient``."""
-    loss_sum = 0.0
-    d_preds = []
-    for indices, work, targets in groups:
-        steps, _, dim = targets.shape
-        with np.errstate(over="ignore", invalid="ignore"):     # checked here and in train_lstm
-            preds = forward(params, work)
-            bad = ~np.isfinite(preds).all(axis=(0, 2))
-            if bad.any():
-                raise NumericError(
-                    f"sequence {indices[int(np.argmax(bad))]}: non-finite forward output"
-                )
-            d_pred = preds - targets
-            loss_sum += float(np.sum(d_pred * d_pred)) / (steps * dim)
-            d_pred *= 2.0
-            d_pred /= steps * dim
-        d_preds.append(d_pred)
-    return loss_sum / sum(len(indices) for indices, _, _ in groups), d_preds
-
-
-def _gradient(params: Stack, groups, d_preds) -> LstmModel:
-    """Gradient of the summed loss from the activations ``_loss`` left."""
-    total = None
-    for (_, work, _), d_pred in zip(groups, d_preds):
-        grads = backward(params, work, d_pred)
-        if total is None:
-            total = grads
-        else:
-            total.vector += grads.vector
-    return total
+def _loss(params: Stack, work: Workspace, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean per-sequence loss and dL/dy of the summed loss over the batch
+    in ``work``, whose activations stay there for ``backward``."""
+    steps, count, dim = targets.shape
+    with np.errstate(over="ignore", invalid="ignore"):     # checked here and in train_lstm
+        preds = forward(params, work)
+        bad = ~np.isfinite(preds).all(axis=(0, 2))
+        if bad.any():
+            raise NumericError(f"sequence {int(np.argmax(bad))}: non-finite forward output")
+        d_pred = preds - targets
+        loss = float(np.sum(d_pred * d_pred)) / (steps * dim) / count
+        d_pred *= 2.0
+        d_pred /= steps * dim
+    return loss, d_pred
 
 
 def at_plateau(trace: np.ndarray, epoch: int) -> bool:
@@ -488,11 +453,14 @@ def train_lstm(model: LstmModel, sequences,
                config: TrainConfig) -> tuple[LstmModel, np.ndarray]:
     """Full-batch gradient descent on the summed per-sequence MSE.
 
-    Each epoch records the mean per-sequence loss at the current
-    parameters, clips the gradient of the summed loss to
-    config.gradient_clip by global norm, and takes one plain descent
-    step. Clipping the sum (not the mean) makes the norm bound, not the
-    sequence count, set the worst-case step size.
+    ``sequences`` holds (inputs, targets) pairs, each a (T, input_dim)
+    array, all of one length T; they are stacked into one time-major
+    batch that every epoch runs forward and backward. Each epoch records
+    the mean per-sequence loss at the current parameters, clips the
+    gradient of the summed loss to config.gradient_clip by global norm,
+    and takes one plain descent step. Clipping the sum (not the mean)
+    makes the norm bound, not the sequence count, set the worst-case step
+    size.
 
     Training ends after config.epochs epochs, or earlier at the first
     epoch where ``at_plateau`` holds (early stopping on the training
@@ -503,13 +471,15 @@ def train_lstm(model: LstmModel, sequences,
     stochasticity: identical inputs produce bit-identical trained
     parameters and traces.
     """
-    groups = _length_groups(model, sequences)
+    work = Workspace(np.stack([xs for xs, _ in sequences], axis=1, dtype=np.float64),
+                     model.hidden_dim)
+    targets = np.stack([ys for _, ys in sequences], axis=1, dtype=np.float64)
     trace = np.zeros(config.epochs)
     current = copy.deepcopy(model)
     for epoch in range(config.epochs):
         params = stack(current)
         try:
-            loss, d_preds = _loss(params, groups)
+            loss, d_pred = _loss(params, work, targets)
         except NumericError as exc:
             raise NumericError(f"epoch {epoch}: {exc}") from exc
         if not np.isfinite(loss):
@@ -517,7 +487,7 @@ def train_lstm(model: LstmModel, sequences,
         trace[epoch] = loss
         if at_plateau(trace, epoch):
             return current, trace[:epoch + 1]
-        grads = _gradient(params, groups, d_preds)
+        grads = backward(params, work, d_pred)
         require_finite(grads.vector, f"epoch {epoch}: gradient")
         current.vector -= config.learning_rate * clip_gradients(
             grads, config.gradient_clip).vector

@@ -16,7 +16,6 @@ packet shape from a pool of spoofed sources.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import enum
 import io
@@ -65,8 +64,7 @@ MAX_WINDOWS = 10**6
 PARSE_BLOCK_CHARS = 1 << 18
 
 # Bytes that parse_packets reads as one piece, so that a block ends near
-# PARSE_BLOCK_CHARS, and bytes that are not UTF-8 raise before the lines of
-# their own piece only (see _byte_blocks).
+# PARSE_BLOCK_CHARS (see _byte_blocks).
 _READ_CHARS = 8192
 
 # Rows per chunk that write_packets_csv formats and writes at once, so
@@ -181,7 +179,7 @@ def _window_count(last: float, window_len: float) -> int:
     """Windows 0..floor(last / window_len), at most MAX_WINDOWS of them."""
     last_index = last // window_len
     if not last_index < MAX_WINDOWS:
-        raise InputError(f"last timestamp {last!r} s lies in window {last_index:.0f} of "
+        raise InputError(f"last timestamp {last!r} s lies in window {last_index:.4g} of "
                          f"{window_len!r} s; at most {MAX_WINDOWS} windows from t = 0 "
                          "are supported")
     return int(last_index) + 1
@@ -363,10 +361,9 @@ def _parse_rows(reader, first: int, addresses: _Memo, lines_before=0) -> Packets
     return Packets(*(rows[name].copy() for name in dtype.names))   # contiguous columns
 
 
-# A plain block gathers each timestamp's bytes, zero-filled to _TS_WIDTH,
-# and reads each protocol name as one word. The bytes are read as
-# little-endian words through a view with a one-byte stride; _MASKS[k]
-# keeps a word's first k bytes.
+# A plain block's timestamps are at most _TS_WIDTH bytes wide, and each
+# protocol name is read as one little-endian word through a view of the
+# bytes with a one-byte stride; _MASKS[k] keeps a word's first k bytes.
 _TS_WIDTH = 32
 _MASKS = np.array([(1 << (8 * k)) - 1 for k in range(9)], dtype=np.uint64)
 _PROTOCOL_WORDS = np.array([int.from_bytes(name.encode(), "little") for name in PROTOCOLS],
@@ -405,11 +402,6 @@ class _Scratch:
         self.data, self.capacity = data, len(data) - 2 * _TS_WIDTH
         self.padded = np.frombuffer(data, np.uint8)
 
-    def text(self, start: int, end: int) -> str:
-        """Bytes [start, end) of the block, which _byte_blocks has found to
-        be UTF-8, as text."""
-        return self.data[_TS_WIDTH + start:_TS_WIDTH + end].decode()
-
     def __call__(self, name: str, shape, dtype=np.intp) -> np.ndarray:
         size = math.prod(shape) if isinstance(shape, tuple) else shape
         array = self.arrays.get(name)
@@ -447,16 +439,6 @@ class _Columns:
         return Packets(*self.arrays)
 
 
-def _field_words(words, start, end, width: int) -> np.ndarray:
-    """The bytes [start, end) of each row, zero-filled to ``width`` bytes,
-    as rows of little-endian words."""
-    length = end - start
-    out = np.empty((start.size, width // 8), np.dtype("<u8"))
-    for k in range(width // 8):
-        out[:, k] = words[start + 8 * k] & _MASKS[np.clip(length - 8 * k, 0, 8)]
-    return out
-
-
 def _decimals(s: _Scratch, name: str, buf, end, width, most: int) -> np.ndarray | None:
     """The values of the fields of ``buf`` that end before ``end`` and are
     ``width`` bytes wide, or None unless each is 1 to ``most`` ASCII
@@ -488,19 +470,19 @@ def _decimals(s: _Scratch, name: str, buf, end, width, most: int) -> np.ndarray 
 _POW10 = 10.0 ** np.arange(23)
 
 
-def _timestamps(s: _Scratch, padded, words, starts, dots, ends, ts) -> bool:
-    """Write into ``ts`` the timestamp fields [starts, ends) of a block's
-    bytes as ``float`` reads them, ``dots`` being each field's dot or its
-    end; False where ``float`` raises ValueError. The bytes are those of
-    ``padded`` after its first _TS_WIDTH, and ``words`` views them as in
-    _field_words.
+def _timestamps(s: _Scratch, start: int, starts, dots, ends, ts) -> bool:
+    """Write into ``ts`` the timestamp fields [starts, ends) of the block
+    that begins at ``start`` of ``s`` as ``float`` reads them, ``dots``
+    being each field's dot or its end; False where ``float`` raises
+    ValueError.
 
     A field of digits with at most one dot, whose digits form an integer D
     below 2**53 with k <= 22 of them after the dot, is D / 10**k in
     float64: D and 10**k are exact doubles, so the one correctly rounded
     division gives ``float``'s value (Clinger's fast path, "How to Read
-    Floating Point Numbers Accurately", 1990). All other fields go through
-    ``float`` one by one."""
+    Floating Point Numbers Accurately", 1990). ``float`` reads all other
+    fields one by one from the block's bytes."""
+    padded = s.padded[start:]
     n = starts.size
     flag = s("ts flag", n, bool)
     has_dot = np.less(dots, ends, out=s("ts has dot", n, bool))
@@ -538,9 +520,10 @@ def _timestamps(s: _Scratch, padded, words, starts, dots, ends, ts) -> bool:
     ts /= np.take(_POW10, k, out=s("ts divisor", n, np.float64), mode="clip")
     if slow.any():
         rows = np.flatnonzero(slow)
-        text = _field_words(words, starts[rows], ends[rows], _TS_WIDTH).view(f"S{_TS_WIDTH}")
+        data, lo = s.data, _TS_WIDTH + start
         try:
-            ts[rows] = np.fromiter(map(float, text.ravel().tolist()), np.float64)
+            ts[rows] = [float(data[a:b])
+                        for a, b in zip((starts[rows] + lo).tolist(), (ends[rows] + lo).tolist())]
         except ValueError:
             return False
     return True
@@ -668,7 +651,7 @@ def _plain_block(s: _Scratch, start: int, size: int, columns: _Columns) -> int |
     if not np.equal(np.subtract(ends, c4, out=places), 2, out=flag).all() or syn.max() > 1:
         return None
     ts, src, dst, proto_out, length_out, syn_out = columns.tail(n)
-    if not _timestamps(s, padded, words, starts, dots, c0, ts):
+    if not _timestamps(s, start, starts, dots, c0, ts):
         return None
     if not (np.isfinite(ts, out=flag).all() and np.greater_equal(ts, 0, out=flag).all()):
         return None
@@ -709,42 +692,18 @@ def _byte_blocks(handle, s: _Scratch):
     at once as bring at least PARSE_BLOCK_CHARS bytes in hand; a block
     runs to the last line end read, an LF or a CR that no LF follows, and
     the bytes after it start the next block. The last block holds what
-    follows the last line end.
-
-    Bytes are checked to be UTF-8 only where a piece holds one above
-    0x7f. A piece that is not UTF-8 (or a sequence the file's end cuts
-    short) raises UnicodeDecodeError once the lines that end before it
-    are yielded, so that a bad row among them is reported first."""
+    follows the last line end."""
     held = 0                                    # bytes in the block, not yet yielded
     clean = 0                                   # bytes before these end no line
-    decoder = None                              # from the first byte above 0x7f on
     while True:
         want = -(-max(PARSE_BLOCK_CHARS - held, 1) // _READ_CHARS) * _READ_CHARS
         s.reserve(held + want)
         got = _read_into(handle, memoryview(s.data)[_TS_WIDTH + held:_TS_WIDTH + held + want])
-        start, held = held, held + got          # the bytes just read
-        checked = start                         # the end of the pieces found to be UTF-8
-        try:
-            if decoder is None and got and s.padded[_TS_WIDTH + start:_TS_WIDTH + held].max() >= 0x80:
-                decoder = codecs.getincrementaldecoder("utf-8")()
-            if decoder is not None:
-                for checked in range(start, held, _READ_CHARS):
-                    decoder.decode(s.data[_TS_WIDTH + checked:
-                                          _TS_WIDTH + min(checked + _READ_CHARS, held)])
-                checked = held
-                if got < want:
-                    decoder.decode(b"", final=True)
-        except UnicodeDecodeError:
-            cut = _line_end(s.data, _TS_WIDTH, _TS_WIDTH + checked)
-            if cut:
-                yield cut
-            raise
+        held += got
         if got < want:
             if held:
                 yield held
             return
-        if held < PARSE_BLOCK_CHARS:
-            continue
         # only bytes not searched before, so a long line is searched once
         cut = _line_end(s.data, _TS_WIDTH + clean, _TS_WIDTH + held)
         if cut:
@@ -755,10 +714,23 @@ def _byte_blocks(handle, s: _Scratch):
         clean = max(held - 1, 0)                # a CR that ends them may yet start a CRLF
 
 
-def _lines(blocks):
-    """The lines of text blocks, split at CR, LF and CRLF as a file opened
-    with newline="" (as csv.reader asks) splits them."""
-    return itertools.chain.from_iterable(io.StringIO(text, newline="") for text in blocks)
+def _csv_lines(s: _Scratch, spans):
+    """The lines of the bytes [start, end) of the block of ``s``, for each
+    span in turn, decoded as UTF-8 and split at CR, LF and CRLF as a file
+    opened with newline="" (as csv.reader asks) splits them. Bytes that are
+    not UTF-8 (or a sequence the span's end cuts short) raise
+    UnicodeDecodeError once the whole lines before them are yielded, so
+    that the first bad line in file order is reported."""
+    for start, end in spans:
+        lo = _TS_WIDTH + start
+        try:
+            text = s.data[lo:_TS_WIDTH + end].decode()
+        except UnicodeDecodeError as exc:
+            # the bad byte is above 0x7f, so a CR right before it ends a line
+            cut = _line_end(s.data, lo, lo + exc.start + 1)
+            yield from io.StringIO(s.data[lo:lo + cut].decode(), newline="")
+            raise
+        yield from io.StringIO(text, newline="")
 
 
 def _parse_csv(lines, addresses: _Memo) -> Packets:
@@ -793,20 +765,20 @@ def parse_packets(handle) -> Packets:
     and converts each of its rows before the next is read, so the error
     names the first bad row. After a block with a double quote, whose
     quoted fields may hold line ends, csv.reader reads the rest. Bytes
-    that are not UTF-8 raise UnicodeDecodeError (see _byte_blocks).
+    that are not UTF-8 raise UnicodeDecodeError after the lines before
+    them (see _csv_lines).
     """
     addresses = _Memo(parse_ip)
     s = _Scratch()
     blocks = _byte_blocks(handle, s)
-    texts = (s.text(0, size) for size in blocks)
+    rest = ((0, size) for size in blocks)
     size = next(blocks, 0)
     lf = s.data.find(b"\n", _TS_WIDTH, _TS_WIDTH + size)
     if lf < 0 or s.data[_TS_WIDTH:lf].removesuffix(b"\r") != _HEADER_BYTES:
-        return _parse_csv(_lines(itertools.chain([s.text(0, size)], texts)), addresses)
+        return _parse_csv(_csv_lines(s, itertools.chain([(0, size)], rest)), addresses)
     columns = _Columns()
     number = 2                                  # the row number of the block's first line
-    for start, end in itertools.chain([(lf + 1 - _TS_WIDTH, size)],
-                                      ((0, size) for size in blocks)):
+    for start, end in itertools.chain([(lf + 1 - _TS_WIDTH, size)], rest):
         if start == end:
             continue
         count = _plain_block(s, start, end - start, columns)
@@ -814,12 +786,11 @@ def parse_packets(handle) -> Packets:
             columns.size += count
             number += count
             continue
-        text = s.text(start, end)
-        if '"' in text:
-            reader = csv.reader(_lines(itertools.chain([text], texts)))
+        if s.data.find(b'"', _TS_WIDTH + start, _TS_WIDTH + end) >= 0:
+            reader = csv.reader(_csv_lines(s, itertools.chain([(start, end)], rest)))
             columns.append(_parse_rows(reader, number, addresses, number - 1))
             break
-        reader = csv.reader(_lines([text]))   # one record per line
+        reader = csv.reader(_csv_lines(s, [(start, end)]))   # one record per line
         columns.append(_parse_rows(reader, number, addresses, number - 1))
         number += reader.line_num
     return columns.packets()

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import floodwatch as fw
-from floodwatch import cli, model_io, packet_text, traffic
+from floodwatch import cli, lstm, model_io, packet_text, traffic
 from floodwatch.detector import evaluate, read_report_csv
 from floodwatch.model_io import load_model
 from floodwatch.traffic import (
@@ -384,6 +384,12 @@ def test_epoch_timestamps_exit_2_before_allocating_windows(workspace, tmp_path, 
     assert time.perf_counter() - start < 10.0
     assert capsys.readouterr().err.count("last timestamp 1700000000.0") == 2
     assert not (tmp_path / "r.csv").exists()
+    # a tiny window: the window index is printed in short form, not in 303 digits
+    assert cli.main(["featurize", str(root / "test.csv"), "--window-len", "1e-300",
+                     "--out", str(tmp_path / "f.csv")]) == 2
+    assert re.fullmatch(r"error: last timestamp \S+ s lies in window 3e\+302 of 1e-300 s; "
+                        r"at most 1000000 windows from t = 0 are supported\n",
+                        capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("window_len", ["inf", "nan", "0"])
@@ -584,12 +590,12 @@ def test_non_utf8_input_exits_2(workspace, tmp_path, capsys, reader):
     assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8 text")
 
 
-@pytest.mark.parametrize("good_rows, error", [(10, "not UTF-8 text"),
+@pytest.mark.parametrize("good_rows, error", [(10, "line 2: unknown protocol"),
                                               (3000, "line 2: unknown protocol")])
 def test_bad_row_then_non_utf8_bytes_exits_2(tmp_path, capsys, good_rows, error):
-    # the error of the text read first is reported: bytes that are not
-    # UTF-8 right after a bad row, and the bad row when 3000 good rows
-    # (about 100 KB) lie between them
+    # the first bad line in file order is reported: the bad row, whether
+    # 10 or 3000 good rows (about 100 KB) lie between it and bytes that
+    # are not UTF-8
     rows = ["timestamp,src_ip,dst_ip,protocol,length,syn", "0.5,10.0.0.1,10.0.0.2,GRE,64,0",
             *["1.5,10.0.0.1,10.0.0.2,TCP,64,0"] * good_rows]
     path = tmp_path / "bad.csv"
@@ -654,8 +660,17 @@ def test_gradcheck_passes_and_prints_error(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_gradcheck_sabotage_fails(capsys):
-    assert cli.main(["gradcheck", "--sabotage"]) == 1
+def test_gradcheck_sabotage_fails(capsys, monkeypatch):
+    # a wrong analytic gradient, swapped in where grad_check looks it up
+    backward_bptt = lstm.backward_bptt
+
+    def sabotaged(model, work, targets):
+        grads = backward_bptt(model, work, targets)
+        grads.w_f[0, 0] += 1.0
+        return grads
+
+    monkeypatch.setattr(lstm, "backward_bptt", sabotaged)
+    assert cli.main(["gradcheck"]) == 1
     assert float(capsys.readouterr().out) > 0.1
 
 

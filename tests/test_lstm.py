@@ -266,7 +266,7 @@ def test_train_lstm_plateau_check_starts_after_its_window():
 
 
 def test_train_lstm_runs_backward_only_before_a_step():
-    # one length group: one backward pass per step, none at the stop epoch
+    # one backward pass per step, none at the stop epoch
     model = init_lstm(2, 4, np.random.default_rng(0))
     for epochs, steps in ((PLATEAU_EPOCHS, PLATEAU_EPOCHS),
                           (PLATEAU_EPOCHS + 5, PLATEAU_EPOCHS)):
@@ -368,13 +368,12 @@ def test_batched_backward_matches_finite_differences():
     assert worst < 1e-5
 
 
-def test_train_lstm_mixed_lengths_sums_per_sequence_gradients():
+def test_train_lstm_batch_step_sums_per_sequence_gradients():
     # one epoch at learning rate 1 with clipping out of reach: the step
     # taken is exactly the summed gradient
     model, _, _ = gradcheck_instance(6, input_dim=2, hidden_dim=3)
     rng = np.random.default_rng(6)
-    sequences = [(rng.normal(size=(steps, 2)), rng.normal(size=(steps, 2)))
-                 for steps in (5, 3, 5, 4, 3)]
+    sequences = [(rng.normal(size=(5, 2)), rng.normal(size=(5, 2))) for _ in range(5)]
     config = TrainConfig(learning_rate=1.0, epochs=1, gradient_clip=1e9)
     trained, trace = train_lstm(model, sequences, config)
 

@@ -337,22 +337,24 @@ def test_long_line_is_searched_once():
     assert sum(searched) < 2 * len(data)
 
 
-@pytest.mark.parametrize("good_rows, named", [(10, None), (3000, 2), (20000, 2)])
+@pytest.mark.parametrize("good_rows, named", [(10, 2), (3000, 2), (20000, 2), (3000, None)])
 def test_bad_row_before_non_utf8_bytes(tmp_path, good_rows, named):
-    # bytes that are not UTF-8 raise once the lines of the reads before
-    # theirs are parsed: right after a bad row the bytes are reported, and
-    # a bad row 3000 rows (about 100 KB, one block) or 20000 rows (several
-    # blocks) before them is named
-    rows = [HEADER, _GOOD_ROW.replace("TCP", "GRE"), *[_OTHER_ROW] * good_rows]
+    # the first bad line in file order is reported, whatever the reads: a
+    # bad row 10 rows, 3000 rows (about 100 KB, one block) or 20000 rows
+    # (several blocks) before bytes that are not UTF-8 is named, and the
+    # bytes are reported when they come before the bad row (named None)
+    rows = [HEADER.encode(), *[_OTHER_ROW.encode()] * good_rows, b"ok \xff"]
+    rows.insert(len(rows) if named is None else 1, _GOOD_ROW.replace("TCP", "GRE").encode())
     path = tmp_path / "bad.csv"
-    path.write_bytes(_as_text(rows, ("\r\n",)).encode() + b"ok \xff\r\n")
-    with open(path, "rb") as handle:
-        if named is None:
-            with pytest.raises(UnicodeDecodeError, match="invalid start byte"):
-                parse_packets(handle)
-        else:
-            with pytest.raises(InputError, match=f"^line {named}: unknown protocol"):
-                parse_packets(handle)
+    path.write_bytes(b"".join(row + b"\r\n" for row in rows))
+    for read in (64, traffic._READ_CHARS):
+        with mock.patch.object(traffic, "_READ_CHARS", read), open(path, "rb") as handle:
+            if named is None:
+                with pytest.raises(UnicodeDecodeError, match="invalid start byte"):
+                    parse_packets(handle)
+            else:
+                with pytest.raises(InputError, match=f"^line {named}: unknown protocol"):
+                    parse_packets(handle)
 
 
 def test_non_utf8_bytes_after_good_rows_raise(tmp_path):
