@@ -2,9 +2,10 @@
 
 Training (attack-free traffic only): windowize and featurize, fit the
 normalizer, pretrain the belief network, compress every window to a
-code, then train the LSTM to predict each window's code from the L
-preceding ones. A held-out clean split supplies residuals whose mean
-and standard deviation calibrate the alarm threshold mu + k*sigma.
+code, then train the LSTM, its readout bias started at the mean code, to
+predict each window's code from the L preceding ones. A held-out clean
+split supplies residuals whose mean and standard deviation calibrate the
+alarm threshold mu + k*sigma.
 
 Detection: for every window t >= L, feed codes t-L..t-1 through the
 LSTM from a zero state and compare the final prediction with the actual
@@ -150,9 +151,13 @@ def fit_detailed(train_packets: Packets, valid_packets: Packets,
                          batch_size=config.rbm_batch_size)
     dbn, traces = pretrain(dbn, inputs, cd_config, np.random.default_rng(seed_pretrain))
     codes = transform(dbn, inputs)
+    code_mean = codes.mean(axis=0)
 
+    # The readout starts at the mean code, the best constant predictor,
+    # which is where training on attack-free traffic ends up anyway.
     lstm = init_lstm(dbn.code_dim, config.lstm_hidden,
                      np.random.default_rng(seed_lstm))
+    lstm.b_y = code_mean
     pairs = [(codes[i:i + lookback], codes[i + 1:i + lookback + 1])
              for i in range(codes.shape[0] - lookback)]
     train_config = TrainConfig(learning_rate=config.lstm_learning_rate,
@@ -165,7 +170,7 @@ def fit_detailed(train_packets: Packets, valid_packets: Packets,
     mean = float(np.mean(residuals))
     std = float(np.std(residuals))
     threshold = calibrate_threshold(residuals, config.k_sigma)
-    mean_errors = valid_codes[lookback:] - codes.mean(axis=0)
+    mean_errors = valid_codes[lookback:] - code_mean
     mean_predictor = float(np.mean(np.sqrt(np.mean(mean_errors ** 2, axis=1))))
 
     model = DetectorModel(normalizer=normalizer, dbn=dbn, lstm=lstm,

@@ -156,7 +156,9 @@ def init_lstm(input_dim: int, hidden_dim: int, rng: np.random.Generator) -> Lstm
     """Random model: weights N(0, 0.1/sqrt(N+D)), zero biases except b_f = 1.
 
     The forget-gate bias starts at one so early training does not erase
-    the cell state. Weights are drawn in PARAM_FIELDS order.
+    the cell state. Weights are drawn in PARAM_FIELDS order. The readout
+    bias b_y starts at zero here; ``detector.fit_detailed`` then sets it
+    to the mean training code.
     """
     scale = 0.1 / np.sqrt(hidden_dim + input_dim)
     shapes = param_shapes(input_dim, hidden_dim)
@@ -345,17 +347,13 @@ def backward_bptt(model: LstmModel, work: Workspace, targets) -> LstmModel:
     return grads
 
 
-def grad_check(model: LstmModel, xs, targets, eps: float = 1e-5,
-               analytic: LstmModel | None = None) -> float:
-    """Max relative error of the analytic gradients vs central differences.
+def grad_check(model: LstmModel, xs, targets, eps: float = 1e-5) -> float:
+    """Max relative error of backward_bptt's gradients vs central differences.
 
-    Relative error per entry is |a - n| / max(|a|, |n|, 1e-12). Pass
-    ``analytic`` to check a candidate gradient instead of the one
-    computed by backward_bptt; the numeric side only ever calls
-    sequence_forward and loss_mse.
+    Relative error per entry is |a - n| / max(|a|, |n|, 1e-12); the
+    numeric side only ever calls sequence_forward and loss_mse.
     """
-    if analytic is None:
-        analytic = backward_bptt(model, sequence_forward(model, xs)[1], targets)
+    analytic = backward_bptt(model, sequence_forward(model, xs)[1], targets)
 
     work = copy.deepcopy(model)
     flat, grad_flat = work.vector, analytic.vector

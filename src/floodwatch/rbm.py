@@ -125,12 +125,6 @@ def visible_given_hidden(params: RbmParams, h) -> np.ndarray:
     return activation
 
 
-def sample_binary(probs, rng: np.random.Generator) -> np.ndarray:
-    """Bernoulli draw per entry: entry i is 1.0 iff the i-th uniform < probs[i]."""
-    probs = np.asarray(probs, dtype=np.float64)
-    return (rng.random(probs.shape) < probs).astype(np.float64)
-
-
 def cd1_step(params: RbmParams, batch, learning_rate: float,
              rng: np.random.Generator) -> tuple[RbmParams, float]:
     """One contrastive-divergence update over a batch of visible vectors.
@@ -144,7 +138,8 @@ def cd1_step(params: RbmParams, batch, learning_rate: float,
 
     The update and the error are checked once at the end, so a batch that
     holds a NaN or an infinity raises NumericError there; in between are
-    the formulas of the conditionals and ``sample_binary``.
+    the formulas of the conditionals and a Bernoulli draw of the hidden
+    states, entry i being 1.0 iff the i-th uniform < p(h_i|v).
 
     Returns the updated parameters and the mean squared reconstruction
     error of the batch.

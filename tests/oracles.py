@@ -1,9 +1,9 @@
 """Independent reference implementations used as test oracles.
 
-Everything here but ``naive_cd1_step`` and ``packets_of`` is written
-with plain Python loops and the math module, deliberately avoiding the
-vectorized code paths under test. Slow is fine; these run on tiny
-instances.
+Everything here but ``sample_binary``, ``naive_cd1_step`` and
+``packets_of`` is written with plain Python loops and the math module,
+deliberately avoiding the vectorized code paths under test. Slow is
+fine; these run on tiny instances.
 """
 
 import csv
@@ -13,7 +13,7 @@ from collections import Counter
 import numpy as np
 
 from floodwatch.errors import InputError
-from floodwatch.rbm import hidden_given_visible, sample_binary, visible_given_hidden
+from floodwatch.rbm import hidden_given_visible, visible_given_hidden
 from floodwatch.traffic import PROTOCOLS, Packets
 
 
@@ -80,12 +80,19 @@ def enum_visible_conditional(w, b, a, h):
     return [n / denom for n in numer]
 
 
+def sample_binary(probs, rng: np.random.Generator) -> np.ndarray:
+    """Bernoulli draw per entry: entry i is 1.0 iff the i-th uniform < probs[i]."""
+    probs = np.asarray(probs, dtype=np.float64)
+    return (rng.random(probs.shape) < probs).astype(np.float64)
+
+
 def naive_cd1_step(params, batch, learning_rate, rng):
-    """CD-1 composed from the checked public pieces: hidden_given_visible
-    twice, sample_binary and visible_given_hidden, each of which validates
-    its own input. Unlike the rest of this module it reuses vectorized
-    code, because the step's value lies in how the pieces are wired;
-    the pieces themselves are checked against enumeration above.
+    """CD-1 composed from the checked public conditionals,
+    hidden_given_visible twice and visible_given_hidden, with
+    sample_binary above drawing the hidden states. Unlike the rest of
+    this module it reuses vectorized code, because the step's value lies
+    in how the pieces are wired; the conditionals themselves are checked
+    against enumeration above.
     Returns (weights, visible_bias, hidden_bias, error).
     """
     batch = np.asarray(batch, dtype=np.float64)

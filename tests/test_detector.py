@@ -17,7 +17,7 @@ from floodwatch.detector import (
 )
 from floodwatch.dbn import DbnModel, transform
 from floodwatch.errors import InputError
-from floodwatch.lstm import LstmModel
+from floodwatch.lstm import PARAM_FIELDS, LstmModel, init_lstm
 from floodwatch.rbm import RbmKind, RbmParams
 from floodwatch.traffic import (
     AttackInterval,
@@ -222,6 +222,26 @@ def test_fit_summary_compares_lstm_with_mean_predictor():
     assert doc["mean_predictor_residual"] == summary.mean_predictor_residual
 
 
+def test_lstm_readout_starts_at_mean_training_code():
+    # untrained (0 epochs): b_y is the mean training code and every other
+    # parameter is init_lstm's draw from the LSTM's own seed stream
+    config = fw.RunConfig(dbn_sizes=[8, 8], rbm_epochs=10, lstm_epochs=0)
+    records, _ = generate_traffic(Scenario(duration=60.0, baseline_rate=50.0),
+                                  np.random.default_rng(3))
+    train, valid = split_packets(records, config.split, config.window_len)
+    model, summary = fw.fit_detailed(train, valid, config)
+    assert summary.lstm_epochs_run == 0
+    from floodwatch.detector import _codes
+    codes = _codes(model.normalizer, model.dbn, windowize(train, config.window_len))
+    npt.assert_array_equal(model.lstm.b_y, codes.mean(axis=0))
+    seed_lstm = np.random.SeedSequence(config.seed).spawn(3)[2]
+    drawn = init_lstm(model.dbn.code_dim, config.lstm_hidden,
+                      np.random.default_rng(seed_lstm))
+    for name in PARAM_FIELDS:
+        if name != "b_y":
+            npt.assert_array_equal(getattr(model.lstm, name), getattr(drawn, name))
+
+
 def test_window_far_outside_training_range_scores_finite():
     # features are no longer clamped to the training range: a window at
     # 1000x the training rate must still give finite codes and residuals
@@ -285,6 +305,6 @@ def test_quickstart_result_is_pinned(quickstart_captures):
     # one and two BLAS threads
     (train, valid), test, _ = quickstart_captures
     model = fit(train, valid, fw.RunConfig(dbn_sizes=[8, 8]))
-    assert model.threshold == pytest.approx(0.46264014387809105, rel=1e-9)
+    assert model.threshold == pytest.approx(0.46276347377856347, rel=1e-9)
     report = detect(model, test)
     assert [s.index for s in report.scores if s.alarm] == list(range(270, 300))

@@ -15,7 +15,6 @@ from floodwatch.rbm import (
     energy_gaussian,
     hidden_given_visible,
     init_rbm,
-    sample_binary,
     train_rbm,
     visible_given_hidden,
 )
@@ -25,6 +24,7 @@ from oracles import (
     naive_cd1_step,
     naive_energy_bernoulli,
     naive_energy_gaussian,
+    sample_binary,
 )
 
 FOUR_PATTERNS = np.array([
