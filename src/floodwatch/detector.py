@@ -104,7 +104,9 @@ def _residuals(lstm: LstmModel, codes: np.ndarray, lookback: int) -> np.ndarray:
             f"need at least {lookback + 1} windows to score with lookback "
             f"{lookback}, got {n}"
         )
-    batch = np.stack([codes[i:i + lookback] for i in range(n - lookback)])
+    # window i is codes[i:i + lookback], as a view: (n - lookback, lookback, k)
+    batch = np.lib.stride_tricks.sliding_window_view(codes[:-1], lookback, axis=0)
+    batch = batch.transpose(0, 2, 1)
     with np.errstate(over="ignore", invalid="ignore"):     # checked below
         errors = predict_sequence_batch(lstm, batch) - codes[lookback:]
         residuals = np.sqrt(np.mean(errors ** 2, axis=1))

@@ -25,10 +25,10 @@ so a step is one broadcast matmul that writes a contiguous (4, B, N) block.
 The sigmoid gates use sigmoid(x) = 0.5 * tanh(x / 2) + 0.5 with the
 exact factor 0.5 folded into their stacked weights, so one tanh covers
 all four gates.
-``train_lstm`` runs the kernel on all its sequences as one batch;
-``cell_forward``, ``sequence_forward`` and ``backward_bptt`` are its
-B = 1 case, and ``predict_sequence_batch`` runs its step function
-keeping no history.
+``train_lstm`` runs the kernel on all its sequences as one batch and
+steps on ``_loss``; ``grad_check`` differences that same ``_loss`` over
+a B = 1 ``Workspace``, and ``predict_sequence_batch`` runs the step
+function keeping no history.
 """
 
 from __future__ import annotations
@@ -122,34 +122,12 @@ class LstmModel:
 
 
 @dataclass
-class LstmState:
-    """Recurrent state carried between steps: hidden output and cell state."""
-
-    hidden: np.ndarray
-    cell: np.ndarray
-
-
-@dataclass
-class Gates:
-    """Gate activations of one step."""
-
-    forget: np.ndarray
-    input: np.ndarray
-    candidate: np.ndarray
-    output: np.ndarray
-
-
-@dataclass
 class TrainConfig:
     """Hyperparameters for full-batch LSTM training."""
 
     learning_rate: float
     epochs: int
     gradient_clip: float
-
-
-def zero_state(hidden_dim: int) -> LstmState:
-    return LstmState(hidden=np.zeros(hidden_dim), cell=np.zeros(hidden_dim))
 
 
 def init_lstm(input_dim: int, hidden_dim: int, rng: np.random.Generator) -> LstmModel:
@@ -298,79 +276,6 @@ def backward(params: Stack, work: Workspace, d_pred: np.ndarray) -> LstmModel:
     return grads
 
 
-def sequence_forward(model: LstmModel, xs,
-                     init: LstmState | None = None) -> tuple[np.ndarray, Workspace]:
-    """Run the cell over a sequence and read out a prediction at every step.
-
-    ``xs`` is a (T, input_dim) array or list of vectors. Returns the
-    (T, input_dim) prediction matrix and the B = 1 workspace of the run,
-    for backward_bptt.
-    """
-    xs = np.asarray(xs, dtype=np.float64)
-    work = Workspace(xs[:, None, :], model.hidden_dim)
-    if init is not None:
-        work.hidden[0, 0] = init.hidden
-        work.cell[0, 0] = init.cell
-    preds = forward(stack(model), work)
-    finite = (np.isfinite(work.cell[1:, 0]).all(axis=1)
-              & np.isfinite(work.hidden[1:, 0]).all(axis=1))
-    if not finite.all():
-        raise NumericError(f"step {int(np.argmin(finite))}: non-finite cell or hidden state")
-    return preds[:, 0].copy(), work
-
-
-def cell_forward(model: LstmModel, x, prev: LstmState) -> tuple[LstmState, Gates]:
-    """One step of the gated recurrence; returns the new state and the gates."""
-    x = np.asarray(x, dtype=np.float64)
-    work = sequence_forward(model, x[None, :], prev)[1]
-    forget, input_gate, output_gate, candidate = work.gates[0, :, 0]
-    return (LstmState(hidden=work.hidden[1, 0], cell=work.cell[1, 0]),
-            Gates(forget=forget, input=input_gate, candidate=candidate, output=output_gate))
-
-
-def loss_mse(pred, target) -> float:
-    """Mean over all steps and dimensions of the squared prediction error."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    return float(np.mean((pred - target) ** 2))
-
-
-def backward_bptt(model: LstmModel, work: Workspace, targets) -> LstmModel:
-    """Exact gradients of loss_mse(preds, targets) w.r.t. every parameter,
-    given the workspace of sequence_forward."""
-    targets = np.asarray(targets, dtype=np.float64)
-    preds = work.preds[:, 0]
-    steps, dim = targets.shape
-    d_pred = 2.0 * (preds - targets) / (steps * dim)
-    grads = backward(stack(model), work, d_pred[:, None, :])
-    require_finite(grads.vector, "gradient")
-    return grads
-
-
-def grad_check(model: LstmModel, xs, targets, eps: float = 1e-5) -> float:
-    """Max relative error of backward_bptt's gradients vs central differences.
-
-    Relative error per entry is |a - n| / max(|a|, |n|, 1e-12); the
-    numeric side only ever calls sequence_forward and loss_mse.
-    """
-    analytic = backward_bptt(model, sequence_forward(model, xs)[1], targets)
-
-    work = copy.deepcopy(model)
-    flat, grad_flat = work.vector, analytic.vector
-    worst = 0.0
-    for k in range(flat.size):
-        original = flat[k]
-        flat[k] = original + eps
-        loss_plus = loss_mse(sequence_forward(work, xs)[0], targets)
-        flat[k] = original - eps
-        loss_minus = loss_mse(sequence_forward(work, xs)[0], targets)
-        flat[k] = original
-        numeric = (loss_plus - loss_minus) / (2.0 * eps)
-        denom = max(abs(grad_flat[k]), abs(numeric), 1e-12)
-        worst = max(worst, abs(grad_flat[k] - numeric) / denom)
-    return worst
-
-
 def gradcheck_instance(seed: int, input_dim: int = 2, hidden_dim: int = 3,
                        steps: int = 5) -> tuple[LstmModel, np.ndarray, np.ndarray]:
     """Seeded random model and sequence sized for finite-difference checks.
@@ -436,6 +341,35 @@ def _loss(params: Stack, work: Workspace, targets: np.ndarray) -> tuple[float, n
         d_pred *= 2.0
         d_pred /= steps * dim
     return loss, d_pred
+
+
+def grad_check(model: LstmModel, xs, targets, eps: float = 1e-5) -> float:
+    """Max relative error of ``backward``'s gradient of ``_loss`` vs central
+    differences of ``_loss``, for one (T, D) sequence as a B = 1 batch.
+
+    These are the functions ``train_lstm`` steps on. Relative error per
+    entry is |a - n| / max(|a|, |n|, 1e-12).
+    """
+    work = Workspace(np.asarray(xs, dtype=np.float64)[:, None, :], model.hidden_dim)
+    targets = np.asarray(targets, dtype=np.float64)[:, None, :]
+    params = stack(model)
+    analytic = backward(params, work, _loss(params, work, targets)[1]).vector
+    require_finite(analytic, "gradient")
+
+    probe = copy.deepcopy(model)
+    flat = probe.vector
+    worst = 0.0
+    for k in range(flat.size):
+        original = flat[k]
+        flat[k] = original + eps
+        loss_plus = _loss(stack(probe), work, targets)[0]
+        flat[k] = original - eps
+        loss_minus = _loss(stack(probe), work, targets)[0]
+        flat[k] = original
+        numeric = (loss_plus - loss_minus) / (2.0 * eps)
+        denom = max(abs(analytic[k]), abs(numeric), 1e-12)
+        worst = max(worst, abs(analytic[k] - numeric) / denom)
+    return worst
 
 
 def at_plateau(trace: np.ndarray, epoch: int) -> bool:

@@ -136,27 +136,25 @@ def cd1_step(params: RbmParams, batch, learning_rate: float,
     reconstruction. Per-entry updates are the phase difference divided
     by the batch size, scaled by the learning rate.
 
-    The update and the error are checked once at the end, so a batch that
-    holds a NaN or an infinity raises NumericError there; in between are
-    the formulas of the conditionals and a Bernoulli draw of the hidden
-    states, entry i being 1.0 iff the i-th uniform < p(h_i|v).
+    The phases compose ``hidden_given_visible``, a Bernoulli draw of the
+    hidden states (entry i is 1.0 iff the i-th uniform < p(h_i|v)),
+    ``visible_given_hidden`` and ``hidden_given_visible`` again. The
+    update and the error are checked once at the end, so a batch that
+    holds a NaN or an infinity raises NumericError there.
 
     Returns the updated parameters and the mean squared reconstruction
     error of the batch.
     """
     size = batch.shape[0]
-    w = params.weights
     with np.errstate(over="ignore", invalid="ignore"):     # checked below
-        pos_hidden = sigmoid(batch @ w + params.hidden_bias)
+        pos_hidden = hidden_given_visible(params, batch)
         hidden_sample = (rng.random(pos_hidden.shape) < pos_hidden).astype(np.float64)
-        recon = hidden_sample @ w.T + params.visible_bias
-        if params.kind is RbmKind.BERNOULLI_BERNOULLI:
-            recon = sigmoid(recon)
-        neg_hidden = sigmoid(recon @ w + params.hidden_bias)
+        recon = visible_given_hidden(params, hidden_sample)
+        neg_hidden = hidden_given_visible(params, recon)
         delta_w = (batch.T @ pos_hidden - recon.T @ neg_hidden) / size
         delta_vb = np.sum(batch - recon, axis=0) / size
         delta_hb = np.sum(pos_hidden - neg_hidden, axis=0) / size
-        update = {"weights": w + learning_rate * delta_w,
+        update = {"weights": params.weights + learning_rate * delta_w,
                   "visible_bias": params.visible_bias + learning_rate * delta_vb,
                   "hidden_bias": params.hidden_bias + learning_rate * delta_hb}
         error = float(np.mean((batch - recon) ** 2))

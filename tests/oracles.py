@@ -1,9 +1,9 @@
 """Independent reference implementations used as test oracles.
 
-Everything here but ``sample_binary``, ``naive_cd1_step`` and
-``packets_of`` is written with plain Python loops and the math module,
-deliberately avoiding the vectorized code paths under test. Slow is
-fine; these run on tiny instances.
+Everything here but ``sample_binary``, ``naive_cd1_step``,
+``lstm_run`` and ``packets_of`` is written with plain Python loops and
+the math module, deliberately avoiding the vectorized code paths under
+test. Slow is fine; these run on tiny instances.
 """
 
 import csv
@@ -13,6 +13,7 @@ from collections import Counter
 import numpy as np
 
 from floodwatch.errors import InputError
+from floodwatch.lstm import Workspace, forward, stack
 from floodwatch.rbm import hidden_given_visible, visible_given_hidden
 from floodwatch.traffic import PROTOCOLS, Packets
 
@@ -115,6 +116,15 @@ def _sig(x):
         return 1.0 / (1.0 + math.exp(-x))
     e = math.exp(x)
     return e / (1.0 + e)
+
+
+def lstm_run(model, xs, hidden=0.0, cell=0.0):
+    """The kernel's ``forward`` over one (T, D) sequence as a B = 1 batch
+    from initial state ``hidden``, ``cell``; returns the ``Workspace``."""
+    work = Workspace(np.asarray(xs, dtype=np.float64)[:, None, :], model.hidden_dim)
+    work.hidden[0, 0], work.cell[0, 0] = hidden, cell
+    forward(stack(model), work)
+    return work
 
 
 def naive_lstm_cell(w_f, w_i, w_c, w_o, b_f, b_i, b_c, b_o, x, h_prev, c_prev):

@@ -13,14 +13,11 @@ import numpy.testing as npt
 import floodwatch as fw
 from floodwatch.lstm import (
     LstmModel,
-    LstmState,
     TrainConfig,
-    cell_forward,
     grad_check,
     gradcheck_instance,
     init_lstm,
     train_lstm,
-    zero_state,
 )
 from floodwatch.rbm import (
     CdConfig,
@@ -37,6 +34,7 @@ from floodwatch.traffic import preset_scenario, split_packets
 from oracles import (
     enum_hidden_conditional,
     enum_visible_conditional,
+    lstm_run,
     naive_energy_bernoulli,
     naive_energy_gaussian,
 )
@@ -162,18 +160,17 @@ def test_criterion_5_closed_form_cell_values(criterion):
                      w_c=np.zeros((3, 5)), w_o=np.zeros((3, 5)),
                      b_f=np.zeros(3), b_i=np.zeros(3), b_c=np.zeros(3),
                      b_o=np.zeros(3), w_y=np.zeros((2, 3)), b_y=np.zeros(2))
-    state, _ = cell_forward(zero, [1.0, -1.0], zero_state(3))
-    zero_ok = np.array_equal(state.hidden, np.zeros(3)) and \
-        np.array_equal(state.cell, np.zeros(3))
+    work = lstm_run(zero, [[1.0, -1.0]])
+    zero_ok = np.array_equal(work.hidden[1, 0], np.zeros(3)) and \
+        np.array_equal(work.cell[1, 0], np.zeros(3))
 
     single = LstmModel(input_dim=1, hidden_dim=1,
                        w_f=np.zeros((1, 2)), w_i=np.zeros((1, 2)),
                        w_c=np.zeros((1, 2)), w_o=np.zeros((1, 2)),
                        b_f=np.array([10.0]), b_i=np.zeros(1), b_c=np.zeros(1),
                        b_o=np.zeros(1), w_y=np.zeros((1, 1)), b_y=np.zeros(1))
-    prev = LstmState(hidden=np.zeros(1), cell=np.array([2.0]))
-    state, _ = cell_forward(single, [0.0], prev)
-    value = float(state.hidden[0])
+    work = lstm_run(single, [[0.0]], hidden=0.0, cell=2.0)
+    value = float(work.hidden[1, 0, 0])
     value_ok = abs(value - 0.48201) < 1e-4
 
     ok = zero_ok and value_ok

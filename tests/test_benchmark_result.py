@@ -3,6 +3,8 @@ prints is one strict JSON object that holds every metric BENCHMARK.json
 declares. A traced run reports the per-layer metrics and an untraced run
 the end-to-end ones."""
 
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -28,3 +30,14 @@ def test_quickstart_run_ends_with_a_strict_result_line(trace, kind, extra):
     assert result["correct"] is True
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())[kind]
     assert [m["name"] for m in declared if m["name"] not in result["metrics"]] == []
+
+
+def test_every_trace_target_exists():
+    # a target that is gone reads as a missing metric, not as a failed run
+    spec = importlib.util.spec_from_file_location("perfbench_spans",
+                                                  ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{module}.{attr}" for module, attr, _, _ in spans.TARGETS
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert missing == []

@@ -663,14 +663,14 @@ def test_gradcheck_passes_and_prints_error(capsys):
 
 def test_gradcheck_sabotage_fails(capsys, monkeypatch):
     # a wrong analytic gradient, swapped in where grad_check looks it up
-    backward_bptt = lstm.backward_bptt
+    backward = lstm.backward
 
-    def sabotaged(model, work, targets):
-        grads = backward_bptt(model, work, targets)
+    def sabotaged(params, work, d_pred):
+        grads = backward(params, work, d_pred)
         grads.w_f[0, 0] += 1.0
         return grads
 
-    monkeypatch.setattr(lstm, "backward_bptt", sabotaged)
+    monkeypatch.setattr(lstm, "backward", sabotaged)
     assert cli.main(["gradcheck"]) == 1
     assert float(capsys.readouterr().out) > 0.1
 

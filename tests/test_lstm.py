@@ -4,33 +4,29 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from floodwatch import lstm
+from floodwatch import cli, lstm
+from floodwatch.errors import NumericError
 from floodwatch.lstm import (
     PARAM_FIELDS,
     PLATEAU_EPOCHS,
     PLATEAU_TOL,
     LstmModel,
-    LstmState,
     TrainConfig,
     Workspace,
+    _loss,
     at_plateau,
     backward,
-    backward_bptt,
-    cell_forward,
     clip_gradients,
     forward,
     grad_check,
     gradcheck_instance,
     gradient_global_norm,
     init_lstm,
-    loss_mse,
     predict_sequence_batch,
-    sequence_forward,
     stack,
     train_lstm,
-    zero_state,
 )
-from oracles import naive_lstm_cell, naive_mse
+from oracles import lstm_run, naive_lstm_cell, naive_mse
 
 
 def zero_model(input_dim, hidden_dim):
@@ -42,15 +38,24 @@ def zero_model(input_dim, hidden_dim):
                      b_o=np.zeros(n), w_y=np.zeros((d, n)), b_y=np.zeros(d))
 
 
+def loss_and_grads(model, xs, targets):
+    """``_loss`` and ``backward`` on one (T, D) sequence as a B = 1 batch."""
+    params = stack(model)
+    work = Workspace(np.asarray(xs, dtype=np.float64)[:, None, :], model.hidden_dim)
+    loss, d_pred = _loss(params, work, np.asarray(targets, dtype=np.float64)[:, None, :])
+    return loss, backward(params, work, d_pred), work
+
+
 def test_cell_forward_zero_parameters():
     model = zero_model(2, 3)
-    state, gates = cell_forward(model, [0.7, -0.3], zero_state(3))
-    npt.assert_allclose(gates.forget, 0.5)
-    npt.assert_allclose(gates.input, 0.5)
-    npt.assert_allclose(gates.output, 0.5)
-    npt.assert_array_equal(gates.candidate, np.zeros(3))
-    npt.assert_array_equal(state.cell, np.zeros(3))
-    npt.assert_array_equal(state.hidden, np.zeros(3))
+    work = lstm_run(model, [[0.7, -0.3]])
+    forget, input_gate, output_gate, candidate = work.gates[0, :, 0]
+    npt.assert_allclose(forget, 0.5)
+    npt.assert_allclose(input_gate, 0.5)
+    npt.assert_allclose(output_gate, 0.5)
+    npt.assert_array_equal(candidate, np.zeros(3))
+    npt.assert_array_equal(work.cell[1, 0], np.zeros(3))
+    npt.assert_array_equal(work.hidden[1, 0], np.zeros(3))
 
 
 def test_cell_forward_forget_bias_carries_cell_state():
@@ -58,12 +63,12 @@ def test_cell_forward_forget_bias_carries_cell_state():
     # f = sigmoid(10), C = f*2, o = 0.5, h = 0.5*tanh(C)
     model = zero_model(1, 1)
     model.b_f = np.array([10.0])
-    prev = LstmState(hidden=np.zeros(1), cell=np.array([2.0]))
-    state, gates = cell_forward(model, [0.0], prev)
-    assert gates.forget[0] == pytest.approx(0.9999546, abs=1e-7)
-    assert state.cell[0] == pytest.approx(1.9999092, abs=1e-7)
-    assert gates.output[0] == pytest.approx(0.5, abs=1e-15)
-    assert state.hidden[0] == pytest.approx(0.48201, abs=1e-4)
+    work = lstm_run(model, [[0.0]], hidden=0.0, cell=2.0)
+    forget, _, output_gate, _ = work.gates[0, :, 0]
+    assert forget[0] == pytest.approx(0.9999546, abs=1e-7)
+    assert work.cell[1, 0, 0] == pytest.approx(1.9999092, abs=1e-7)
+    assert output_gate[0] == pytest.approx(0.5, abs=1e-15)
+    assert work.hidden[1, 0, 0] == pytest.approx(0.48201, abs=1e-4)
 
 
 def test_cell_forward_matches_naive_oracle():
@@ -78,24 +83,21 @@ def test_cell_forward_matches_naive_oracle():
             b_c=rng.normal(0, 0.8, n), b_o=rng.normal(0, 0.8, n),
             w_y=rng.normal(0, 0.8, (d, n)), b_y=rng.normal(0, 0.8, d))
         x = rng.normal(size=d)
-        prev = LstmState(hidden=rng.normal(size=n), cell=rng.normal(size=n))
-        state, gates = cell_forward(model, x, prev)
+        h_prev, c_prev = rng.normal(size=n), rng.normal(size=n)
+        work = lstm_run(model, x[None, :], h_prev, c_prev)
         h, c, f, i, c_tilde, o = naive_lstm_cell(
             model.w_f.tolist(), model.w_i.tolist(), model.w_c.tolist(),
             model.w_o.tolist(), model.b_f.tolist(), model.b_i.tolist(),
             model.b_c.tolist(), model.b_o.tolist(),
-            x.tolist(), prev.hidden.tolist(), prev.cell.tolist())
-        npt.assert_allclose(state.hidden, h, atol=1e-12)
-        npt.assert_allclose(state.cell, c, atol=1e-12)
-        npt.assert_allclose(gates.forget, f, atol=1e-12)
-        npt.assert_allclose(gates.input, i, atol=1e-12)
-        npt.assert_allclose(gates.candidate, c_tilde, atol=1e-12)
-        npt.assert_allclose(gates.output, o, atol=1e-12)
+            x.tolist(), h_prev.tolist(), c_prev.tolist())
+        npt.assert_allclose(work.hidden[1, 0], h, atol=1e-12)
+        npt.assert_allclose(work.cell[1, 0], c, atol=1e-12)
+        npt.assert_allclose(work.gates[0, :, 0], [f, i, o, c_tilde], atol=1e-12)
 
 
 def test_gate_ranges_and_cell_recurrence():
     model, xs, _ = gradcheck_instance(5, input_dim=2, hidden_dim=4, steps=12)
-    _, work = sequence_forward(model, xs)
+    work = lstm_run(model, xs)
     forget, input_gate, output_gate, candidate = (work.gates[:, k, 0] for k in range(4))
     cell, hidden = work.cell[1:, 0], work.hidden[1:, 0]
     for arr in (forget, input_gate, output_gate):
@@ -110,42 +112,51 @@ def test_gate_ranges_and_cell_recurrence():
 def test_sequence_forward_zero_model_predicts_bias():
     model = zero_model(2, 3)
     model.b_y = np.array([0.4, -0.2])
-    preds, _ = sequence_forward(model, np.random.default_rng(0).normal(size=(6, 2)))
-    npt.assert_array_equal(preds, np.tile(model.b_y, (6, 1)))
+    work = lstm_run(model, np.random.default_rng(0).normal(size=(6, 2)))
+    npt.assert_array_equal(work.preds[:, 0], np.tile(model.b_y, (6, 1)))
 
 
 def test_sequence_forward_single_step_is_cell_plus_readout():
     model, xs, _ = gradcheck_instance(3)
-    preds, _ = sequence_forward(model, xs[:1])
-    state, _ = cell_forward(model, xs[0], zero_state(model.hidden_dim))
-    npt.assert_array_equal(preds[0], model.w_y @ state.hidden + model.b_y)
+    work = lstm_run(model, xs[:1])
+    npt.assert_array_equal(work.preds[0, 0], model.w_y @ work.hidden[1, 0] + model.b_y)
 
 
 def test_sequence_forward_deterministic():
     model, xs, _ = gradcheck_instance(8)
-    a, _ = sequence_forward(model, xs)
-    b, _ = sequence_forward(model, xs)
-    npt.assert_array_equal(a, b)
+    npt.assert_array_equal(lstm_run(model, xs).preds, lstm_run(model, xs).preds)
 
 
 def test_loss_mse_examples():
-    assert loss_mse([[1.0, 2.0]], [[1.0, 2.0]]) == 0.0
-    assert loss_mse([[2.0]], [[0.0]]) == 4.0
+    # an all-zero model predicts its readout bias at every step
+    model = zero_model(2, 1)
+    model.b_y = np.array([1.0, 2.0])
+    assert loss_and_grads(model, [[0.0, 0.0]], [[1.0, 2.0]])[0] == 0.0
+    model = zero_model(1, 1)
+    model.b_y = np.array([2.0])
+    assert loss_and_grads(model, [[0.0]], [[0.0]])[0] == 4.0
 
 
 def test_loss_mse_matches_naive_oracle():
+    # _loss is the mean over the batch of each sequence's MSE
+    model, _, _ = gradcheck_instance(31, input_dim=3, hidden_dim=4)
     rng = np.random.default_rng(31)
-    pred = rng.normal(size=(7, 3))
-    target = rng.normal(size=(7, 3))
-    assert loss_mse(pred, target) == pytest.approx(
-        naive_mse(pred.tolist(), target.tolist()), abs=1e-12)
+    inputs = rng.normal(size=(7, 4, 3))
+    targets = rng.normal(size=(7, 4, 3))
+    work = Workspace(inputs, model.hidden_dim)
+    loss, d_pred = _loss(stack(model), work, targets)
+    preds = work.preds
+    expected = np.mean([naive_mse(preds[:, b].tolist(), targets[:, b].tolist())
+                        for b in range(4)])
+    assert loss == pytest.approx(expected, abs=1e-12)
+    npt.assert_allclose(d_pred, 2.0 * (preds - targets) / (7 * 3), atol=1e-15)
 
 
 def test_backward_zero_gradient_at_minimum():
     model = zero_model(2, 3)
     xs = np.random.default_rng(1).normal(size=(5, 2))
-    preds, work = sequence_forward(model, xs)
-    grads = backward_bptt(model, work, preds)
+    preds = lstm_run(model, xs).preds[:, 0]
+    _, grads, _ = loss_and_grads(model, xs, preds)
     for name in PARAM_FIELDS:
         npt.assert_array_equal(getattr(grads, name), 0.0)
 
@@ -153,9 +164,8 @@ def test_backward_zero_gradient_at_minimum():
 def test_backward_single_step_readout_gradient():
     # one step: dL/dW_y = outer((2/D)(pred - target), h_1)
     model, xs, targets = gradcheck_instance(13)
-    preds, work = sequence_forward(model, xs[:1])
-    grads = backward_bptt(model, work, targets[:1])
-    expected = np.outer((2.0 / model.input_dim) * (preds[0] - targets[0]),
+    _, grads, work = loss_and_grads(model, xs[:1], targets[:1])
+    expected = np.outer((2.0 / model.input_dim) * (work.preds[0, 0] - targets[0]),
                         work.hidden[1, 0])
     npt.assert_allclose(grads.w_y, expected, atol=1e-12)
 
@@ -165,7 +175,7 @@ def test_grad_check_zero_on_flat_loss():
     # analytic and numeric b_y-free gradients vanish identically
     model = zero_model(1, 2)
     xs = np.zeros((3, 1))
-    preds, _ = sequence_forward(model, xs)
+    preds = lstm_run(model, xs).preds[:, 0]
     assert grad_check(model, xs, preds) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -176,20 +186,43 @@ def test_grad_check_small_instance():
 
 def test_grad_check_detects_sabotage(monkeypatch):
     # a wrong analytic gradient, swapped in where grad_check looks it up
-    def sabotaged(model, work, targets):
-        grads = backward_bptt(model, work, targets)
+    def sabotaged(params, work, d_pred):
+        grads = backward(params, work, d_pred)
         grads.w_f[0, 0] += 1.0
         return grads
 
-    monkeypatch.setattr(lstm, "backward_bptt", sabotaged)
+    monkeypatch.setattr(lstm, "backward", sabotaged)
     model, xs, targets = gradcheck_instance(0)
     assert grad_check(model, xs, targets) > 0.1
 
 
+def test_grad_check_rejects_non_finite_gradient(monkeypatch):
+    # a NaN entry must not vanish in the running max of the errors
+    def poisoned(params, work, d_pred):
+        grads = backward(params, work, d_pred)
+        grads.vector[0] = np.nan
+        return grads
+
+    monkeypatch.setattr(lstm, "backward", poisoned)
+    with pytest.raises(NumericError, match="gradient"):
+        grad_check(*gradcheck_instance(0))
+
+
+def test_grad_check_covers_the_trainers_loss_gradient(monkeypatch, capsys):
+    # a wrong dL/dy in the loss train_lstm steps on must fail the check
+    def scaled(params, work, targets):
+        loss, d_pred = _loss(params, work, targets)
+        return loss, 1.5 * d_pred
+
+    monkeypatch.setattr(lstm, "_loss", scaled)
+    assert grad_check(*gradcheck_instance(0)) > 0.1
+    assert cli.main(["gradcheck"]) == 1
+    assert float(capsys.readouterr().out) > 0.1
+
+
 def test_clip_gradients_bounds_global_norm():
     model, xs, targets = gradcheck_instance(2)
-    _, work = sequence_forward(model, xs)
-    grads = backward_bptt(model, work, targets)
+    _, grads, _ = loss_and_grads(model, xs, targets)
     for max_norm in (0.01, 0.5, 5.0):
         clipped = clip_gradients(grads, max_norm)
         assert gradient_global_norm(clipped) <= max_norm + 1e-12
@@ -248,7 +281,7 @@ def test_train_lstm_stops_at_plateau():
     assert at_plateau(trace, stop)
     assert not any(at_plateau(trace, epoch) for epoch in range(stop))
     # no step after the check: the last entry is the returned model's loss
-    losses = [loss_mse(sequence_forward(trained, xs)[0], targets)
+    losses = [np.mean((lstm_run(trained, xs).preds[:, 0] - targets) ** 2)
               for xs, targets in sequences]
     assert trace[-1] == pytest.approx(np.mean(losses), rel=1e-12)
 
@@ -329,14 +362,13 @@ def test_batched_kernel_matches_naive_oracle():
 
     # B = 1 from a nonzero initial state
     rng = np.random.default_rng(22)
-    init = LstmState(hidden=rng.normal(size=4), cell=rng.normal(size=4))
-    single, work = sequence_forward(model, inputs[:, 0], init)
-    steps = naive_sequence(model, inputs[:, 0].tolist(), init.hidden.tolist(),
-                           init.cell.tolist())
+    h_init, c_init = rng.normal(size=4), rng.normal(size=4)
+    work = lstm_run(model, inputs[:, 0], h_init, c_init)
+    steps = naive_sequence(model, inputs[:, 0].tolist(), h_init.tolist(), c_init.tolist())
     for t, (h, c, _) in enumerate(steps):
         npt.assert_allclose(work.hidden[t + 1, 0], h, atol=1e-12)
         npt.assert_allclose(work.cell[t + 1, 0], c, atol=1e-12)
-        npt.assert_allclose(single[t], model.w_y @ h + model.b_y, atol=1e-12)
+        npt.assert_allclose(work.preds[t, 0], model.w_y @ h + model.b_y, atol=1e-12)
 
 
 def test_batched_backward_matches_finite_differences():
@@ -384,9 +416,8 @@ def test_train_lstm_batch_step_sums_per_sequence_gradients():
     losses = []
     expected = {name: np.zeros_like(getattr(model, name)) for name in PARAM_FIELDS}
     for xs, targets in sequences:
-        preds, work = sequence_forward(model, xs)
-        losses.append(loss_mse(preds, targets))
-        grads = backward_bptt(model, work, targets)
+        loss, grads, _ = loss_and_grads(model, xs, targets)
+        losses.append(loss)
         for name in PARAM_FIELDS:
             expected[name] += getattr(grads, name)
     assert trace[0] == pytest.approx(np.mean(losses), abs=1e-12)
