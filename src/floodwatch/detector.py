@@ -220,5 +220,4 @@ def detect(model: DetectorModel, packets: Packets) -> DetectionReport:
     scores = [WindowScore(index=index, residual=residual,
                           alarm=residual > model.threshold)
               for index, residual in score(model, packets)]
-    return DetectionReport(scores=scores, threshold=model.threshold,
-                           lookback=model.lookback, window_len=model.window_len)
+    return DetectionReport(scores=scores, threshold=model.threshold)

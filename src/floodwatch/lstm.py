@@ -16,15 +16,14 @@ clipping that stops at its loss plateau. Everything is plain float64
 numpy and deterministic.
 
 One batched kernel (``forward``/``backward`` over a ``Workspace``) does
-all the work. A model's parameters, and its gradients, are one vector
-holding the gate matrices gate-major in the order [f, i, o, g]
-(Appleyard et al., arXiv:1604.01946), then the gate biases, then the
-readout. The kernel takes the gate matrices transposed, each with its
-bias as an extra row that meets a constant 1 appended to [h_{t-1}, x_t],
-so a step is one broadcast matmul that writes a contiguous (4, B, N) block.
-The sigmoid gates use sigmoid(x) = 0.5 * tanh(x / 2) + 0.5 with the
-exact factor 0.5 folded into their stacked weights, so one tanh covers
-all four gates.
+all the work, reading the model's parameter vector in place. The vector
+holds, gate-major in the order [f, i, o, g] (Appleyard et al.,
+arXiv:1604.01946), one row-major (N, N + D + 1) block [W_g | b_g] per
+gate, then the readout. The kernel reads the blocks transposed, a view,
+so that each bias meets a constant 1 appended to [h_{t-1}, x_t] and a
+step is one broadcast matmul that writes a contiguous (4, B, N) block.
+The sigmoid gates use sigmoid(x) = 0.5 * tanh(x / 2) + 0.5, so one tanh
+covers all four gates.
 ``train_lstm`` runs the kernel on all its sequences as one batch and
 steps on ``_loss``; ``grad_check`` differences that same ``_loss`` over
 a B = 1 ``Workspace``, and ``predict_sequence_batch`` runs the step
@@ -34,8 +33,6 @@ function keeping no history.
 from __future__ import annotations
 
 import copy
-import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,9 +53,9 @@ PLATEAU_TOL = 1e-3
 
 
 def param_shapes(input_dim: int, hidden_dim: int) -> dict[str, tuple[int, ...]]:
-    """Every parameter's shape, in parameter-vector order: the gate weights
-    over [h_prev, x], then the gate biases, each in the kernel's gate order
-    [f, i, o, g] ("c" names the candidate g), then the readout."""
+    """Every parameter's shape: the gate weights over [h_prev, x], then the
+    gate biases, each in the kernel's gate order [f, i, o, g] ("c" names
+    the candidate g), then the readout."""
     n, d = hidden_dim, input_dim
     gate, bias = (n, n + d), (n,)
     return {"w_f": gate, "w_i": gate, "w_o": gate, "w_c": gate,
@@ -66,43 +63,43 @@ def param_shapes(input_dim: int, hidden_dim: int) -> dict[str, tuple[int, ...]]:
             "w_y": (d, n), "b_y": (d,)}
 
 
-@functools.cache
-def _layout(input_dim: int, hidden_dim: int) -> tuple[dict[str, tuple], int]:
-    """(start, shape) of every parameter in the vector, and its length."""
-    layout, start = {}, 0
-    for name, shape in param_shapes(input_dim, hidden_dim).items():
-        layout[name] = (start, shape)
-        start += math.prod(shape)
-    return layout, start
-
-
 def _param(name: str) -> property:
     """A parameter name as a writable view into ``vector``; assignment
-    copies into the vector."""
+    copies into the vector. W_g is its gate block's first N + D columns
+    and b_g the last; the readout follows the gate blocks."""
+    kind, unit = name.split("_")
+
+    def get(model):
+        if unit != "y":
+            block = model.gates["fioc".index(unit)]
+            return block[:, :-1] if kind == "w" else block[:, -1]
+        n, d = model.hidden_dim, model.input_dim
+        readout = model.vector[model.gates.size:]
+        return readout[:d * n].reshape(d, n) if kind == "w" else readout[d * n:]
 
     def put(model, value):
-        model.view(name)[...] = value
+        get(model)[...] = value
 
-    return property(lambda model: model.view(name), put)
+    return property(get, put)
 
 
 class LstmModel:
     """Gate weights over the concatenation [h_prev, x], plus the readout,
     held as one float64 ``vector`` in the kernel's layout.
 
-    The vector holds the gate weights (4, N, N + D) and the gate biases
-    (4, N), both in gate order [f, i, o, g], then the readout w_y (D, N)
-    and b_y (D); see ``param_shapes``. Each PARAM_FIELDS name is a view
-    computed on access, never stored, so copies keep their own vector.
-    Gradients are instances too, so norm, clipping and update are single
-    vector operations.
+    The vector holds the gate blocks [W_g | b_g] (4, N, N + D + 1) in gate
+    order [f, i, o, g], then the readout w_y (D, N) and b_y (D). Each
+    PARAM_FIELDS name is a view computed on access, never stored, so
+    copies keep their own vector. Gradients are instances too, so norm,
+    clipping and update are single vector operations.
     """
 
     w_f, w_i, w_c, w_o, b_f, b_i, b_c, b_o, w_y, b_y = map(_param, PARAM_FIELDS)
 
     def __init__(self, input_dim: int, hidden_dim: int, **params):
         self.input_dim, self.hidden_dim = input_dim, hidden_dim
-        self.vector = np.empty(_layout(input_dim, hidden_dim)[1])
+        n, d = hidden_dim, input_dim
+        self.vector = np.empty(4 * n * (n + d + 1) + d * (n + 1))
         for name in PARAM_FIELDS:
             setattr(self, name, params[name])
 
@@ -113,12 +110,12 @@ class LstmModel:
         model.input_dim, model.hidden_dim, model.vector = input_dim, hidden_dim, vector
         return model
 
-    def view(self, first: str, count: int = 1) -> np.ndarray:
-        """View of parameter ``first``, or of ``count`` same-shaped
-        parameters stacked from it (``view("w_f", 4)`` is all gate weights)."""
-        start, shape = _layout(self.input_dim, self.hidden_dim)[0][first]
-        block = self.vector[start:start + count * math.prod(shape)]
-        return block.reshape(shape if count == 1 else (count, *shape))
+    @property
+    def gates(self) -> np.ndarray:
+        """The gate blocks [W_g | b_g], a (4, N, N + D + 1) view."""
+        n = self.hidden_dim
+        width = n + self.input_dim + 1
+        return self.vector[:4 * n * width].reshape(4, n, width)
 
 
 @dataclass
@@ -144,32 +141,6 @@ def init_lstm(input_dim: int, hidden_dim: int, rng: np.random.Generator) -> Lstm
               else np.zeros(shapes[name]) for name in PARAM_FIELDS}
     params["b_f"] += 1.0
     return LstmModel(input_dim=input_dim, hidden_dim=hidden_dim, **params)
-
-
-# Per-gate factor folded into the stacked weights, kernel order [f, i, o, g]:
-# the sigmoid gates take tanh(x / 2), the candidate tanh(x).
-_SIGMOID_HALF = np.array([0.5, 0.5, 0.5, 1.0])
-
-
-@dataclass
-class Stack:
-    """A model's parameters laid out for the kernel, gate order [f, i, o, g]."""
-
-    w: np.ndarray         # (4, N + D + 1, N): W^T with the bias as last row, scaled
-    w_hidden: np.ndarray  # (4, N, N), unscaled, maps gate gradients to dh_{t-1}
-    w_y: np.ndarray       # (D, N)
-    b_y: np.ndarray       # (D,)
-
-
-def stack(model: LstmModel) -> Stack:
-    """Lay ``model`` out for the kernel (once per parameter set)."""
-    gates = model.view("w_f", 4)     # (4, N, N + D)
-    biases = model.view("b_f", 4)    # (4, N)
-    w = np.concatenate([gates.transpose(0, 2, 1), biases[:, None, :]], axis=1)
-    w *= _SIGMOID_HALF[:, None, None]
-    return Stack(w=w,
-                 w_hidden=np.ascontiguousarray(gates[:, :, :model.hidden_dim]),
-                 w_y=model.w_y, b_y=model.b_y)
 
 
 class Workspace:
@@ -200,12 +171,14 @@ class Workspace:
         self.z[:, n:-1] = self.inputs[t]
 
 
-def _step(params: Stack, z, gates, cell_prev, cell, tanh_cell, hidden):
-    """One step for the whole batch; writes gates, cell, tanh(cell) and
-    hidden in place. ``cell`` may be ``cell_prev``."""
-    np.matmul(z, params.w, out=gates)
-    np.tanh(gates, out=gates)
+def _step(w, z, gates, cell_prev, cell, tanh_cell, hidden):
+    """One step for the whole batch with the transposed gate blocks ``w``;
+    writes gates, cell, tanh(cell) and hidden in place. ``cell`` may be
+    ``cell_prev``."""
+    np.matmul(z, w, out=gates)
     sigmoids = gates[:3]
+    sigmoids *= 0.5                 # sigmoid(x) = 0.5 * tanh(x / 2) + 0.5, halving exact
+    np.tanh(gates, out=gates)
     sigmoids *= 0.5
     sigmoids += 0.5
     forget, input_gate, output_gate, candidate = gates
@@ -215,19 +188,20 @@ def _step(params: Stack, z, gates, cell_prev, cell, tanh_cell, hidden):
     np.multiply(output_gate, tanh_cell, out=hidden)
 
 
-def forward(params: Stack, work: Workspace) -> np.ndarray:
+def forward(model: LstmModel, work: Workspace) -> np.ndarray:
     """Run the recurrence over ``work.inputs`` from the state at index 0
     and read out every step; returns ``work.preds`` (T, B, D)."""
+    w = model.gates.transpose(0, 2, 1)
     for t in range(work.inputs.shape[0]):
         work.load_z(t)
-        _step(params, work.z, work.gates[t], work.cell[t], work.cell[t + 1],
+        _step(w, work.z, work.gates[t], work.cell[t], work.cell[t + 1],
               work.tanh_cell[t], work.hidden[t + 1])
-    np.matmul(work.hidden[1:], params.w_y.T, out=work.preds)
-    work.preds += params.b_y
+    np.matmul(work.hidden[1:], model.w_y.T, out=work.preds)
+    work.preds += model.b_y
     return work.preds
 
 
-def backward(params: Stack, work: Workspace, d_pred: np.ndarray) -> LstmModel:
+def backward(model: LstmModel, work: Workspace, d_pred: np.ndarray) -> LstmModel:
     """Parameter gradients given dL/dy (T, B, D) for the activations in
     ``work``, summed over the batch, as a model-shaped gradient vector.
 
@@ -238,11 +212,12 @@ def backward(params: Stack, work: Workspace, d_pred: np.ndarray) -> LstmModel:
     """
     steps, batch, dim = d_pred.shape
     n = work.hidden.shape[2]
-    grads = LstmModel.from_vector(dim, n, np.empty(_layout(dim, n)[1]))
+    grads = LstmModel.from_vector(dim, n, np.empty_like(model.vector))
     flat_dy = d_pred.reshape(-1, dim)
     np.matmul(flat_dy.T, work.hidden[1:].reshape(-1, n), out=grads.w_y)
     np.sum(flat_dy, axis=0, out=grads.b_y)
-    d_w = np.zeros((4, n + dim + 1, n))   # gate order [f, i, o, g], bias last
+    d_w = np.zeros((4, n + dim + 1, n))   # transposed gate blocks, as the kernel reads them
+    w_hidden = model.gates[:, :, :n]      # maps gate gradients to dh_{t-1}
     step_w = np.empty_like(d_w)
     d_hidden = np.zeros((batch, n))
     d_cell = np.zeros((batch, n))
@@ -251,7 +226,7 @@ def backward(params: Stack, work: Workspace, d_pred: np.ndarray) -> LstmModel:
         gates = work.gates[t]
         forget, input_gate, output_gate, candidate = gates
         tanh_c = work.tanh_cell[t]
-        np.matmul(d_pred[t], params.w_y, out=scratch[0])
+        np.matmul(d_pred[t], model.w_y, out=scratch[0])
         d_hidden += scratch[0]
         np.multiply(d_hidden, tanh_c, out=da[2])
         d_cell += d_hidden * output_gate * (1.0 - tanh_c * tanh_c)
@@ -268,11 +243,10 @@ def backward(params: Stack, work: Workspace, d_pred: np.ndarray) -> LstmModel:
         work.load_z(t)
         np.matmul(work.z.T, da, out=step_w)
         d_w += step_w
-        np.matmul(da, params.w_hidden, out=scratch)
+        np.matmul(da, w_hidden, out=scratch)
         np.sum(scratch, axis=0, out=d_hidden)
         d_cell *= forget
-    grads.view("w_f", 4)[...] = d_w[:, :-1].transpose(0, 2, 1)
-    grads.view("b_f", 4)[...] = d_w[:, -1]
+    grads.gates.transpose(0, 2, 1)[...] = d_w
     return grads
 
 
@@ -314,7 +288,7 @@ def predict_sequence_batch(model: LstmModel, inputs) -> np.ndarray:
     inputs = np.asarray(inputs, dtype=np.float64)
     batch, steps, dim = inputs.shape
     n = model.hidden_dim
-    params = stack(model)
+    w = model.gates.transpose(0, 2, 1)
     z = np.zeros((batch, n + dim + 1))
     z[:, -1] = 1.0
     hidden = z[:, :n]   # each step writes h_t where the next step reads it
@@ -323,16 +297,16 @@ def predict_sequence_batch(model: LstmModel, inputs) -> np.ndarray:
     tanh_cell = np.empty((batch, n))
     for t in range(steps):
         z[:, n:-1] = inputs[:, t]
-        _step(params, z, gates, cell, cell, tanh_cell, hidden)
+        _step(w, z, gates, cell, cell, tanh_cell, hidden)
     return hidden @ model.w_y.T + model.b_y
 
 
-def _loss(params: Stack, work: Workspace, targets: np.ndarray) -> tuple[float, np.ndarray]:
+def _loss(model: LstmModel, work: Workspace, targets: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean per-sequence loss and dL/dy of the summed loss over the batch
     in ``work``, whose activations stay there for ``backward``."""
     steps, count, dim = targets.shape
     with np.errstate(over="ignore", invalid="ignore"):     # checked here and in train_lstm
-        preds = forward(params, work)
+        preds = forward(model, work)
         bad = ~np.isfinite(preds).all(axis=(0, 2))
         if bad.any():
             raise NumericError(f"sequence {int(np.argmax(bad))}: non-finite forward output")
@@ -352,8 +326,7 @@ def grad_check(model: LstmModel, xs, targets, eps: float = 1e-5) -> float:
     """
     work = Workspace(np.asarray(xs, dtype=np.float64)[:, None, :], model.hidden_dim)
     targets = np.asarray(targets, dtype=np.float64)[:, None, :]
-    params = stack(model)
-    analytic = backward(params, work, _loss(params, work, targets)[1]).vector
+    analytic = backward(model, work, _loss(model, work, targets)[1]).vector
     require_finite(analytic, "gradient")
 
     probe = copy.deepcopy(model)
@@ -362,9 +335,9 @@ def grad_check(model: LstmModel, xs, targets, eps: float = 1e-5) -> float:
     for k in range(flat.size):
         original = flat[k]
         flat[k] = original + eps
-        loss_plus = _loss(stack(probe), work, targets)[0]
+        loss_plus = _loss(probe, work, targets)[0]
         flat[k] = original - eps
-        loss_minus = _loss(stack(probe), work, targets)[0]
+        loss_minus = _loss(probe, work, targets)[0]
         flat[k] = original
         numeric = (loss_plus - loss_minus) / (2.0 * eps)
         denom = max(abs(analytic[k]), abs(numeric), 1e-12)
@@ -409,9 +382,8 @@ def train_lstm(model: LstmModel, sequences,
     trace = np.zeros(config.epochs)
     current = copy.deepcopy(model)
     for epoch in range(config.epochs):
-        params = stack(current)
         try:
-            loss, d_pred = _loss(params, work, targets)
+            loss, d_pred = _loss(current, work, targets)
         except NumericError as exc:
             raise NumericError(f"epoch {epoch}: {exc}") from exc
         if not np.isfinite(loss):
@@ -419,7 +391,7 @@ def train_lstm(model: LstmModel, sequences,
         trace[epoch] = loss
         if at_plateau(trace, epoch):
             return current, trace[:epoch + 1]
-        grads = backward(params, work, d_pred)
+        grads = backward(current, work, d_pred)
         require_finite(grads.vector, f"epoch {epoch}: gradient")
         current.vector -= config.learning_rate * clip_gradients(
             grads, config.gradient_clip).vector

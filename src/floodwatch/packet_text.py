@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .traffic import _TICKS, PROTOCOLS, TIMESTAMP_PLACES, Packets
+from .traffic import _POW10_U64, _TICKS, PROTOCOLS, TIMESTAMP_PLACES, Packets
 
 # Text tables: each address octet with the byte after it, each protocol
 # name with its comma and the syn field with the line end. The bytes past
@@ -21,7 +21,6 @@ _OCTET_TEXT = np.array([b"%d%s" % (k, end) for end in (b".", b",")
 _OCTET_ENDS = np.array([0, 0, 0, 256])         # the last octet of an address ends in a comma
 _PROTOCOL_TEXT = np.array([name.encode() + b"," for name in PROTOCOLS])
 _SYN_TEXT = np.array([b",0\r\n", b",1\r\n"])
-_POW10_U64 = 10 ** np.arange(20, dtype=np.uint64)
 _QUAD_TEXT = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"),
                       axis=-1).view(np.uint32).ravel()                       # "0000" to "9999"
 # Row k of _LAST holds the last k of 20 columns.

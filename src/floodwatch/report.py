@@ -33,8 +33,6 @@ class DetectionReport:
 
     scores: list[WindowScore]
     threshold: float
-    lookback: int
-    window_len: float
 
     @property
     def alarm_count(self) -> int:

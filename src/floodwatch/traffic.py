@@ -230,18 +230,6 @@ class Scenario:
             raise InputError(f"scenario expects {expected:.3g} packets; "
                              f"the limit is {MAX_EXPECTED_PACKETS:.0e}")
 
-    def to_dict(self) -> dict:
-        return {
-            "duration": self.duration,
-            "baseline_rate": self.baseline_rate,
-            "diurnal_amplitude": self.diurnal_amplitude,
-            "attacks": [
-                {"start": a.start, "end": a.end, "kind": a.kind.value,
-                 "multiplier": a.multiplier, "source_pool": a.source_pool}
-                for a in self.attacks
-            ],
-        }
-
     @classmethod
     def from_dict(cls, doc: dict) -> "Scenario":
         """Types are checked here, ranges by ``validate`` in generate_traffic."""
@@ -369,7 +357,7 @@ _MASKS = np.array([(1 << (8 * k)) - 1 for k in range(9)], dtype=np.uint64)
 _PROTOCOL_WORDS = np.array([int.from_bytes(name.encode(), "little") for name in PROTOCOLS],
                            np.uint64)[:, None]
 _ADDRESS_SHIFTS = np.uint32([24, 16, 8, 0] * 2)[:, None]
-_ROWS = np.arange(_TS_WIDTH)[:, None]
+_ROWS = np.arange(9)[:, None]
 _BETWEEN_KINDS = np.frombuffer(b",...,...,", np.uint8)[:, None]
 _HEADER_BYTES = ",".join(PACKET_CSV_HEADER).encode()
 
@@ -439,35 +427,34 @@ class _Columns:
         return Packets(*self.arrays)
 
 
-def _decimals(s: _Scratch, name: str, buf, end, width, most: int) -> np.ndarray | None:
+def _decimals(s: _Scratch, name: str, buf, end, width, most: int) -> tuple:
     """The values of the fields of ``buf`` that end before ``end`` and are
-    ``width`` bytes wide, or None unless each is 1 to ``most`` ASCII
-    digits; ``most`` is at most 19, so no value overflows its uint64. The
-    values are kept in ``s`` under ``name``."""
-    if not (width.min() >= 1 and width.max() <= most):
-        return None
+    ``width`` bytes wide, read as ASCII digits, and whether each field is
+    at most ``most`` such digits; an empty field reads 0 and passes.
+    ``most`` is at most 19, so no value overflows its uint64. Both arrays
+    are kept in ``s`` under ``name``."""
     value = s(name, end.shape, np.min_scalar_type(10**most - 1))
     term = s(name + " term", end.shape, value.dtype)
     value.fill(0)
+    ok = np.less_equal(width, most, out=s(name + " ok", end.shape, bool))
     index, digit = s("digit index", end.shape), s("digit", end.shape, np.uint8)
-    have, bad = s("digit have", end.shape, bool), s("digit bad", end.shape, bool)
-    bad.fill(False)
+    have = s("digit have", end.shape, bool)
     narrow = s("digit width", end.shape, np.uint8)      # compared in a byte, not a word
     np.copyto(narrow, width, casting="unsafe")
     np.subtract(end, 1, out=index)
-    for k in range(int(width.max())):
+    for k in range(min(int(width.max()), most)):
         if k:
             index -= 1
         np.take(buf, index, out=digit, mode="clip")
         digit -= np.uint8(ord("0"))                     # bytes below "0" wrap past 9
         digit *= np.greater(narrow, k, out=have)
-        bad |= np.greater(digit, 9, out=have)
+        ok &= np.less_equal(digit, 9, out=have)
         value += np.multiply(digit, value.dtype.type(10**k), out=term)
-    return None if bad.any() else value
+    return value, ok
 
 
-# 10**k for k <= 22, exact doubles since 5**22 < 2**53.
-_POW10 = 10.0 ** np.arange(23)
+# 10**k for k <= 19, the powers of ten below 2**64.
+_POW10_U64 = 10 ** np.arange(20, dtype=np.uint64)
 
 
 def _timestamps(s: _Scratch, start: int, starts, dots, ends, ts) -> bool:
@@ -476,50 +463,32 @@ def _timestamps(s: _Scratch, start: int, starts, dots, ends, ts) -> bool:
     being each field's dot or its end; False where ``float`` raises
     ValueError.
 
-    A field of digits with at most one dot, whose digits form an integer D
-    below 2**53 with k <= 22 of them after the dot, is D / 10**k in
-    float64: D and 10**k are exact doubles, so the one correctly rounded
-    division gives ``float``'s value (Clinger's fast path, "How to Read
-    Floating Point Numbers Accurately", 1990). ``float`` reads all other
-    fields one by one from the block's bytes."""
-    padded = s.padded[start:]
+    A field of 1 to 19 digits with at most one dot, k of them after it,
+    whose digits form an integer D below 2**53, is D / 10**k in float64:
+    D and 10**k are exact doubles, so the one correctly rounded division
+    gives ``float``'s value (Clinger's fast path, "How to Read Floating
+    Point Numbers Accurately", 1990). ``float`` reads all other fields one
+    by one from the block's bytes."""
+    buf = s.padded[_TS_WIDTH + start:]
     n = starts.size
     flag = s("ts flag", n, bool)
-    has_dot = np.less(dots, ends, out=s("ts has dot", n, bool))
     k = np.subtract(ends, dots, out=s("ts k", n))
-    k -= has_dot                                    # digits after the dot
-    width = np.subtract(ends, starts, out=s("ts width", n))
-    size = max(int(width.max()), 1)
-    width -= has_dot                                # digits in all
-    # row i holds digit i from the right of each field: its byte i from
-    # the right, or byte i + 1 from the dot on; bytes before a field are
-    # zeroed
-    cut = s("ts cut", n)
-    cut.fill(size)
-    np.copyto(cut, k, where=has_dot)
-    mask = s("ts mask", (size, n), bool)
-    index = np.add(ends, _TS_WIDTH - 1, out=s("ts index", (size, n)))
-    index -= _ROWS[:size]
-    index[:-1] -= np.greater_equal(_ROWS[:size - 1], cut, out=mask[:-1])
-    digit = np.take(padded, index, out=s("ts digits", (size, n), np.uint8), mode="clip")
-    digit -= np.uint8(ord("0"))                     # bytes below "0" wrap past 9
-    digit *= np.less(_ROWS[:size], width, out=mask)
-    slow = np.greater(np.max(digit, axis=0, out=s("ts max", n, np.uint8)), 9,
-                      out=s("ts slow", n, bool))
-    if size > 17:                                   # D < 2**53 has at most 16 digits
-        slow |= np.any(digit[17:], axis=0, out=flag)
-    slow |= np.less(width, 1, out=flag)
-    slow |= np.greater(k, 22, out=flag)
-    value = s("ts value", n, np.uint64)
-    value.fill(0)
-    for row in digit[min(size, 17) - 1::-1]:       # Horner's rule from the top digit
-        value *= np.uint64(10)
-        value += row
-    slow |= np.greater_equal(value, np.uint64(2**53), out=flag)
+    k -= np.less(dots, ends, out=flag)                  # digits after the dot
+    width = np.subtract(dots, starts, out=s("ts width", n))
+    value, fast = _decimals(s, "ts whole", buf, dots, width, 19)
+    fraction, ok = _decimals(s, "ts fraction", buf, ends, k, 19)
+    fast &= ok
+    width += k                                          # digits in all
+    fast &= np.greater_equal(width, 1, out=flag)
+    fast &= np.less_equal(width, 19, out=flag)
+    scale = np.take(_POW10_U64, k, out=s("ts scale", n, np.uint64), mode="clip")
+    value *= scale                                      # wraps only where not fast
+    value += fraction
+    fast &= np.less(value, np.uint64(2**53), out=flag)
     np.copyto(ts, value)
-    ts /= np.take(_POW10, k, out=s("ts divisor", n, np.float64), mode="clip")
-    if slow.any():
-        rows = np.flatnonzero(slow)
+    ts /= scale
+    if not fast.all():
+        rows = np.flatnonzero(~fast)
         data, lo = s.data, _TS_WIDTH + start
         try:
             ts[rows] = [float(data[a:b])
@@ -565,7 +534,7 @@ def _line_fields(s: _Scratch, buf, size: int) -> tuple | None:
                     ord("\r"), out=s("crlf", n, bool))
     if np.count_nonzero(crlf) != np.count_nonzero(np.equal(kind, ord("\r"), out=test)):
         return None
-    between = np.add(at[0], _ROWS[:9], out=s("between", (9, n)))    # (9, n)
+    between = np.add(at[0], _ROWS, out=s("between", (9, n)))    # (9, n)
     if not (np.equal(np.subtract(at[2], at[0], out=places), 8, out=flag).all()
             and np.equal(np.take(kind, between, out=s("between kinds", (9, n), np.uint8),
                                  mode="clip"),
@@ -626,8 +595,8 @@ def _plain_block(s: _Scratch, start: int, size: int, columns: _Columns) -> int |
         return None
     width = np.subtract(bounds[1:], bounds[:-1], out=s("octet width", (8, n)))
     width -= 1
-    octets = _decimals(s, "octets", buf, bounds[1:], width, 3)                 # (8, n)
-    if octets is None or octets.max() > 255:
+    octets, ok = _decimals(s, "octets", buf, bounds[1:], width, 3)             # (8, n)
+    if not ok.all() or width.min() < 1 or octets.max() > 255:
         return None
     # the word after each line's third comma; np.take would first copy the
     # whole strided view, so this one small array is gathered by indexing
@@ -642,8 +611,8 @@ def _plain_block(s: _Scratch, start: int, size: int, columns: _Columns) -> int |
         return None
     np.subtract(c4, c3, out=places)
     places -= 1
-    length = _decimals(s, "length", buf, c4, places, 19)
-    if length is None or length.min() < 1 or length.max() > _INT64_MAX:
+    length, ok = _decimals(s, "length", buf, c4, places, 19)
+    if not ok.all() or length.min() < 1 or length.max() > _INT64_MAX:
         return None
     np.add(c4, 1, out=places)
     syn = np.take(buf, places, out=s("syn", n, np.uint8), mode="clip")

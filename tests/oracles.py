@@ -13,7 +13,7 @@ from collections import Counter
 import numpy as np
 
 from floodwatch.errors import InputError
-from floodwatch.lstm import Workspace, forward, stack
+from floodwatch.lstm import Workspace, forward
 from floodwatch.rbm import hidden_given_visible, visible_given_hidden
 from floodwatch.traffic import PROTOCOLS, Packets
 
@@ -111,6 +111,43 @@ def naive_cd1_step(params, batch, learning_rate, rng):
             float(np.mean((batch - recon) ** 2)))
 
 
+def loop_cd1_step(kind, weights, visible_bias, hidden_bias, batch, learning_rate, uniforms):
+    """CD-1 entry by entry: for each row r, p(h_j | v_r) by a loop over
+    the visible units, h_j = 1.0 iff uniforms[r][j] < p(h_j | v_r), the
+    reconstruction's activation vb_i + sum_j w_ij h_j (through the
+    sigmoid when ``kind`` is "bernoulli", as is for "gaussian"), and the
+    hidden probabilities of the reconstruction; then each update is its
+    own sum over the rows. Returns (weights, visible_bias, hidden_bias,
+    error) as lists.
+    """
+    rows, num_visible, num_hidden = len(batch), len(visible_bias), len(hidden_bias)
+
+    def hidden_probs(v):
+        return [_sig(hidden_bias[j] + sum(v[i] * weights[i][j] for i in range(num_visible)))
+                for j in range(num_hidden)]
+
+    pos, recon, neg = [], [], []
+    for v, draws in zip(batch, uniforms):
+        p = hidden_probs(v)
+        h = [1.0 if draws[j] < p[j] else 0.0 for j in range(num_hidden)]
+        act = [visible_bias[i] + sum(weights[i][j] * h[j] for j in range(num_hidden))
+               for i in range(num_visible)]
+        v_hat = [_sig(a) for a in act] if kind == "bernoulli" else act
+        pos.append(p)
+        recon.append(v_hat)
+        neg.append(hidden_probs(v_hat))
+    new_weights = [[weights[i][j] + learning_rate * sum(
+        batch[r][i] * pos[r][j] - recon[r][i] * neg[r][j] for r in range(rows)) / rows
+        for j in range(num_hidden)] for i in range(num_visible)]
+    new_visible = [visible_bias[i] + learning_rate * sum(
+        batch[r][i] - recon[r][i] for r in range(rows)) / rows for i in range(num_visible)]
+    new_hidden = [hidden_bias[j] + learning_rate * sum(
+        pos[r][j] - neg[r][j] for r in range(rows)) / rows for j in range(num_hidden)]
+    error = sum((batch[r][i] - recon[r][i]) ** 2
+                for r in range(rows) for i in range(num_visible)) / (rows * num_visible)
+    return new_weights, new_visible, new_hidden, error
+
+
 def _sig(x):
     if x >= 0:
         return 1.0 / (1.0 + math.exp(-x))
@@ -123,7 +160,7 @@ def lstm_run(model, xs, hidden=0.0, cell=0.0):
     from initial state ``hidden``, ``cell``; returns the ``Workspace``."""
     work = Workspace(np.asarray(xs, dtype=np.float64)[:, None, :], model.hidden_dim)
     work.hidden[0, 0], work.cell[0, 0] = hidden, cell
-    forward(stack(model), work)
+    forward(model, work)
     return work
 
 

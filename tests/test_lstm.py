@@ -22,8 +22,8 @@ from floodwatch.lstm import (
     gradcheck_instance,
     gradient_global_norm,
     init_lstm,
+    param_shapes,
     predict_sequence_batch,
-    stack,
     train_lstm,
 )
 from oracles import lstm_run, naive_lstm_cell, naive_mse
@@ -40,10 +40,9 @@ def zero_model(input_dim, hidden_dim):
 
 def loss_and_grads(model, xs, targets):
     """``_loss`` and ``backward`` on one (T, D) sequence as a B = 1 batch."""
-    params = stack(model)
     work = Workspace(np.asarray(xs, dtype=np.float64)[:, None, :], model.hidden_dim)
-    loss, d_pred = _loss(params, work, np.asarray(targets, dtype=np.float64)[:, None, :])
-    return loss, backward(params, work, d_pred), work
+    loss, d_pred = _loss(model, work, np.asarray(targets, dtype=np.float64)[:, None, :])
+    return loss, backward(model, work, d_pred), work
 
 
 def test_cell_forward_zero_parameters():
@@ -144,7 +143,7 @@ def test_loss_mse_matches_naive_oracle():
     inputs = rng.normal(size=(7, 4, 3))
     targets = rng.normal(size=(7, 4, 3))
     work = Workspace(inputs, model.hidden_dim)
-    loss, d_pred = _loss(stack(model), work, targets)
+    loss, d_pred = _loss(model, work, targets)
     preds = work.preds
     expected = np.mean([naive_mse(preds[:, b].tolist(), targets[:, b].tolist())
                         for b in range(4)])
@@ -186,8 +185,8 @@ def test_grad_check_small_instance():
 
 def test_grad_check_detects_sabotage(monkeypatch):
     # a wrong analytic gradient, swapped in where grad_check looks it up
-    def sabotaged(params, work, d_pred):
-        grads = backward(params, work, d_pred)
+    def sabotaged(model, work, d_pred):
+        grads = backward(model, work, d_pred)
         grads.w_f[0, 0] += 1.0
         return grads
 
@@ -198,8 +197,8 @@ def test_grad_check_detects_sabotage(monkeypatch):
 
 def test_grad_check_rejects_non_finite_gradient(monkeypatch):
     # a NaN entry must not vanish in the running max of the errors
-    def poisoned(params, work, d_pred):
-        grads = backward(params, work, d_pred)
+    def poisoned(model, work, d_pred):
+        grads = backward(model, work, d_pred)
         grads.vector[0] = np.nan
         return grads
 
@@ -210,8 +209,8 @@ def test_grad_check_rejects_non_finite_gradient(monkeypatch):
 
 def test_grad_check_covers_the_trainers_loss_gradient(monkeypatch, capsys):
     # a wrong dL/dy in the loss train_lstm steps on must fail the check
-    def scaled(params, work, targets):
-        loss, d_pred = _loss(params, work, targets)
+    def scaled(model, work, targets):
+        loss, d_pred = _loss(model, work, targets)
         return loss, 1.5 * d_pred
 
     monkeypatch.setattr(lstm, "_loss", scaled)
@@ -332,6 +331,19 @@ def test_init_lstm_forget_bias_and_shapes():
     assert model.w_y.shape == (8, 32)
 
 
+def test_named_views_partition_the_vector():
+    # distinct values written through the views fill every entry of the
+    # vector once: none is left out and none is written twice
+    model = init_lstm(3, 4, np.random.default_rng(0))
+    model.vector.fill(-1.0)
+    start = 0
+    for name, shape in param_shapes(3, 4).items():
+        assert getattr(model, name).shape == shape
+        setattr(model, name, np.arange(start, start + np.prod(shape)).reshape(shape))
+        start += np.prod(shape)
+    npt.assert_array_equal(np.sort(model.vector), np.arange(start))
+
+
 def naive_sequence(model, xs, hidden, cell):
     """Oracle cell iterated over one sequence: per step (h, c, [f, i, o, g])."""
     steps = []
@@ -348,7 +360,7 @@ def test_batched_kernel_matches_naive_oracle():
     model, _, _ = gradcheck_instance(21, input_dim=3, hidden_dim=4)
     inputs = np.random.default_rng(21).normal(size=(6, 4, 3))   # (T, B, D)
     work = Workspace(inputs, model.hidden_dim)
-    preds = forward(stack(model), work)
+    preds = forward(model, work)
     for b in range(4):
         steps = naive_sequence(model, inputs[:, b].tolist(), [0.0] * 4, [0.0] * 4)
         for t, (h, c, gates) in enumerate(steps):
@@ -380,24 +392,23 @@ def test_batched_backward_matches_finite_differences():
     scale = inputs.shape[0] * inputs.shape[2]
 
     def summed_loss(m):
-        preds = forward(stack(m), Workspace(inputs, m.hidden_dim))
+        preds = forward(m, Workspace(inputs, m.hidden_dim))
         return float(np.sum((preds - targets) ** 2)) / scale
 
     work = Workspace(inputs, model.hidden_dim)
-    preds = forward(stack(model), work)
-    grads = backward(stack(model), work, 2.0 * (preds - targets) / scale)
+    preds = forward(model, work)
+    grads = backward(model, work, 2.0 * (preds - targets) / scale)
     eps = 1e-5
     worst = 0.0
     for name in PARAM_FIELDS:
-        flat = getattr(model, name).ravel()
-        analytic = getattr(grads, name).ravel()
-        for k in range(flat.size):
-            original = flat[k]
-            flat[k] = original + eps
+        view, analytic = getattr(model, name), getattr(grads, name)
+        for k in np.ndindex(view.shape):
+            original = view[k]
+            view[k] = original + eps
             loss_plus = summed_loss(model)
-            flat[k] = original - eps
+            view[k] = original - eps
             loss_minus = summed_loss(model)
-            flat[k] = original
+            view[k] = original
             numeric = (loss_plus - loss_minus) / (2.0 * eps)
             denom = max(abs(analytic[k]), abs(numeric), 1e-12)
             worst = max(worst, abs(analytic[k] - numeric) / denom)

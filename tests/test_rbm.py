@@ -21,6 +21,7 @@ from floodwatch.rbm import (
 from oracles import (
     enum_hidden_conditional,
     enum_visible_conditional,
+    loop_cd1_step,
     naive_cd1_step,
     naive_energy_bernoulli,
     naive_energy_gaussian,
@@ -226,6 +227,24 @@ def test_cd1_step_matches_composed_oracle(kind, size, learning_rate):
         npt.assert_array_equal(updated.hidden_bias, hidden_bias)
         assert error == want_error
         assert updated.kind is kind
+
+
+@pytest.mark.parametrize("kind", list(RbmKind))
+@pytest.mark.parametrize("size", [1, 5])
+def test_cd1_step_matches_loop_oracle(kind, size):
+    # the same seeded uniforms draw the hidden states in both
+    for seed in range(3):
+        params = random_params(kind, 6, 4, seed=seed)
+        batch = random_batch(kind, size, seed + 100)
+        updated, error = cd1_step(params, batch, 0.05, np.random.default_rng(seed))
+        uniforms = np.random.default_rng(seed).random((size, 4))
+        weights, visible_bias, hidden_bias, want_error = loop_cd1_step(
+            kind.value, params.weights.tolist(), params.visible_bias.tolist(),
+            params.hidden_bias.tolist(), batch.tolist(), 0.05, uniforms.tolist())
+        npt.assert_allclose(updated.weights, weights, rtol=1e-12)
+        npt.assert_allclose(updated.visible_bias, visible_bias, rtol=1e-12)
+        npt.assert_allclose(updated.hidden_bias, hidden_bias, rtol=1e-12)
+        assert error == pytest.approx(want_error, rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", list(RbmKind))

@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import io
 import itertools
+import json
 import os
 import re
 import tempfile
@@ -860,9 +862,10 @@ def test_labels_csv_round_trip(tmp_path):
 
 
 def test_scenario_dict_round_trip():
+    # the JSON document a scenario file would hold
     scenario = preset_scenario("mixed")
-    again = Scenario.from_dict(scenario.to_dict())
-    assert again == scenario
+    doc = json.loads(json.dumps(dataclasses.asdict(scenario), default=lambda kind: kind.value))
+    assert Scenario.from_dict(doc) == scenario
     with pytest.raises(InputError):
         Scenario.from_dict({"duration": 10.0, "baseline_rate": 5.0, "bogus": 1})
 
