@@ -54,13 +54,12 @@ MAX_WINDOWS = 10**6
 
 # Bytes that parse_packets takes from a file as one block, at the least
 # (see _byte_blocks). A plain block (see _plain_block) costs a fixed
-# number of numpy calls plus a share per row, and its kernel arrays (see
-# _Scratch), allocated once per parse, take about twenty times its size.
-# On the one-hour capture (504k rows, 2 CPUs, one process per parse, three
-# each) a parse from bytes took 0.59-0.66 s with 64 KiB blocks, 0.36-0.52 s
-# with 128 KiB, 0.29-0.44 s with 256 KiB, 0.35-0.45 s with 512 KiB and
-# 0.34-0.46 s with 1 MiB, for 3.8k, 4.7k, 5.8k, 7.2k and 11.5k minor page
-# faults and a peak RSS of 43.8, 45.2, 48.4, 53.5 and 66.8 MB.
+# number of numpy calls plus a share per row, and the arrays its kernel
+# makes for it take about ten times its size. On the one-hour capture
+# (504k rows, shared 2-CPU machine, one process per parse, ten
+# alternated runs, medians) a parse from bytes took 0.36 s with 128 KiB
+# blocks, 0.31 s with 256 KiB and 0.29 s with 512 KiB, for 25.0k, 17.1k
+# and 8.6k minor page faults and a peak RSS of 43.9, 45.9 and 49.2 MB.
 PARSE_BLOCK_CHARS = 1 << 18
 
 # Bytes that parse_packets reads as one piece, so that a block ends near
@@ -175,8 +174,16 @@ def _check_window_len(window_len: float):
         raise InputError(f"window_len must be a finite positive number, got {window_len!r}")
 
 
-def _window_count(last: float, window_len: float) -> int:
-    """Windows 0..floor(last / window_len), at most MAX_WINDOWS of them."""
+def _window_count(ts, window_len: float) -> int:
+    """Windows 0..floor(ts[-1] / window_len) of the non-empty time-ordered
+    timestamps ``ts``, at most MAX_WINDOWS of them. Windows count from
+    t = 0 and NaN sorts last, so each time has a window once the first is
+    at least 0 and the last is finite."""
+    first, last = float(ts[0]), float(ts[-1])
+    for t in (first, last):
+        if not (math.isfinite(t) and t >= 0):
+            raise InputError(f"timestamp {t!r} s must be finite and non-negative; "
+                             "windows count from t = 0")
     last_index = last // window_len
     if not last_index < MAX_WINDOWS:
         raise InputError(f"last timestamp {last!r} s lies in window {last_index:.4g} of "
@@ -363,20 +370,16 @@ _HEADER_BYTES = ",".join(PACKET_CSV_HEADER).encode()
 
 
 class _Scratch:
-    """The memory that one parse_packets call reuses from block to block.
+    """The block's bytes, one buffer that a parse_packets call reuses
+    from block to block.
 
     ``data`` holds a block's bytes from _TS_WIDTH on, with _TS_WIDTH bytes
     before them that the plain kernel may read before a field and as many
     after its ``capacity`` that it may read past one; ``padded`` views it
-    as uint8. ``self(name, shape, dtype)`` is the array kept under
-    ``name``, replaced (with a quarter to spare) only when a block needs
-    more, so that after the first blocks the kernel fills the same arrays
-    (through ``out=``, np.take and np.copyto) and the heap neither grows
-    nor shrinks around each block.
+    as uint8.
     """
 
     def __init__(self, size=PARSE_BLOCK_CHARS + _READ_CHARS):
-        self.arrays = {}
         self.capacity = -1
         self.reserve(size)
 
@@ -389,13 +392,6 @@ class _Scratch:
             data[:len(self.data)] = self.data
         self.data, self.capacity = data, len(data) - 2 * _TS_WIDTH
         self.padded = np.frombuffer(data, np.uint8)
-
-    def __call__(self, name: str, shape, dtype=np.intp) -> np.ndarray:
-        size = math.prod(shape) if isinstance(shape, tuple) else shape
-        array = self.arrays.get(name)
-        if array is None or array.size < size:
-            array = self.arrays[name] = np.empty(size + size // 4, dtype)
-        return array[:size].reshape(shape)
 
 
 class _Columns:
@@ -427,29 +423,21 @@ class _Columns:
         return Packets(*self.arrays)
 
 
-def _decimals(s: _Scratch, name: str, buf, end, width, most: int) -> tuple:
+def _decimals(buf, end, width, most: int) -> tuple:
     """The values of the fields of ``buf`` that end before ``end`` and are
     ``width`` bytes wide, read as ASCII digits, and whether each field is
     at most ``most`` such digits; an empty field reads 0 and passes.
-    ``most`` is at most 19, so no value overflows its uint64. Both arrays
-    are kept in ``s`` under ``name``."""
-    value = s(name, end.shape, np.min_scalar_type(10**most - 1))
-    term = s(name + " term", end.shape, value.dtype)
-    value.fill(0)
-    ok = np.less_equal(width, most, out=s(name + " ok", end.shape, bool))
-    index, digit = s("digit index", end.shape), s("digit", end.shape, np.uint8)
-    have = s("digit have", end.shape, bool)
-    narrow = s("digit width", end.shape, np.uint8)      # compared in a byte, not a word
-    np.copyto(narrow, width, casting="unsafe")
-    np.subtract(end, 1, out=index)
+    ``most`` is at most 19, so no value overflows its uint64."""
+    dtype = np.min_scalar_type(10**most - 1)
+    value = np.zeros(end.shape, dtype)
+    ok = width <= most
+    index = end - 1
     for k in range(min(int(width.max()), most)):
-        if k:
-            index -= 1
-        np.take(buf, index, out=digit, mode="clip")
-        digit -= np.uint8(ord("0"))                     # bytes below "0" wrap past 9
-        digit *= np.greater(narrow, k, out=have)
-        ok &= np.less_equal(digit, 9, out=have)
-        value += np.multiply(digit, value.dtype.type(10**k), out=term)
+        digit = buf.take(index, mode="clip") - np.uint8(ord("0"))   # bytes below "0" wrap past 9
+        digit *= width > k
+        ok &= digit <= 9
+        value += digit * dtype.type(10**k)
+        index -= 1
     return value, ok
 
 
@@ -469,36 +457,30 @@ def _timestamps(s: _Scratch, start: int, starts, dots, ends, ts) -> bool:
     gives ``float``'s value (Clinger's fast path, "How to Read Floating
     Point Numbers Accurately", 1990). ``float`` reads all other fields one
     by one from the block's bytes."""
-    buf = s.padded[_TS_WIDTH + start:]
-    n = starts.size
-    flag = s("ts flag", n, bool)
-    k = np.subtract(ends, dots, out=s("ts k", n))
-    k -= np.less(dots, ends, out=flag)                  # digits after the dot
-    width = np.subtract(dots, starts, out=s("ts width", n))
-    value, fast = _decimals(s, "ts whole", buf, dots, width, 19)
-    fraction, ok = _decimals(s, "ts fraction", buf, ends, k, 19)
-    fast &= ok
-    width += k                                          # digits in all
-    fast &= np.greater_equal(width, 1, out=flag)
-    fast &= np.less_equal(width, 19, out=flag)
-    scale = np.take(_POW10_U64, k, out=s("ts scale", n, np.uint64), mode="clip")
+    lo = _TS_WIDTH + start
+    buf = s.padded[lo:]
+    whole = dots - starts
+    k = ends - dots - (dots < ends)                     # digits after the dot
+    value, fast = _decimals(buf, dots, whole, 19)
+    fraction, ok = _decimals(buf, ends, k, 19)
+    digits = whole + k
+    fast &= ok & (digits >= 1) & (digits <= 19)
+    scale = _POW10_U64.take(k, mode="clip")
     value *= scale                                      # wraps only where not fast
     value += fraction
-    fast &= np.less(value, np.uint64(2**53), out=flag)
-    np.copyto(ts, value)
-    ts /= scale
+    fast &= value < np.uint64(2**53)
+    np.divide(value, scale, out=ts)
     if not fast.all():
         rows = np.flatnonzero(~fast)
-        data, lo = s.data, _TS_WIDTH + start
         try:
-            ts[rows] = [float(data[a:b])
+            ts[rows] = [float(s.data[a:b])
                         for a, b in zip((starts[rows] + lo).tolist(), (ends[rows] + lo).tolist())]
         except ValueError:
             return False
     return True
 
 
-def _line_fields(s: _Scratch, buf, size: int) -> tuple | None:
+def _line_fields(buf, size: int) -> tuple | None:
     """Where the fields of the lines of ``buf[:size]`` lie, or None unless
     each line holds five commas and, from its first comma to its third,
     three dots between its first two commas and three between the next
@@ -510,48 +492,31 @@ def _line_fields(s: _Scratch, buf, size: int) -> tuple | None:
     timestamp holds one byte below "0" and that is a dot, the dot, else
     the first comma."""
     # the bytes below "0": line ends, commas, dots and any other punctuation
-    marks = np.flatnonzero(np.less(buf[:size], ord("0"), out=s("below", size, bool)))
-    kind = np.take(buf, marks, out=s("kind", marks.size, np.uint8), mode="clip")
-    test = s("kind test", marks.size, bool)
-    lf = np.flatnonzero(np.equal(kind, ord("\n"), out=test))  # the line ends' places among the marks
-    at = np.flatnonzero(np.equal(kind, ord(","), out=test))   # the commas' places among the marks
+    marks = np.flatnonzero(buf[:size] < ord("0"))
+    kind = buf[marks]
+    lf = np.flatnonzero(kind == ord("\n"))              # the line ends' places among the marks
+    at = np.flatnonzero(kind == ord(","))               # the commas' places among the marks
     n = lf.size
     if at.size != 5 * n:
         return None
-    at, by_line = s("at", (5, n)), at.reshape(n, 5)
-    np.copyto(at, by_line.T)
-    commas = np.take(marks, at, out=s("commas", (5, n)), mode="clip")
-    ends = np.take(marks, lf, out=s("ends", n), mode="clip")
-    starts = s("starts", n)
-    starts[0] = 0
-    np.add(ends[:-1], 1, out=starts[1:])
-    flag, places = s("line flag", n, bool), s("line places", n)
-    if not (np.greater_equal(commas[0], starts, out=flag).all()
-            and np.less(commas[4], ends, out=flag).all()):
+    at = at.reshape(n, 5).T                             # (5, n)
+    commas = marks[at]
+    ends = marks[lf]
+    starts = np.append(0, ends[:-1] + 1)
+    if not ((commas[0] >= starts).all() and (commas[4] < ends).all()):
         return None
-    np.subtract(ends, 1, out=places)
-    crlf = np.equal(np.take(buf, places, out=s("line bytes", n, np.uint8), mode="clip"),
-                    ord("\r"), out=s("crlf", n, bool))
-    if np.count_nonzero(crlf) != np.count_nonzero(np.equal(kind, ord("\r"), out=test)):
+    crlf = buf[ends - 1] == ord("\r")
+    if np.count_nonzero(crlf) != np.count_nonzero(kind == ord("\r")):
         return None
-    between = np.add(at[0], _ROWS, out=s("between", (9, n)))    # (9, n)
-    if not (np.equal(np.subtract(at[2], at[0], out=places), 8, out=flag).all()
-            and np.equal(np.take(kind, between, out=s("between kinds", (9, n), np.uint8),
-                                 mode="clip"),
-                         _BETWEEN_KINDS, out=s("between test", (9, n), bool)).all()):
+    if not (at[2] - at[0] == 8).all():
         return None
-    first = s("first", n)                               # each line's first mark
-    first[0] = 0
-    np.add(lf[:-1], 1, out=first[1:])
-    one_dot = np.equal(np.subtract(at[0], first, out=places), 1, out=s("one dot", n, bool))
-    one_dot &= np.equal(np.take(kind, first, out=s("line bytes", n, np.uint8), mode="clip"),
-                        ord("."), out=flag)
-    np.copyto(places, at[0])
-    np.copyto(places, first, where=one_dot)
-    dots = np.take(marks, places, out=s("dots", n), mode="clip")
-    ends -= crlf
-    bounds = np.take(marks, between, out=s("bounds", (9, n)), mode="clip")
-    return starts, ends, bounds, commas[3], commas[4], dots
+    between = at[0] + _ROWS                             # (9, n)
+    if not (kind[between] == _BETWEEN_KINDS).all():
+        return None
+    first = np.append(0, lf[:-1] + 1)                   # each line's first mark
+    one_dot = (at[0] - first == 1) & (kind[first] == ord("."))
+    dots = marks[np.where(one_dot, first, at[0])]
+    return starts, ends - crlf, marks[between], commas[3], commas[4], dots
 
 
 def _plain_block(s: _Scratch, start: int, size: int, columns: _Columns) -> int | None:
@@ -573,8 +538,7 @@ def _plain_block(s: _Scratch, start: int, size: int, columns: _Columns) -> int |
     few other timestamps. A last line without a line end is read as if it
     had an LF."""
     lo, hi = _TS_WIDTH + start, _TS_WIDTH + start + size
-    padded = s.padded[start:]
-    buf = padded[_TS_WIDTH:]
+    buf = s.padded[lo:]
     if (s.padded[lo:hi].max() >= 0x80 or s.data.find(b'"', lo, hi) >= 0
             or s.data.find(b"\0", lo, hi) >= 0):
         return None
@@ -584,54 +548,44 @@ def _plain_block(s: _Scratch, start: int, size: int, columns: _Columns) -> int |
             return _plain_block(s, start, size + 1, columns)
         finally:
             buf[size] = kept
-    fields = _line_fields(s, buf, size)
+    fields = _line_fields(buf, size)
     if fields is None:
         return None
     starts, ends, bounds, c3, c4, dots = fields
     n, c0, c2 = starts.size, bounds[0], bounds[8]
-    places, flag = s("line places", n), s("line flag", n, bool)
     # no field is wider than _TS_WIDTH: the checks below hold the others to 19 bytes
-    if np.subtract(c0, starts, out=places).max() > _TS_WIDTH or _TS_WIDTH > csv.field_size_limit():
+    if (c0 - starts).max() > _TS_WIDTH or _TS_WIDTH > csv.field_size_limit():
         return None
-    width = np.subtract(bounds[1:], bounds[:-1], out=s("octet width", (8, n)))
-    width -= 1
-    octets, ok = _decimals(s, "octets", buf, bounds[1:], width, 3)             # (8, n)
+    width = np.diff(bounds, axis=0) - 1
+    octets, ok = _decimals(buf, bounds[1:], width, 3)                          # (8, n)
     if not ok.all() or width.min() < 1 or octets.max() > 255:
         return None
     # the word after each line's third comma; np.take would first copy the
     # whole strided view, so this one small array is gathered by indexing
     words = np.ndarray((buf.size - 7,), np.dtype("<u8"), buf, strides=(1,))
-    word = words[np.add(c2, 1, out=s("proto places", n))]
-    np.subtract(c3, c2, out=places)
-    places -= 1
-    np.minimum(places, 8, out=places)
-    word &= np.take(_MASKS, places, out=s("proto mask", n, np.uint64), mode="clip")
-    proto = np.equal(word, _PROTOCOL_WORDS, out=s("proto", (3, n), bool))             # (3, n)
-    if not np.any(proto, axis=0, out=flag).all():
+    word = words[c2 + 1] & _MASKS.take(np.minimum(c3 - c2 - 1, 8))
+    proto = word == _PROTOCOL_WORDS                                             # (3, n)
+    if not proto.any(axis=0).all():
         return None
-    np.subtract(c4, c3, out=places)
-    places -= 1
-    length, ok = _decimals(s, "length", buf, c4, places, 19)
+    length, ok = _decimals(buf, c4, c4 - c3 - 1, 19)
     if not ok.all() or length.min() < 1 or length.max() > _INT64_MAX:
         return None
-    np.add(c4, 1, out=places)
-    syn = np.take(buf, places, out=s("syn", n, np.uint8), mode="clip")
-    syn -= np.uint8(ord("0"))
-    if not np.equal(np.subtract(ends, c4, out=places), 2, out=flag).all() or syn.max() > 1:
+    syn = buf[c4 + 1] - np.uint8(ord("0"))
+    if not (ends - c4 == 2).all() or syn.max() > 1:
         return None
     ts, src, dst, proto_out, length_out, syn_out = columns.tail(n)
     if not _timestamps(s, start, starts, dots, c0, ts):
         return None
-    if not (np.isfinite(ts, out=flag).all() and np.greater_equal(ts, 0, out=flag).all()):
+    if not (np.isfinite(ts).all() and (ts >= 0).all()):
         return None
-    bits = np.left_shift(octets, _ADDRESS_SHIFTS, out=s("address bits", (8, n), np.uint32))
+    bits = octets << _ADDRESS_SHIFTS
     np.add.reduce(bits[:4], axis=0, out=src)
     np.add.reduce(bits[4:], axis=0, out=dst)
     proto_out.fill(0)
     for code in range(1, len(PROTOCOLS)):
         proto_out[proto[code]] = code
-    np.copyto(length_out, length, casting="unsafe")
-    np.equal(syn, 1, out=syn_out)
+    length_out[:] = length
+    syn_out[:] = syn == 1
     return n
 
 
@@ -724,18 +678,18 @@ def parse_packets(handle) -> Packets:
     input order, unsorted.
 
     The file is read into one buffer, one block at a time (see
-    _byte_blocks). A plain block (see _plain_block) is split into fields
-    and converted by numpy, timestamps included, into arrays that the
-    parse reuses from block to block (see _Scratch), and its values are
-    written straight into the packet columns; ``float`` reads only the
-    few timestamps that _timestamps cannot convert exactly, such as
-    ``5e-05``. Any other block, and a block with a row that breaks a
-    rule, is decoded and goes through csv.reader, and _check_row checks
-    and converts each of its rows before the next is read, so the error
-    names the first bad row. After a block with a double quote, whose
-    quoted fields may hold line ends, csv.reader reads the rest. Bytes
-    that are not UTF-8 raise UnicodeDecodeError after the lines before
-    them (see _csv_lines).
+    _byte_blocks and _Scratch). A plain block (see _plain_block) is split
+    into fields and converted by numpy, timestamps included, and its
+    values are written straight into the packet columns; its arrays are
+    dropped before the next block is read, so memory beyond the columns
+    is bounded by the block. ``float`` reads only the few timestamps that
+    _timestamps cannot convert exactly, such as ``5e-05``. Any other
+    block, and a block with a row that breaks a rule, is decoded and goes
+    through csv.reader, and _check_row checks and converts each of its
+    rows before the next is read, so the error names the first bad row.
+    After a block with a double quote, whose quoted fields may hold line
+    ends, csv.reader reads the rest. Bytes that are not UTF-8 raise
+    UnicodeDecodeError after the lines before them (see _csv_lines).
     """
     addresses = _Memo(parse_ip)
     s = _Scratch()
@@ -911,7 +865,7 @@ def generate_traffic(scenario: Scenario, rng: np.random.Generator,
     past = np.searchsorted(packets.ts, duration)
     packets.ts[past:] = (np.rint(packets.ts[past:] * _TICKS) - 1) / _TICKS
 
-    num_windows = _window_count(float(packets.ts[-1]), window_len) if len(packets) else 0
+    num_windows = _window_count(packets.ts, window_len) if len(packets) else 0
     lo = np.arange(num_windows) * window_len
     hi = np.arange(1, num_windows + 1) * window_len
     labels = np.zeros(num_windows, dtype=bool)
@@ -942,13 +896,14 @@ def windowize(packets: Packets, window_len: float) -> Windows:
     A packet with timestamp t lands in window floor(t / window_len).
     Windows run from 0 through the last non-empty index with empty
     windows kept, so indices line up with label files; more than
-    MAX_WINDOWS of them is an InputError.
+    MAX_WINDOWS of them, or a timestamp below 0 or not finite, is an
+    InputError.
     """
     _check_window_len(window_len)
     packets = _time_ordered(packets)
     if not len(packets):
         return Windows(packets, np.zeros(1, dtype=np.intp))
-    count = _window_count(float(packets.ts[-1]), window_len)
+    count = _window_count(packets.ts, window_len)
     index = np.floor_divide(packets.ts, window_len)
     return Windows(packets, np.searchsorted(index, np.arange(count + 1)))
 
@@ -1087,7 +1042,7 @@ def split_packets(packets: Packets, fraction: float,
     """Time-ordered train/validation split at a window-aligned boundary.
 
     Validation timestamps are re-based to start at zero so both halves
-    bin from window 0.
+    bin from window 0. A timestamp below 0 or not finite is an InputError.
     """
     if not 0.0 < fraction < 1.0:
         raise InputError("split fraction must lie strictly between 0 and 1")
@@ -1095,7 +1050,7 @@ def split_packets(packets: Packets, fraction: float,
     packets = _time_ordered(packets)
     if not len(packets):
         return packets, packets
-    num_windows = _window_count(float(packets.ts[-1]), window_len)
+    num_windows = _window_count(packets.ts, window_len)
     boundary = int(num_windows * fraction) * window_len
     train = packets[packets.ts < boundary]
     valid = packets[packets.ts >= boundary]

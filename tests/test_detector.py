@@ -112,6 +112,17 @@ def test_score_requires_enough_windows():
         score(model, packets)
 
 
+@pytest.mark.parametrize("bad", [-0.5, -np.inf, np.nan, np.inf])
+def test_timestamp_below_zero_or_not_finite_is_input_error(bad):
+    # windows count from t = 0, so such a time lies in no window
+    packets = one_per_window(15)
+    packets.ts[0] = bad
+    with pytest.raises(InputError, match=f"^timestamp {bad!r} s must be finite"):
+        fw.detect(constant_code_model(0.6), packets)
+    with pytest.raises(InputError, match=f"^timestamp {bad!r} s must be finite"):
+        fw.split_packets(packets, 0.8, 1.0)
+
+
 def test_detect_alarm_consistency():
     model = constant_code_model(0.6)  # residual 0.1 everywhere
     packets = one_per_window(15)

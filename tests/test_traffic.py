@@ -6,6 +6,7 @@ import json
 import os
 import re
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -404,6 +405,25 @@ def test_plain_capture_bypasses_csv_reader(tmp_path):
                   mock.patch.object(traffic, "_check_row", side_effect=AssertionError),
                   open(path, "rb") as handle):
                 assert parse_packets(handle) == packets
+
+
+def test_parse_memory_is_bounded_by_the_block(tmp_path):
+    # syn10 spans about 11 blocks; beyond the columns it returns, a parse
+    # holds the block's bytes and one block's kernel arrays at a time
+    packets, _ = generate_traffic(preset_scenario("syn10"), np.random.default_rng(0))
+    path = tmp_path / "packets.csv"
+    write_packets_csv(path, packets)
+    assert path.stat().st_size > 10 * traffic.PARSE_BLOCK_CHARS
+    with open(path, "rb") as handle:
+        tracemalloc.start()
+        try:
+            parsed = parse_packets(handle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert parsed == packets
+    columns = sum(column.nbytes for column in parsed.columns())
+    assert peak - columns <= 16 * traffic.PARSE_BLOCK_CHARS
 
 
 def test_capture_without_plain_blocks_parses_as_plain(tmp_path):
