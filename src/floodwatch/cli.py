@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 # The numeric modules load numpy, so each command imports the ones it uses:
@@ -66,6 +67,16 @@ def cmd_gen(args) -> int:
     import numpy as np
 
     from . import traffic
+
+    # both outputs would be renamed onto one regular file, and the labels
+    # would win; a device such as /dev/null is written in place, so it may
+    # take both
+    target = os.path.realpath(args.out)
+    if target == os.path.realpath(args.labels) and (os.path.isfile(target)
+                                                    or not os.path.exists(target)):
+        print(f"error: --out and --labels name one file, {args.out!r}; "
+              "give each its own path", file=sys.stderr)
+        return 1
 
     if args.preset is not None:
         scenario = traffic.preset_scenario(args.preset)

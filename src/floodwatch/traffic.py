@@ -52,19 +52,16 @@ MAX_EXPECTED_PACKETS = 1e8
 # is rejected before any per-window allocation.
 MAX_WINDOWS = 10**6
 
-# Bytes that parse_packets takes from a file as one block, at the least
-# (see _byte_blocks). A plain block (see _plain_block) costs a fixed
-# number of numpy calls plus a share per row, and the arrays its kernel
-# makes for it take about ten times its size. On the one-hour capture
-# (504k rows, shared 2-CPU machine, one process per parse, ten
-# alternated runs, medians) a parse from bytes took 0.36 s with 128 KiB
-# blocks, 0.31 s with 256 KiB and 0.29 s with 512 KiB, for 25.0k, 17.1k
-# and 8.6k minor page faults and a peak RSS of 43.9, 45.9 and 49.2 MB.
+# Bytes that parse_packets asks of a file in one read, and the least it
+# takes as one block (see _byte_blocks). A plain block (see _plain_block)
+# costs a fixed number of numpy calls plus a share per row, and the
+# arrays its kernel makes for it take about ten times its size. On the
+# one-hour capture (504k rows, shared 2-CPU machine, one process per
+# parse, ten alternated runs, medians) a parse from bytes took 0.46 s
+# with 128 KiB blocks, 0.37 s with 256 KiB and 0.34 s with 512 KiB, for
+# 25.4k, 10.0k and 8.4k minor page faults and a peak RSS of 43.6, 45.4
+# and 49.8 MB.
 PARSE_BLOCK_CHARS = 1 << 18
-
-# Bytes that parse_packets reads as one piece, so that a block ends near
-# PARSE_BLOCK_CHARS (see _byte_blocks).
-_READ_CHARS = 8192
 
 # Rows per chunk that write_packets_csv formats and writes at once, so
 # its text and lists are bounded by the chunk, not the capture. On the
@@ -230,8 +227,10 @@ class Scenario:
                 )
             if not attack.multiplier >= 1:
                 raise InputError(f"attack {k}: multiplier must be >= 1")
-            if not attack.source_pool >= 1:
-                raise InputError(f"attack {k}: source_pool must be >= 1")
+            # spoofed sources count up from SPOOF_SRC_BASE and must stay below 2**32
+            if not 1 <= attack.source_pool <= 2**32 - SPOOF_SRC_BASE:
+                raise InputError(f"attack {k}: source_pool must lie in "
+                                 f"[1, {2**32 - SPOOF_SRC_BASE}]")
             expected += attack.multiplier * self.baseline_rate * (attack.end - attack.start)
         if not expected <= MAX_EXPECTED_PACKETS:
             raise InputError(f"scenario expects {expected:.3g} packets; "
@@ -369,31 +368,6 @@ _BETWEEN_KINDS = np.frombuffer(b",...,...,", np.uint8)[:, None]
 _HEADER_BYTES = ",".join(PACKET_CSV_HEADER).encode()
 
 
-class _Scratch:
-    """The block's bytes, one buffer that a parse_packets call reuses
-    from block to block.
-
-    ``data`` holds a block's bytes from _TS_WIDTH on, with _TS_WIDTH bytes
-    before them that the plain kernel may read before a field and as many
-    after its ``capacity`` that it may read past one; ``padded`` views it
-    as uint8.
-    """
-
-    def __init__(self, size=PARSE_BLOCK_CHARS + _READ_CHARS):
-        self.capacity = -1
-        self.reserve(size)
-
-    def reserve(self, size: int):
-        """Room for ``size`` bytes of block; the bytes held are kept."""
-        if size <= self.capacity:
-            return
-        data = bytearray(_TS_WIDTH + max(size, 2 * self.capacity) + _TS_WIDTH)
-        if self.capacity >= 0:
-            data[:len(self.data)] = self.data
-        self.data, self.capacity = data, len(data) - 2 * _TS_WIDTH
-        self.padded = np.frombuffer(data, np.uint8)
-
-
 class _Columns:
     """The six columns of the packets parsed so far, ``size`` rows of
     them. They grow by doubling through ndarray.resize, in place where the
@@ -445,11 +419,10 @@ def _decimals(buf, end, width, most: int) -> tuple:
 _POW10_U64 = 10 ** np.arange(20, dtype=np.uint64)
 
 
-def _timestamps(s: _Scratch, start: int, starts, dots, ends, ts) -> bool:
-    """Write into ``ts`` the timestamp fields [starts, ends) of the block
-    that begins at ``start`` of ``s`` as ``float`` reads them, ``dots``
-    being each field's dot or its end; False where ``float`` raises
-    ValueError.
+def _timestamps(block: bytes, starts, dots, ends, ts) -> bool:
+    """Write into ``ts`` the timestamp fields [starts, ends) of ``block``
+    as ``float`` reads them, ``dots`` being each field's dot or its end;
+    False where ``float`` raises ValueError.
 
     A field of 1 to 19 digits with at most one dot, k of them after it,
     whose digits form an integer D below 2**53, is D / 10**k in float64:
@@ -457,8 +430,7 @@ def _timestamps(s: _Scratch, start: int, starts, dots, ends, ts) -> bool:
     gives ``float``'s value (Clinger's fast path, "How to Read Floating
     Point Numbers Accurately", 1990). ``float`` reads all other fields one
     by one from the block's bytes."""
-    lo = _TS_WIDTH + start
-    buf = s.padded[lo:]
+    buf = np.frombuffer(block, np.uint8)
     whole = dots - starts
     k = ends - dots - (dots < ends)                     # digits after the dot
     value, fast = _decimals(buf, dots, whole, 19)
@@ -473,8 +445,8 @@ def _timestamps(s: _Scratch, start: int, starts, dots, ends, ts) -> bool:
     if not fast.all():
         rows = np.flatnonzero(~fast)
         try:
-            ts[rows] = [float(s.data[a:b])
-                        for a, b in zip((starts[rows] + lo).tolist(), (ends[rows] + lo).tolist())]
+            ts[rows] = [float(block[a:b])
+                        for a, b in zip(starts[rows].tolist(), ends[rows].tolist())]
         except ValueError:
             return False
     return True
@@ -519,10 +491,10 @@ def _line_fields(buf, size: int) -> tuple | None:
     return starts, ends - crlf, marks[between], commas[3], commas[4], dots
 
 
-def _plain_block(s: _Scratch, start: int, size: int, columns: _Columns) -> int | None:
-    """Write the packets of the block of whole lines at [start, start +
-    size) of ``s`` after the rows of ``columns`` and return their count if
-    the block is plain, else None.
+def _plain_block(block: bytes, columns: _Columns) -> int | None:
+    """Write the packets of ``block``, bytes of whole lines, after the
+    rows of ``columns`` and return their count if the block is plain,
+    else None.
 
     Plain: ASCII with no double quote and no NUL, CR only right before
     LF, five commas on every line (so no blank line), a csv field size
@@ -537,18 +509,12 @@ def _plain_block(s: _Scratch, start: int, size: int, columns: _Columns) -> int |
     one float64 division where _timestamps can, and ``float`` reads the
     few other timestamps. A last line without a line end is read as if it
     had an LF."""
-    lo, hi = _TS_WIDTH + start, _TS_WIDTH + start + size
-    buf = s.padded[lo:]
-    if (s.padded[lo:hi].max() >= 0x80 or s.data.find(b'"', lo, hi) >= 0
-            or s.data.find(b"\0", lo, hi) >= 0):
+    if not block.isascii() or b'"' in block or b"\0" in block:
         return None
-    if buf[size - 1] != ord("\n"):
-        kept, buf[size] = buf[size], ord("\n")
-        try:
-            return _plain_block(s, start, size + 1, columns)
-        finally:
-            buf[size] = kept
-    fields = _line_fields(buf, size)
+    if not block.endswith(b"\n"):
+        return _plain_block(block + b"\n", columns)
+    buf = np.frombuffer(block, np.uint8)
+    fields = _line_fields(buf, buf.size)
     if fields is None:
         return None
     starts, ends, bounds, c3, c4, dots = fields
@@ -561,9 +527,12 @@ def _plain_block(s: _Scratch, start: int, size: int, columns: _Columns) -> int |
     if not ok.all() or width.min() < 1 or octets.max() > 255:
         return None
     # the word after each line's third comma; np.take would first copy the
-    # whole strided view, so this one small array is gathered by indexing
+    # whole strided view, so this one small array is gathered by indexing.
+    # A word that would run past the block is read from its last 8 bytes:
+    # its line holds fewer than the 8 bytes of "TCP,1,0\n" after that
+    # comma, so the checks below reject it whatever word is read.
     words = np.ndarray((buf.size - 7,), np.dtype("<u8"), buf, strides=(1,))
-    word = words[c2 + 1] & _MASKS.take(np.minimum(c3 - c2 - 1, 8))
+    word = words[np.minimum(c2 + 1, words.size - 1)] & _MASKS.take(np.minimum(c3 - c2 - 1, 8))
     proto = word == _PROTOCOL_WORDS                                             # (3, n)
     if not proto.any(axis=0).all():
         return None
@@ -574,7 +543,7 @@ def _plain_block(s: _Scratch, start: int, size: int, columns: _Columns) -> int |
     if not (ends - c4 == 2).all() or syn.max() > 1:
         return None
     ts, src, dst, proto_out, length_out, syn_out = columns.tail(n)
-    if not _timestamps(s, start, starts, dots, c0, ts):
+    if not _timestamps(block, starts, dots, c0, ts):
         return None
     if not (np.isfinite(ts).all() and (ts >= 0).all()):
         return None
@@ -596,62 +565,48 @@ def _line_end(data, lo: int, hi: int) -> int:
     return max(data.rfind(b"\n", lo, hi), data.rfind(b"\r", lo, hi - 1), lo - 1) + 1 - lo
 
 
-def _read_into(handle, view) -> int:
-    """Bytes of ``handle`` read into ``view``, which they fill unless the
-    file ends first."""
-    got = 0
-    while got < len(view):
-        count = handle.readinto(view[got:])
-        if not count:
-            break
-        got += count
-    return got
-
-
-def _byte_blocks(handle, s: _Scratch):
+def _byte_blocks(handle):
     """The bytes of the binary file ``handle`` in blocks of whole lines,
-    each yielded as its size once it lies at the start of the block of
-    ``s``. The file is read in whole pieces of _READ_CHARS bytes, as many
-    at once as bring at least PARSE_BLOCK_CHARS bytes in hand; a block
-    runs to the last line end read, an LF or a CR that no LF follows, and
-    the bytes after it start the next block. The last block holds what
-    follows the last line end."""
-    held = 0                                    # bytes in the block, not yet yielded
+    each one bytes object. Reads of PARSE_BLOCK_CHARS bytes, which a pipe
+    may cut short, go on until at least PARSE_BLOCK_CHARS bytes are in
+    hand; a block runs to the last line end read, an LF or a CR that no LF
+    follows, and the bytes after it start the next block. The last block
+    holds what follows the last line end."""
+    held = bytearray()                          # bytes read, not yet yielded
     clean = 0                                   # bytes before these end no line
     while True:
-        want = -(-max(PARSE_BLOCK_CHARS - held, 1) // _READ_CHARS) * _READ_CHARS
-        s.reserve(held + want)
-        got = _read_into(handle, memoryview(s.data)[_TS_WIDTH + held:_TS_WIDTH + held + want])
-        held += got
-        if got < want:
+        size = len(held)
+        held += handle.read(PARSE_BLOCK_CHARS)
+        if len(held) == size:
             if held:
-                yield held
+                yield bytes(held)
             return
+        if len(held) < PARSE_BLOCK_CHARS:
+            continue
         # only bytes not searched before, so a long line is searched once
-        cut = _line_end(s.data, _TS_WIDTH + clean, _TS_WIDTH + held)
+        cut = _line_end(held, clean, len(held))
         if cut:
             cut += clean
-            yield cut
-            s.data[_TS_WIDTH:_TS_WIDTH + held - cut] = s.data[_TS_WIDTH + cut:_TS_WIDTH + held]
-            held -= cut
-        clean = max(held - 1, 0)                # a CR that ends them may yet start a CRLF
+            block = bytes(held[:cut])
+            del held[:cut]                      # the held bytes shrink before it is parsed
+            yield block
+        clean = max(len(held) - 1, 0)           # a CR that ends them may yet start a CRLF
 
 
-def _csv_lines(s: _Scratch, spans):
-    """The lines of the bytes [start, end) of the block of ``s``, for each
-    span in turn, decoded as UTF-8 and split at CR, LF and CRLF as a file
-    opened with newline="" (as csv.reader asks) splits them. Bytes that are
-    not UTF-8 (or a sequence the span's end cuts short) raise
-    UnicodeDecodeError once the whole lines before them are yielded, so
-    that the first bad line in file order is reported."""
-    for start, end in spans:
-        lo = _TS_WIDTH + start
+def _csv_lines(blocks):
+    """The lines of the bytes ``blocks``, each decoded as UTF-8 and split
+    at CR, LF and CRLF as a file opened with newline="" (as csv.reader
+    asks) splits them. Bytes that are not UTF-8 (or a sequence the
+    block's end cuts short) raise UnicodeDecodeError once the whole lines
+    before them are yielded, so that the first bad line in file order is
+    reported."""
+    for block in blocks:
         try:
-            text = s.data[lo:_TS_WIDTH + end].decode()
+            text = block.decode()
         except UnicodeDecodeError as exc:
             # the bad byte is above 0x7f, so a CR right before it ends a line
-            cut = _line_end(s.data, lo, lo + exc.start + 1)
-            yield from io.StringIO(s.data[lo:lo + cut].decode(), newline="")
+            cut = _line_end(block, 0, exc.start + 1)
+            yield from io.StringIO(block[:cut].decode(), newline="")
             raise
         yield from io.StringIO(text, newline="")
 
@@ -677,12 +632,12 @@ def parse_packets(handle) -> Packets:
     raises InputError naming its line number. Packets are returned in
     input order, unsorted.
 
-    The file is read into one buffer, one block at a time (see
-    _byte_blocks and _Scratch). A plain block (see _plain_block) is split
-    into fields and converted by numpy, timestamps included, and its
-    values are written straight into the packet columns; its arrays are
-    dropped before the next block is read, so memory beyond the columns
-    is bounded by the block. ``float`` reads only the few timestamps that
+    The file is read with ``read``, one block of whole lines at a time
+    (see _byte_blocks). A plain block (see _plain_block) is split into
+    fields and converted by numpy, timestamps included, and its values
+    are written straight into the packet columns; its arrays are dropped
+    before the next block is read, so memory beyond the columns is
+    bounded by the block. ``float`` reads only the few timestamps that
     _timestamps cannot convert exactly, such as ``5e-05``. Any other
     block, and a block with a row that breaks a rule, is decoded and goes
     through csv.reader, and _check_row checks and converts each of its
@@ -692,29 +647,29 @@ def parse_packets(handle) -> Packets:
     UnicodeDecodeError after the lines before them (see _csv_lines).
     """
     addresses = _Memo(parse_ip)
-    s = _Scratch()
-    blocks = _byte_blocks(handle, s)
-    rest = ((0, size) for size in blocks)
-    size = next(blocks, 0)
-    lf = s.data.find(b"\n", _TS_WIDTH, _TS_WIDTH + size)
-    if lf < 0 or s.data[_TS_WIDTH:lf].removesuffix(b"\r") != _HEADER_BYTES:
-        return _parse_csv(_csv_lines(s, itertools.chain([(0, size)], rest)), addresses)
+    blocks = _byte_blocks(handle)
+    block = next(blocks, b"")
+    lf = block.find(b"\n")
+    if lf < 0 or block[:lf].removesuffix(b"\r") != _HEADER_BYTES:
+        return _parse_csv(_csv_lines(itertools.chain([block], blocks)), addresses)
     columns = _Columns()
     number = 2                                  # the row number of the block's first line
-    for start, end in itertools.chain([(lf + 1 - _TS_WIDTH, size)], rest):
-        if start == end:
+    # the chain keeps its arguments, so the first block goes in an iterator
+    # that lets it go once read
+    for block in itertools.chain(iter([block[lf + 1:]]), blocks):
+        if not block:
             continue
-        count = _plain_block(s, start, end - start, columns)
+        count = _plain_block(block, columns)
         if count is not None:
             columns.size += count
             number += count
             continue
-        if s.data.find(b'"', _TS_WIDTH + start, _TS_WIDTH + end) >= 0:
-            reader = csv.reader(_csv_lines(s, itertools.chain([(start, end)], rest)))
-            columns.append(_parse_rows(reader, number, addresses, number - 1))
-            break
-        reader = csv.reader(_csv_lines(s, [(start, end)]))   # one record per line
+        # one record per line, unless a quoted field may hold line ends
+        quoted = b'"' in block
+        reader = csv.reader(_csv_lines(itertools.chain([block], blocks if quoted else [])))
         columns.append(_parse_rows(reader, number, addresses, number - 1))
+        if quoted:
+            break
         number += reader.line_num
     return columns.packets()
 

@@ -186,6 +186,44 @@ def test_bad_scenario_file_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("source_pool", [2**32 - traffic.SPOOF_SRC_BASE + 1, 10**20])
+def test_source_pool_past_the_address_space_exits_2(tmp_path, capsys, source_pool):
+    # spoofed sources count up from 100.64.0.0; a pool that would pass
+    # 2**32 is a data error, not a traceback or wrapped addresses
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"duration": 10.0, "baseline_rate": 10.0, "attacks": [
+        {"start": 1.0, "end": 5.0, "kind": "syn_flood", "multiplier": 10.0,
+         "source_pool": source_pool}]}))
+    assert cli.main(["gen", "--scenario", str(scenario), "--out", str(tmp_path / "t.csv"),
+                     "--labels", str(tmp_path / "l.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "attack 0: source_pool" in err
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_gen_with_one_path_for_both_outputs_exits_1(tmp_path, capsys):
+    # --out and --labels naming one regular file (also through a symbolic
+    # link) would leave only the labels there; the file keeps its bytes,
+    # and a missing one is not made
+    target = tmp_path / "both.csv"
+    target.write_bytes(b"old\n")
+    (tmp_path / "link.csv").symlink_to(target)
+    for labels in (target, tmp_path / "link.csv", tmp_path / "." / "both.csv"):
+        assert cli.main(["gen", "--preset", "syn10", "--seed", "1", "--out", str(target),
+                         "--labels", str(labels)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--out and --labels name one file" in err
+        assert target.read_bytes() == b"old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["both.csv", "link.csv"]
+    new = tmp_path / "new.csv"
+    assert cli.main(["gen", "--preset", "syn10", "--out", str(new), "--labels", str(new)]) == 1
+    assert not new.exists()
+    # a device is written in place, so it may take both
+    assert cli.main(["gen", "--preset", "syn10", "--out", os.devnull,
+                     "--labels", os.devnull]) == 0
+    capsys.readouterr()
+
+
 def test_truncated_traffic_exits_2(workspace, tmp_path, capsys):
     root, _ = workspace
     records, _ = generate_traffic(Scenario(duration=5.0, baseline_rate=50.0),

@@ -151,13 +151,11 @@ def _byte_outcome(data: bytes):
 def _bytes_match_oracle(text, block):
     # the oracle reads the text split into lines at CR, LF and CRLF, as
     # open_text opens a file; parse_packets reads its UTF-8 bytes from a
-    # file in reads a third of a block long, which make the reads that
+    # file whose reads hand out a third of a block, so that several reads
     # fill one
-    read = min(traffic._READ_CHARS, max(1, block // 3))
     expected = _outcome(naive_parse_packets, io.StringIO(text, newline=""))
-    with (mock.patch.object(traffic, "PARSE_BLOCK_CHARS", block),
-          mock.patch.object(traffic, "_READ_CHARS", read)):
-        return _byte_outcome(text.encode()) == expected
+    with mock.patch.object(traffic, "PARSE_BLOCK_CHARS", block):
+        return _outcome(parse_packets, _Trickle(text.encode(), max(1, block // 3))) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -173,6 +171,9 @@ def _bytes_match_oracle(text, block):
          final=True, block=1)
 @example(rows=["", "", "0,10.0.0.1,192.168.0.1,TCP,64,0", "0,10.0.0.1,192.168.0.256,TCP,64,0"],
          ends=("\n", "\r\n"), final=True, block=40)
+# the protocol word of the last line would run past the end of the block
+@example(rows=["0,10.0.0.1,100.64.1.2,TCP,1,0", "0,10.0.0.1,100.64.1.2,,1,0"], ends=("\r\n",),
+         final=False, block=1)
 def test_parse_packets_matches_row_oracle(rows, ends, final, block):
     # same rows, or an InputError naming the same line, at every block size
     assert _bytes_match_oracle(_as_text([HEADER, *rows], ends, final), block)
@@ -257,24 +258,22 @@ def test_header_fallback_matches_row_oracle(header, parses):
 
 def test_lone_cr_line_ends_cut_blocks():
     # lines ended by a lone CR cut the bytes into blocks as LF does. Reads
-    # come in whole pieces of _READ_CHARS bytes until PARSE_BLOCK_CHARS
-    # are in hand, and a block ends at the last line end read, so it holds
-    # at most PARSE_BLOCK_CHARS + _READ_CHARS - 1 bytes. The bytes after
-    # that line end start the next block; where they alone reach
-    # PARSE_BLOCK_CHARS they are one line, at most all of it but the last
-    # byte of its line end, and the block grows a read at a time.
-    block, read = 7, 3
+    # of PARSE_BLOCK_CHARS bytes go on until that many are in hand, and a
+    # block ends at the last line end read, before the last byte read when
+    # that is a CR. Fewer than PARSE_BLOCK_CHARS bytes before the last read
+    # make a block of at most 2 * PARSE_BLOCK_CHARS - 2 bytes; more are the
+    # rest of one line, all of it at most, and the block grows a read at a
+    # time, by at most PARSE_BLOCK_CHARS - 1 bytes at the last.
     lines = [HEADER, *[_GOOD_ROW, _OTHER_ROW] * 20]
     data = _as_text(lines, ("\r",)).encode()
-    s = traffic._Scratch()
-    with (mock.patch.object(traffic, "PARSE_BLOCK_CHARS", block),
-          mock.patch.object(traffic, "_READ_CHARS", read)):
-        blocks = [bytes(s.data[traffic._TS_WIDTH:traffic._TS_WIDTH + size])
-                  for size in traffic._byte_blocks(io.BytesIO(data), s)]
-    assert b"".join(blocks) == data
     longest = max(map(len, lines)) + 1
-    assert max(map(len, blocks)) <= max(block + read - 1, longest - 1 + read)
-    assert _bytes_match_oracle(data.decode(), block)
+    for block in (1, 7, 40, 100):
+        with mock.patch.object(traffic, "PARSE_BLOCK_CHARS", block):
+            blocks = list(traffic._byte_blocks(io.BytesIO(data)))
+        assert b"".join(blocks) == data
+        assert all(part.endswith(b"\r") for part in blocks)
+        assert max(map(len, blocks)) <= max(2 * block - 2, longest + block - 1)
+        assert _bytes_match_oracle(data.decode(), block)
 
 
 def test_parse_packets_keeps_a_lowered_csv_field_limit():
@@ -306,10 +305,10 @@ class _Trickle(io.RawIOBase):
 
 
 def test_crlf_split_across_reads():
-    # reads of 4 bytes end between the CR and the LF of the header (43
-    # bytes) and of some rows, and a trickling file splits them further; a
-    # CRLF taken for two line ends would shift the line named for the bad
-    # last row
+    # reads of a block of 4 bytes end between the CR and the LF of the
+    # header (43 bytes) and of some rows, and a trickling file splits them
+    # further; a CRLF taken for two line ends would shift the line named
+    # for the bad last row
     good = [HEADER, *[_GOOD_ROW, _OTHER_ROW] * 3]
     for rows in (good, [*good, _GOOD_ROW.replace("TCP", "GRE")]):
         text = _as_text(rows, ("\r\n",))
@@ -317,13 +316,12 @@ def test_crlf_split_across_reads():
         assert data[43:45] == b"\r\n"
         expected = _outcome(naive_parse_packets, io.StringIO(text, newline=""))
         for block, step in itertools.product((4, 8, 40), (1, 3, 4, 1000)):
-            with (mock.patch.object(traffic, "PARSE_BLOCK_CHARS", block),
-                  mock.patch.object(traffic, "_READ_CHARS", 4)):
+            with mock.patch.object(traffic, "PARSE_BLOCK_CHARS", block):
                 assert _outcome(parse_packets, _Trickle(data, step)) == expected
 
 
 def test_long_line_is_searched_once():
-    # a line much longer than a block is read a piece at a time; each
+    # a line much longer than a block is read a block at a time; each
     # search for a line end covers only the bytes not searched before
     data = (HEADER + "\n" + _GOOD_ROW + "\n").encode() + b"x" * (1 << 20) + b",1,2,3,4,5\n"
     searched = []
@@ -334,7 +332,6 @@ def test_long_line_is_searched_once():
 
     traffic_line_end = traffic._line_end
     with (mock.patch.object(traffic, "PARSE_BLOCK_CHARS", 4096),
-          mock.patch.object(traffic, "_READ_CHARS", 1024),
           mock.patch.object(traffic, "_line_end", line_end)):
         assert _outcome(parse_packets, io.BytesIO(data)) == 3
     assert sum(searched) < 2 * len(data)
@@ -342,16 +339,17 @@ def test_long_line_is_searched_once():
 
 @pytest.mark.parametrize("good_rows, named", [(10, 2), (3000, 2), (20000, 2), (3000, None)])
 def test_bad_row_before_non_utf8_bytes(tmp_path, good_rows, named):
-    # the first bad line in file order is reported, whatever the reads: a
-    # bad row 10 rows, 3000 rows (about 100 KB, one block) or 20000 rows
-    # (several blocks) before bytes that are not UTF-8 is named, and the
-    # bytes are reported when they come before the bad row (named None)
+    # the first bad line in file order is reported, whatever the reads
+    # (from the file, and 64 bytes at a time): a bad row 10 rows, 3000
+    # rows (about 100 KB, one block) or 20000 rows (several blocks) before
+    # bytes that are not UTF-8 is named, and the bytes are reported when
+    # they come before the bad row (named None)
     rows = [HEADER.encode(), *[_OTHER_ROW.encode()] * good_rows, b"ok \xff"]
     rows.insert(len(rows) if named is None else 1, _GOOD_ROW.replace("TCP", "GRE").encode())
     path = tmp_path / "bad.csv"
     path.write_bytes(b"".join(row + b"\r\n" for row in rows))
-    for read in (64, traffic._READ_CHARS):
-        with mock.patch.object(traffic, "_READ_CHARS", read), open(path, "rb") as handle:
+    for handle in (open(path, "rb"), _Trickle(path.read_bytes(), 64)):
+        with handle:
             if named is None:
                 with pytest.raises(UnicodeDecodeError, match="invalid start byte"):
                     parse_packets(handle)
@@ -424,6 +422,19 @@ def test_parse_memory_is_bounded_by_the_block(tmp_path):
     assert parsed == packets
     columns = sum(column.nbytes for column in parsed.columns())
     assert peak - columns <= 16 * traffic.PARSE_BLOCK_CHARS
+
+
+def test_short_reads_do_not_shrink_blocks(tmp_path):
+    # a file that hands out 1000 bytes a read is still cut into blocks of
+    # about PARSE_BLOCK_CHARS bytes or more, one _plain_block call each
+    packets, _ = generate_traffic(preset_scenario("syn10"), np.random.default_rng(0))
+    path = tmp_path / "packets.csv"
+    write_packets_csv(path, packets)
+    data = path.read_bytes()
+    assert len(data) > 10 * traffic.PARSE_BLOCK_CHARS
+    with mock.patch.object(traffic, "_plain_block", wraps=traffic._plain_block) as plain:
+        assert parse_packets(_Trickle(data, 1000)) == packets
+    assert plain.call_count <= -(-len(data) // traffic.PARSE_BLOCK_CHARS) + 1
 
 
 def test_capture_without_plain_blocks_parses_as_plain(tmp_path):
@@ -897,6 +908,24 @@ def test_scenario_validation():
         AttackInterval(8.0, 4.0, AttackKind.SYN_FLOOD, 10.0, 100)])
     with pytest.raises(InputError):
         bad.validate()
+
+
+def test_largest_source_pool_stays_in_the_address_space():
+    # spoofed sources count up from 100.64.0.0: those of the largest pool
+    # reach 255.255.255.255 at the most, and one more would wrap past 2**32
+    limit = 2**32 - traffic.SPOOF_SRC_BASE
+
+    def scenario(pool):
+        flood = AttackInterval(0.0, 1.0, AttackKind.UDP_FLOOD, 1000.0, pool)
+        return Scenario(duration=1.0, baseline_rate=100.0, attacks=[flood])
+
+    packets, _ = generate_traffic(scenario(limit), np.random.default_rng(0))
+    clients = ((packets.src >= traffic.LEGIT_SRC_BASE)
+               & (packets.src < traffic.LEGIT_SRC_BASE + traffic.LEGIT_SRC_POOL))
+    assert (packets.src[~clients] >= traffic.SPOOF_SRC_BASE).all()
+    for pool in (0, limit + 1):
+        with pytest.raises(InputError, match=rf"^attack 0: source_pool must lie in \[1, {limit}\]"):
+            generate_traffic(scenario(pool), np.random.default_rng(0))
 
 
 def test_preset_scenario_unknown_name():
